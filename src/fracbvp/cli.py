@@ -14,7 +14,7 @@ import numpy as np
 from .catalog import CATALOG_NAMES, ProblemSpec, catalog, with_overrides
 from .correction import correct
 from .report import emit_pointwise_error
-from .solver import SchemeKind, SolverError, solve_bvp
+from .solver import DENSE_LIMIT, SchemeKind, SolverError, solve_bvp
 from .study import ConfigError, StudyConfig, emit_reports, run_study, run_time_study
 
 EXIT_OK = 0
@@ -43,9 +43,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="apply the two-grid singular correction")
     p.add_argument("--singular-exponent", type=float, default=None,
                    dest="rho", help="override the singular boundary exponent")
-    p.add_argument("--method", choices=["dense", "krylov", "auto"], default="auto")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="Krylov relative residual target")
+    p.add_argument("--method", choices=["dense", "krylov", "auto"], default="auto",
+                   help="linear solver: dense LU, Strang-preconditioned GMRES, "
+                        f"or auto (dense up to {DENSE_LIMIT} intervals); every "
+                        "solve meets the same backward-error bound")
     p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
     p.add_argument("--out", default=None, help="output file path")
 
@@ -69,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reference grid is 2**level when no exact solution")
     study.add_argument("--cache-dir", default=None,
                        help="directory for the on-disk reference cache")
-    study.add_argument("--scalar-xi", action="store_true",
-                       help="collapse the strength field to its median")
 
     tstudy = sub.add_parser("timestudy", help="time-dependent spatial-rate study")
     _add_common(tstudy)
@@ -101,11 +100,10 @@ def _cmd_solve(args) -> int:
     if args.correct:
         if problem.singular is None:
             raise ConfigError("no singular term available for correction")
-        sol = correct(problem, problem.singular, M, scheme,
-                      method=args.method, tol=args.tol)
+        sol = correct(problem, problem.singular, M, scheme, method=args.method)
         u = sol.corrected_coarse
     else:
-        u = solve_bvp(problem, M, scheme, method=args.method, tol=args.tol)
+        u = solve_bvp(problem, M, scheme, method=args.method)
     out = Path(args.out) if args.out else Path(f"{args.example}-M{M}.csv")
     meta = {"problem": args.example, "beta": problem.params.beta,
             "scheme": args.scheme, "corrected": args.correct, "M": M}
@@ -124,9 +122,8 @@ def _cmd_study(args) -> int:
     config = StudyConfig(
         example=args.example, betas=args.beta, scheme=_scheme(args.scheme),
         corrected=args.correct, M_list=args.grids, ref_level=args.ref_level,
-        tol=args.tol, method=args.method, fmt=args.format,
-        cache_dir=args.cache_dir, alpha=args.alpha, theta=args.theta,
-        singular_rho=args.rho, scalar_xi=args.scalar_xi)
+        method=args.method, fmt=args.format, cache_dir=args.cache_dir,
+        alpha=args.alpha, theta=args.theta, singular_rho=args.rho)
     reports = run_study(config)
     out = args.out or "study.csv"
     for path in emit_reports(reports, args.format, out):
@@ -139,7 +136,7 @@ def _cmd_timestudy(args) -> int:
         example=args.example or "ex3", betas=args.beta,
         scheme=_scheme(args.scheme), corrected=args.correct,
         M_list=args.grids, ref_level=max(15, args.grids[-1].bit_length() + 2),
-        tol=args.tol, method=args.method, tau=args.tau, steps=args.steps)
+        method=args.method, tau=args.tau, steps=args.steps)
     reports = run_time_study(config)
     out = args.out or "timestudy.csv"
     for path in emit_reports(reports, args.format, out):

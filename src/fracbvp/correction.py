@@ -29,13 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .grids import Grid, GridFunction
-from .solver import (
-    DEFAULT_MAXITER,
-    DEFAULT_TOL,
-    SchemeKind,
-    SolverError,
-    make_solver,
-)
+from .solver import SchemeKind, SolverError, make_solver
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec, SingularTermSpec
@@ -50,12 +44,12 @@ class CorrectedSolution:
 
     ``corrected_coarse`` lives on the coarse grid, ``corrected_fine`` on
     the fine grid (the two agree identically at coarse nodes wherever the
-    guard did not fire).  ``xi`` is the pointwise two-grid ratio (or its
-    scalar fit); it measures the singular strength only next to the
-    singular end, and for theta in {0, 1} tends to an O(1) function of x
-    elsewhere.  ``guard_activations`` counts interior nodes
-    whose denominator fell below the guard and inherited a neighbour's
-    strength.
+    guard did not fire).  ``xi`` is the pointwise two-grid ratio (or, with
+    several singular terms, the leading term's fitted scalar); it measures
+    the singular strength only next to the singular end, and for theta in
+    {0, 1} tends to an O(1) function of x elsewhere.  ``guard_activations``
+    counts interior nodes whose denominator fell below the guard and
+    inherited a neighbour's strength.
     """
 
     coarse: GridFunction
@@ -130,25 +124,18 @@ def _midpoint_strengths(xi_int: np.ndarray) -> np.ndarray:
 
 
 def correct(problem: "ProblemSpec", singular: "SingularTermSpec", M: int,
-            scheme: SchemeKind, method: str = "auto", tol: float = DEFAULT_TOL,
-            maxiter: int = DEFAULT_MAXITER,
-            scalar_xi: bool = False) -> CorrectedSolution:
+            scheme: SchemeKind, method: str = "auto") -> CorrectedSolution:
     """Two-grid singular correction of the stationary solve on M intervals.
 
     Solves the problem and the singular problem on grids M and 2M, forms
-    the strength field and returns both corrected fields.  With
-    ``scalar_xi`` the pointwise field is collapsed to its interior median
-    before correcting (a robustness option).
+    the strength field and returns both corrected fields.
     """
-    return _run_correction(problem, [singular], M, scheme, method, tol,
-                           maxiter, scalar_xi)
+    return _run_correction(problem, [singular], M, scheme, method)
 
 
 def correct_iterated(problem: "ProblemSpec",
                      singular_terms: Sequence["SingularTermSpec"], M: int,
-                     scheme: SchemeKind, method: str = "auto",
-                     tol: float = DEFAULT_TOL,
-                     maxiter: int = DEFAULT_MAXITER) -> CorrectedSolution:
+                     scheme: SchemeKind, method: str = "auto") -> CorrectedSolution:
     """Correction with a hierarchy of singular terms, applied in order.
 
     With several terms the scalar strengths of all terms are fitted
@@ -161,19 +148,17 @@ def correct_iterated(problem: "ProblemSpec",
     if not singular_terms:
         raise ValueError("need at least one singular term")
     return _run_correction(problem, list(singular_terms), M, scheme,
-                           "auto" if method is None else method, tol,
-                           maxiter, False)
+                           "auto" if method is None else method)
 
 
-def _run_correction(problem, terms, M, scheme, method, tol, maxiter,
-                    scalar_final) -> CorrectedSolution:
+def _run_correction(problem, terms, M, scheme, method) -> CorrectedSolution:
     if M < 8 or M % 2:
         raise ValueError(f"correction needs an even interval count >= 8, got {M}")
     a, b = problem.domain
     grid_c = Grid(a, b, M)
     grid_f = grid_c.refined()
-    solver_c = make_solver(problem.params, grid_c, scheme, method, tol, maxiter)
-    solver_f = make_solver(problem.params, grid_f, scheme, method, tol, maxiter)
+    solver_c = make_solver(problem.params, grid_c, scheme, method)
+    solver_f = make_solver(problem.params, grid_f, scheme, method)
 
     def pair(rhs_ps):
         u_c = solver_c.solve(np.asarray(rhs_ps(grid_c.interior_nodes()), dtype=float))
@@ -196,8 +181,6 @@ def _run_correction(problem, terms, M, scheme, method, tol, maxiter,
     if len(terms) == 1:
         guard_eps = GUARD_SCALE * float(np.max(np.abs(solves[0][0].values)))
         xi_int, guards = _guarded_ratio(residual, dens[0], guard_eps)
-        if scalar_final:
-            xi_int = np.full(M - 1, float(np.median(xi_int)))
         strengths = [xi_int]
     else:
         fitted, *_ = np.linalg.lstsq(np.column_stack(dens), residual, rcond=None)

@@ -16,6 +16,10 @@ The reference itself is the corrected solve at the reference level when
 a singular term is available (its own error is then orders of magnitude
 below the rows being measured, and reported errors are insensitive to
 the reference level); without one it falls back to the plain solve.
+
+Every linear solve, the reference's included, is accepted on the one
+normwise backward-error bound of :mod:`fracbvp.solver`; reports record
+that bound as ``backward_error_bound``.
 """
 
 from __future__ import annotations
@@ -33,18 +37,8 @@ from .catalog import ProblemSpec, TimeDependentProblem, catalog, with_overrides
 from .correction import correct
 from .grids import Grid, GridFunction
 from .report import ConvergenceReport, emit_pointwise_error, emit_report
-from .solver import (
-    DEFAULT_MAXITER,
-    DEFAULT_TOL,
-    KrylovError,
-    SchemeKind,
-    solve_bvp,
-)
+from .solver import BACKWARD_ERROR_BOUND, SchemeKind, solve_bvp
 from .timestepper import TimeGrid, estimate_spatial_rate
-
-#: Fallback tolerances for reference solves; large systems at strong
-#: orders sit on the FFT rounding floor, where tighter targets stagnate.
-REFERENCE_TOL_LADDER = (1e-10, 1e-8, 1e-7)
 
 
 class ConfigError(ValueError):
@@ -62,8 +56,6 @@ class StudyConfig:
     corrected: bool = False
     M_list: Sequence[int] = (64, 128, 256, 512)
     ref_level: int = 15
-    tol: float = DEFAULT_TOL
-    maxiter: int = DEFAULT_MAXITER
     method: str = "auto"
     fmt: str = "csv"
     out: Optional[str] = None
@@ -71,7 +63,6 @@ class StudyConfig:
     alpha: Optional[float] = None
     theta: Optional[float] = None
     singular_rho: Optional[float] = None
-    scalar_xi: bool = False
     tau: Optional[float] = None
     steps: Optional[int] = None
     ref_corrected: bool = True
@@ -124,26 +115,15 @@ def _reference_key(problem: ProblemSpec, scheme: SchemeKind, level: int,
 
 
 def _solve_reference(problem: ProblemSpec, scheme: SchemeKind, level: int,
-                     tol: float, maxiter: int, corrected_ref: bool) -> np.ndarray:
+                     corrected_ref: bool) -> np.ndarray:
     """Nodal reference values on the grid 2**level (with boundaries)."""
-    ladder = (tol,) + tuple(t for t in REFERENCE_TOL_LADDER if t > tol)
-    last_err: Exception | None = None
-    use_corr = corrected_ref and problem.singular is not None
-    for t in ladder:
-        try:
-            if use_corr:
-                sol = correct(problem, problem.singular, 2 ** (level - 1),
-                              scheme, method="auto", tol=t, maxiter=maxiter)
-                return sol.corrected_fine.values
-            return solve_bvp(problem, 2 ** level, scheme, method="auto",
-                             tol=t, maxiter=maxiter).values
-        except KrylovError as err:
-            last_err = err
-    raise last_err  # type: ignore[misc]
+    if corrected_ref and problem.singular is not None:
+        sol = correct(problem, problem.singular, 2 ** (level - 1), scheme)
+        return sol.corrected_fine.values
+    return solve_bvp(problem, 2 ** level, scheme).values
 
 
 def reference_solution(problem: ProblemSpec, scheme: SchemeKind, level: int,
-                       tol: float = DEFAULT_TOL, maxiter: int = DEFAULT_MAXITER,
                        cache_dir: Optional[str] = None,
                        corrected_ref: bool = True) -> GridFunction:
     """Reference solution on the grid ``2**level``, cached by content.
@@ -162,7 +142,7 @@ def reference_solution(problem: ProblemSpec, scheme: SchemeKind, level: int,
         values = np.load(disk)["values"]
         _memory_cache[key] = values.copy()
         return GridFunction(grid, values)
-    values = _solve_reference(problem, scheme, level, tol, maxiter, corrected_ref)
+    values = _solve_reference(problem, scheme, level, corrected_ref)
     _memory_cache[key] = values.copy()
     if disk is not None:
         disk.parent.mkdir(parents=True, exist_ok=True)
@@ -213,8 +193,7 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
         reference = None
         if problem.exact is None:
             reference = reference_solution(
-                problem, config.scheme, config.ref_level, tol=config.tol,
-                maxiter=config.maxiter, cache_dir=config.cache_dir,
+                problem, config.scheme, config.ref_level, cache_dir=config.cache_dir,
                 corrected_ref=config.ref_corrected)
         rows = []
         guards = 0
@@ -222,14 +201,12 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
             t0 = time.perf_counter()
             if config.corrected:
                 sol = correct(problem, problem.singular, M, config.scheme,
-                              method=config.method, tol=config.tol,
-                              maxiter=config.maxiter, scalar_xi=config.scalar_xi)
+                              method=config.method)
                 seconds = time.perf_counter() - t0
                 guards += sol.guard_activations
                 err = _restrict_errors(sol.corrected_fine, problem.exact, reference)
             else:
-                u = solve_bvp(problem, M, config.scheme, method=config.method,
-                              tol=config.tol, maxiter=config.maxiter)
+                u = solve_bvp(problem, M, config.scheme, method=config.method)
                 seconds = time.perf_counter() - t0
                 err = _restrict_errors(u, problem.exact, reference)
             rows.append((M, err.max_norm(), err.l2_norm(), seconds))
@@ -245,7 +222,7 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
             "reference": "exact" if problem.exact is not None
                          else f"level-{config.ref_level}",
             "method": config.method,
-            "tol": config.tol,
+            "backward_error_bound": BACKWARD_ERROR_BOUND,
             "guard_activations": guards,
         }
         reports.append(ConvergenceReport.from_rows(rows, meta))
@@ -268,7 +245,7 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
         tg = TimeGrid(T=T, N=N)
         reports.append(estimate_spatial_rate(
             problem, list(config.M_list), tg, corrected=config.corrected,
-            method=config.method, tol=config.tol, maxiter=config.maxiter))
+            method=config.method))
     return reports
 
 

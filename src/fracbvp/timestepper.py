@@ -29,8 +29,7 @@ import numpy as np
 from .correction import GUARD_SCALE, _guarded_ratio, _midpoint_strengths
 from .grids import Grid, GridFunction
 from .solver import (
-    DEFAULT_MAXITER,
-    DEFAULT_TOL,
+    BACKWARD_ERROR_BOUND,
     FracParams,
     SchemeKind,
     ToeplitzSolver,
@@ -71,14 +70,12 @@ class TimeGrid:
 class _CNSystem:
     """Implicit/explicit operator pair of one CN grid."""
 
-    def __init__(self, params: FracParams, grid: Grid, tau: float,
-                 method: str, tol: float, maxiter: int):
+    def __init__(self, params: FracParams, grid: Grid, tau: float, method: str):
         half = 0.5 * tau
         stepping = FracParams(alpha=1.0, beta=params.beta, theta=params.theta)
         icol, irow = scheme_toeplitz(stepping, grid, SchemeKind.WSGD,
                                      frac_scale=half)
-        self.solver = ToeplitzSolver(icol, irow, method=resolve_method(method, grid.M),
-                                     tol=tol, maxiter=maxiter)
+        self.solver = ToeplitzSolver(icol, irow, method=resolve_method(method, grid.M))
         self.ecol, self.erow = scheme_toeplitz(stepping, grid, SchemeKind.WSGD,
                                                frac_scale=-half)
         self.grid = grid
@@ -90,7 +87,6 @@ class _CNSystem:
 
 def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
                   corrected: bool = False, method: str = "auto",
-                  tol: float = DEFAULT_TOL, maxiter: int = DEFAULT_MAXITER,
                   diagnostics: Optional[dict] = None) -> GridFunction:
     """March the CN scheme to the final time; returns the field on grid M.
 
@@ -108,7 +104,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     a, b = problem.domain
     tau = time_grid.tau
     grid_c = Grid(a, b, M)
-    sys_c = _CNSystem(problem.params, grid_c, tau, method, tol, maxiter)
+    sys_c = _CNSystem(problem.params, grid_c, tau, method)
     xc = grid_c.interior_nodes()
     u_c = np.asarray(problem.initial(xc), dtype=float)
 
@@ -118,7 +114,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         return GridFunction.from_interior(grid_c, u_c)
 
     grid_f = grid_c.refined()
-    sys_f = _CNSystem(problem.params, grid_f, tau, method, tol, maxiter)
+    sys_f = _CNSystem(problem.params, grid_f, tau, method)
     xf = grid_f.interior_nodes()
     u_f = np.asarray(problem.initial(xf), dtype=float)
 
@@ -155,9 +151,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
 
 
 def estimate_spatial_rate(problem: "TimeDependentProblem", M_list, time_grid: TimeGrid,
-                          corrected: bool = False, method: str = "auto",
-                          tol: float = DEFAULT_TOL,
-                          maxiter: int = DEFAULT_MAXITER):
+                          corrected: bool = False, method: str = "auto"):
     """Final-time errors and spatial rates over a list of interval counts.
 
     Requires the problem's exact solution.  The temporal step must be
@@ -176,8 +170,7 @@ def estimate_spatial_rate(problem: "TimeDependentProblem", M_list, time_grid: Ti
         diag: dict = {}
         t0 = perf_counter()
         u = cn_wsgd_solve(problem, M, time_grid, corrected=corrected,
-                          method=method, tol=tol, maxiter=maxiter,
-                          diagnostics=diag)
+                          method=method, diagnostics=diag)
         seconds = perf_counter() - t0
         guards_total += diag.get("guard_activations", 0)
         exact = GridFunction(u.grid, problem.exact(u.grid.nodes(), time_grid.T))
@@ -193,6 +186,7 @@ def estimate_spatial_rate(problem: "TimeDependentProblem", M_list, time_grid: Ti
         "steps": time_grid.N,
         "final_time": time_grid.T,
         "method": method,
+        "backward_error_bound": BACKWARD_ERROR_BOUND,
         "guard_activations": guards_total,
     }
     return ConvergenceReport.from_rows(rows, meta)

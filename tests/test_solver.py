@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracbvp.catalog import catalog, manufactured
 from fracbvp.grids import Grid
 from fracbvp.analytic import PowerSum, PowerTerm
 from fracbvp.operators import toeplitz_matvec
 from fracbvp.solver import (
+    BACKWARD_ERROR_BOUND,
     FracParams,
     KrylovError,
     SchemeKind,
@@ -17,7 +20,6 @@ from fracbvp.solver import (
     assemble,
     scheme_toeplitz,
     solve_bvp,
-    solve_system,
 )
 from fracbvp.weights import grunwald_coeffs, wsgd_lambdas
 
@@ -114,7 +116,7 @@ class TestSolve:
     def test_dense_krylov_agreement(self, name, scheme, beta):
         spec = catalog(name, beta)
         ud = solve_bvp(spec, 256, scheme, method="dense")
-        uk = solve_bvp(spec, 256, scheme, method="krylov", tol=1e-12)
+        uk = solve_bvp(spec, 256, scheme, method="krylov")
         assert np.max(np.abs(ud.values - uk.values)) < 1e-10
 
     def test_alpha_zero_pure_fractional(self):
@@ -147,11 +149,41 @@ class TestSolve:
         spec = catalog("ex1-case1", 1.5)
         grid = Grid(0.0, 1.0, 512)
         f = spec.rhs(grid.interior_nodes())
+        col, row = scheme_toeplitz(spec.params, grid, SchemeKind.WSGD)
+        solver = ToeplitzSolver(col, row, method="krylov", maxiter=2)
         with pytest.raises(KrylovError) as exc:
-            solve_system(spec.params, grid, SchemeKind.WSGD, f,
-                         method="krylov", tol=1e-30, maxiter=60)
+            solver.solve(f)
         assert exc.value.residual > 0.0
         assert exc.value.iterations > 0
+
+    # beta stops short of 2: at beta=2, alpha=0 the Strang circulant has
+    # the eigenvalue 0, so the Krylov path cannot be set up there
+    @settings(max_examples=25, deadline=None)
+    @given(beta=st.floats(1.01, 1.99),
+           alpha=st.sampled_from([0.0, 1.0]),
+           scheme_theta=st.sampled_from([(SchemeKind.WSGD, 0.0),
+                                         (SchemeKind.WSGD, 0.5),
+                                         (SchemeKind.WSGD, 1.0),
+                                         (SchemeKind.FCD, 0.5)]),
+           M=st.integers(16, 1024),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(beta=1.99, alpha=0.0, scheme_theta=(SchemeKind.WSGD, 1.0),
+             M=4096, seed=0)
+    def test_dense_and_krylov_meet_one_bound(self, beta, alpha, scheme_theta,
+                                             M, seed):
+        scheme, theta = scheme_theta
+        col, row = scheme_toeplitz(FracParams(alpha, beta, theta),
+                                   Grid(0.0, 1.0, M), scheme)
+        f = np.random.default_rng(seed).standard_normal(M - 1)
+        solutions = []
+        for method in ("dense", "krylov"):
+            solver = ToeplitzSolver(col, row, method=method)
+            u = solver.solve(f)
+            eta = solver.backward_error(u, f)
+            assert eta <= BACKWARD_ERROR_BOUND, (method, eta)
+            solutions.append(u)
+        dense, krylov = solutions
+        assert np.max(np.abs(dense - krylov)) <= 1e-8 * np.max(np.abs(dense))
 
     def test_unknown_method(self):
         spec = catalog("ex1-case1", 1.5)
