@@ -44,9 +44,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--singular-exponent", type=float, default=None,
                    dest="rho", help="override the singular boundary exponent")
     p.add_argument("--method", choices=["dense", "krylov", "auto"], default="auto",
-                   help="linear solver: dense LU, Strang-preconditioned GMRES, "
-                        f"or auto (dense up to {DENSE_LIMIT} intervals); every "
-                        "solve meets the same backward-error bound")
+                   help="linear solver: dense (direct Toeplitz solve: Levinson "
+                        "plus Gohberg-Semencul, no matrix formed), "
+                        "Strang-preconditioned GMRES, or auto (dense up to "
+                        f"{DENSE_LIMIT} intervals); every solve meets the same "
+                        "backward-error bound")
     p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
     p.add_argument("--out", default=None, help="output file path")
 

@@ -52,11 +52,23 @@ def toeplitz_matvec(first_column: np.ndarray, first_row: np.ndarray,
     if m == 1:
         return col[0] * x
     L = _next_pow2(2 * m - 1)
+    y = np.fft.irfft(embedding_spectrum(col, row) * np.fft.rfft(x, n=L), n=L)
+    return y[:m]
+
+
+def embedding_spectrum(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``rfft`` of the circulant of size ``_next_pow2(2m - 1)`` that embeds
+    the Toeplitz matrix with first column ``col`` and first row ``row``.
+
+    A product with the matrix is ``irfft(spectrum * rfft(x, n=L), n=L)[:m]``;
+    callers that apply one matrix many times keep the spectrum.
+    """
+    m = len(col)
+    L = _next_pow2(2 * m - 1)
     c = np.zeros(L)
     c[:m] = col
     c[L - m + 1:] = row[1:][::-1]
-    y = np.fft.irfft(np.fft.rfft(c) * np.fft.rfft(x, n=L), n=L)
-    return y[:m]
+    return np.fft.rfft(c)
 
 
 def toeplitz_matvec_naive(first_column: np.ndarray, first_row: np.ndarray,

@@ -8,16 +8,29 @@ with zero Dirichlet data is Toeplitz:
 * FCD:   ``A = alpha*I + cos(beta*pi/2) * C``       with ``C`` the centered
   operator matrix (requires ``theta = 1/2``).
 
-Systems are solved either by dense LU (default up to ``DENSE_LIMIT``) or
+Systems are solved either directly (default up to ``DENSE_LIMIT``) or
 matrix-free by restarted GMRES with a Strang circulant preconditioner.
-Both paths accept a solution on one rule, a normwise backward error
-(Rigal & Gaches 1967; Higham, *Accuracy and Stability of Numerical
-Algorithms*, ch. 7) in the infinity norm:
+The direct solve never forms the matrix: one Levinson call gives the
+first and last columns of ``A^-1``, and the Gohberg-Semencul formula
+(Gohberg & Semencul 1972)
+
+    A^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)],
+
+with ``x = A^-1 e_1``, ``y = A^-1 e_m``, ``L``/``U`` lower/upper
+triangular Toeplitz, ``J`` the reversal and ``Z`` the down shift, applies
+it with FFTs in O(M log M) per right-hand side.  Both paths accept a
+solution on one rule, a normwise backward error (Rigal & Gaches 1967;
+Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 7) in the
+infinity norm:
 
     ||A x - b|| <= BACKWARD_ERROR_BOUND * (||A|| ||x|| + ||b||).
 
-The bound sits above what LU and FFT rounding reach for every system
-size, so the same rule holds at M = 16 and at M = 65536.
+The bound sits above what FFT rounding reaches for every system size, so
+the same rule holds at M = 16 and at M = 65536.  The Gohberg-Semencul
+product alone can miss it on systems near beta = 1 (up to about 1e6 eps
+at beta = 1.001, theta in {0, 1}); a direct solve that misses is refined
+on its own residual, ``x <- x - A^-1 (A x - b)``; one step brought every
+system measured below 2 eps.
 """
 
 from __future__ import annotations
@@ -32,13 +45,18 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .grids import Grid, GridFunction
-from .operators import fcd_toeplitz, left_wsgd_toeplitz, toeplitz_matvec
+from .operators import (
+    _next_pow2,
+    embedding_spectrum,
+    fcd_toeplitz,
+    left_wsgd_toeplitz,
+)
 from .weights import WeightTable, weight_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec
 
-#: Largest interval count solved with a dense factorization by default.
+#: Largest interval count solved directly by default.
 DENSE_LIMIT = 4096
 
 #: Largest normwise backward error accepted from any solve (1024 eps).
@@ -47,6 +65,9 @@ BACKWARD_ERROR_BOUND = 2.0 ** -42
 #: Default cap on the inner GMRES iterations of one solve.
 DEFAULT_MAXITER = 2000
 _GMRES_RESTART = 60
+
+#: Cap on the refinement steps of one direct solve.
+_MAX_REFINEMENTS = 3
 
 
 class SchemeKind(enum.Enum):
@@ -144,10 +165,18 @@ def strang_circulant_eigenvalues(col: np.ndarray, row: np.ndarray) -> np.ndarray
 class ToeplitzSolver:
     """Repeated solves against one fixed Toeplitz system.
 
-    ``method`` is ``'dense'`` (LU factorization, held for reuse) or
-    ``'krylov'`` (matrix-free preconditioned GMRES, capped at ``maxiter``
-    inner iterations).  Every solve must meet ``BACKWARD_ERROR_BOUND``;
-    the last solve's iteration count is kept in ``last_iterations``.
+    ``method`` is ``'dense'`` (direct: the Gohberg-Semencul generators of
+    ``A^-1`` from one Levinson call, held for reuse, with up to
+    ``_MAX_REFINEMENTS`` refinement steps per solve) or ``'krylov'``
+    (matrix-free preconditioned GMRES, capped at ``maxiter`` inner
+    iterations).  Every solve must meet ``BACKWARD_ERROR_BOUND``; the last
+    solve's GMRES iteration count is kept in ``last_iterations``.
+
+    The direct path needs every leading principal minor of ``A`` to be
+    nonsingular (Levinson's recursion runs through them) and raises
+    :class:`SolverError` when one is singular.  Every scheme matrix here
+    qualifies: WSGD with theta in {0, 1} gives an M-matrix, theta = 1/2
+    and FCD a symmetric positive definite one.
     """
 
     def __init__(self, col: np.ndarray, row: np.ndarray, method: str = "dense",
@@ -162,8 +191,10 @@ class ToeplitzSolver:
         lower = np.cumsum(np.abs(self.col))
         upper = np.concatenate(([0.0], np.cumsum(np.abs(self.row[1:]))))
         self.norm_inf = float(np.max(lower + upper[::-1]))
+        self._L = _next_pow2(2 * self.m - 1)
+        self._spectrum = embedding_spectrum(self.col, self.row)
         if method == "dense":
-            self._lu = scipy.linalg.lu_factor(scipy.linalg.toeplitz(self.col, self.row))
+            self._setup_direct()
         elif method == "krylov":
             lam = strang_circulant_eigenvalues(self.col, self.row)
             if np.min(np.abs(lam)) == 0.0:
@@ -172,8 +203,35 @@ class ToeplitzSolver:
         else:
             raise ValueError(f"unknown method {method!r}")
 
+    def _setup_direct(self) -> None:
+        m, L = self.m, self._L
+        ends = np.zeros((m, 2))
+        ends[0, 0] = ends[-1, 1] = 1.0
+        try:
+            xy = scipy.linalg.solve_toeplitz((self.col, self.row), ends)
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"direct Toeplitz solve impossible: {err}") from err
+        x, y = xy[:, 0], xy[:, 1]
+        if x[0] == 0.0 or not np.all(np.isfinite(xy)):
+            raise SolverError("direct Toeplitz solve impossible: (A^-1)_00 is 0 "
+                              "or the end columns of A^-1 are not finite")
+        shift_y = np.concatenate(([0.0], y[:-1]))
+        shift_rev_x = np.concatenate(([0.0], x[:0:-1]))
+        # (U(v) b)_i = sum_j v_j b_{i+j} is a correlation: with zero
+        # padding to L >= 2m - 1 it is irfft(conj(rfft(v)) * rfft(b))[:m]
+        self._upper = np.conj(np.fft.rfft(np.stack([y[::-1], shift_rev_x]), n=L))
+        self._lower = np.fft.rfft(np.stack([x, shift_y]), n=L) / x[0]
+
+    def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
+        """Gohberg-Semencul product ``A^-1 b`` (direct path only)."""
+        m, L = self.m, self._L
+        u = np.fft.irfft(self._upper * np.fft.rfft(b, n=L), n=L)
+        z = np.fft.rfft(u[:, :m], n=L) * self._lower
+        return np.fft.irfft(z[0] - z[1], n=L)[:m]
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return toeplitz_matvec(self.col, self.row, x)
+        L = self._L
+        return np.fft.irfft(self._spectrum * np.fft.rfft(x, n=L), n=L)[:self.m]
 
     def _precondition(self, x: np.ndarray) -> np.ndarray:
         return np.real(np.fft.ifft(np.fft.fft(x) / self._lam))
@@ -181,22 +239,35 @@ class ToeplitzSolver:
     def backward_error(self, x: np.ndarray, rhs: np.ndarray) -> float:
         """Normwise backward error ``||Ax - b|| / (||A|| ||x|| + ||b||)``
         of ``x``, in the infinity norm."""
-        res = float(np.max(np.abs(self.matvec(x) - rhs)))
+        return self._backward_error(self.matvec(x) - rhs, x, rhs)
+
+    def _backward_error(self, residual: np.ndarray, x: np.ndarray,
+                        rhs: np.ndarray) -> float:
+        res = float(np.max(np.abs(residual)))
         if res == 0.0:
             return 0.0
         return res / (self.norm_inf * float(np.max(np.abs(x)))
                       + float(np.max(np.abs(rhs))))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
         if self.method == "krylov":
-            return self._solve_krylov(rhs)
-        x = scipy.linalg.lu_solve(self._lu, rhs)
+            return self._solve_krylov(np.asarray(rhs, dtype=float))
+        return self._solve_direct(np.asarray_chkfinite(rhs, dtype=float))
+
+    def _solve_direct(self, rhs: np.ndarray) -> np.ndarray:
         self.last_iterations = 0
-        eta = self.backward_error(x, rhs)
-        if not eta <= BACKWARD_ERROR_BOUND:
-            raise SolverError(f"dense solve backward error {eta:.3e} exceeds "
-                              f"the bound {BACKWARD_ERROR_BOUND:.3e}")
+        x = self._apply_inverse(rhs)
+        residual = self.matvec(x) - rhs
+        refinements = 0
+        while not ((eta := self._backward_error(residual, x, rhs))
+                   <= BACKWARD_ERROR_BOUND):
+            if refinements == _MAX_REFINEMENTS:
+                raise SolverError(
+                    f"direct solve backward error {eta:.3e} exceeds the bound "
+                    f"{BACKWARD_ERROR_BOUND:.3e} after {refinements} refinements")
+            x = x - self._apply_inverse(residual)
+            residual = self.matvec(x) - rhs
+            refinements += 1
         return x
 
     def _solve_krylov(self, rhs: np.ndarray) -> np.ndarray:
@@ -265,9 +336,10 @@ def solve_bvp(problem: "ProblemSpec", M: int, scheme: SchemeKind,
               method: str = "auto") -> GridFunction:
     """Solve a stationary boundary-value problem on M intervals.
 
-    Returns the grid function with zero boundary entries.  The dense and
+    Returns the grid function with zero boundary entries.  The direct and
     Krylov paths meet the same backward-error bound; ``method='auto'``
-    picks dense LU for ``M <= DENSE_LIMIT`` and GMRES beyond.
+    picks the direct Gohberg-Semencul solve, refined on its residual when
+    it misses the bound, for ``M <= DENSE_LIMIT`` and GMRES beyond.
     """
     if M < 4:
         raise ValueError(f"need at least 4 intervals, got M={M}")

@@ -2,8 +2,9 @@
 
 Each step solves ``(I - tau/2 D) u^n = (I + tau/2 D) u^{n-1} + tau f^{n-1/2}``
 with ``D`` the theta-weighted spatial operator and ``f`` sampled at the
-half node.  The implicit matrix is time-independent, so one factorization
-(or preconditioner) serves the whole march.
+half node.  The implicit matrix is time-independent, so one solver set-up
+(the direct solver's Gohberg-Semencul generators, or the Krylov
+preconditioner) serves the whole march.
 
 The corrected variant marches the coarse and fine grids together, applies
 the two-grid strength correction after every step and carries the

@@ -1,4 +1,4 @@
-"""Scheme assembly and the dense/Krylov solve paths."""
+"""Scheme assembly and the direct/Krylov solve paths."""
 
 import numpy as np
 import pytest
@@ -159,7 +159,7 @@ class TestSolve:
     # beta stops short of 2: at beta=2, alpha=0 the Strang circulant has
     # the eigenvalue 0, so the Krylov path cannot be set up there
     @settings(max_examples=25, deadline=None)
-    @given(beta=st.floats(1.01, 1.99),
+    @given(beta=st.floats(1.001, 1.99),
            alpha=st.sampled_from([0.0, 1.0]),
            scheme_theta=st.sampled_from([(SchemeKind.WSGD, 0.0),
                                          (SchemeKind.WSGD, 0.5),
@@ -169,6 +169,10 @@ class TestSolve:
            seed=st.integers(0, 2 ** 32 - 1))
     @example(beta=1.99, alpha=0.0, scheme_theta=(SchemeKind.WSGD, 1.0),
              M=4096, seed=0)
+    # the Gohberg-Semencul product alone misses the bound here (about
+    # 1e6 eps); the direct solve must refine
+    @example(beta=1.001, alpha=0.0, scheme_theta=(SchemeKind.WSGD, 1.0),
+             M=33, seed=0)
     def test_dense_and_krylov_meet_one_bound(self, beta, alpha, scheme_theta,
                                              M, seed):
         scheme, theta = scheme_theta
@@ -184,6 +188,36 @@ class TestSolve:
             solutions.append(u)
         dense, krylov = solutions
         assert np.max(np.abs(dense - krylov)) <= 1e-8 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("M", [5, 1024, 4096])
+    @pytest.mark.parametrize("beta", [1.001, 1.99])
+    @pytest.mark.parametrize("scheme,theta", [(SchemeKind.WSGD, 0.0),
+                                              (SchemeKind.WSGD, 0.5),
+                                              (SchemeKind.WSGD, 1.0),
+                                              (SchemeKind.FCD, 0.5)])
+    def test_direct_against_lu_oracle(self, scheme, theta, beta, M):
+        params = FracParams(0.0, beta, theta)
+        grid = Grid(0.0, 1.0, M)
+        f = np.random.default_rng(M).standard_normal(M - 1)
+        oracle = scipy.linalg.lu_solve(
+            scipy.linalg.lu_factor(assemble(params, grid, scheme)), f)
+        u = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme)).solve(f)
+        assert np.max(np.abs(u - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    def test_direct_rejects_nonfinite_rhs(self):
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 32),
+                                   SchemeKind.WSGD)
+        f = np.ones(31)
+        f[7] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ToeplitzSolver(col, row).solve(f)
+
+    def test_direct_refuses_singular_leading_minor(self):
+        # nonsingular, but its 1x1 leading minor is 0, so Levinson cannot run
+        col, row = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 4.0, 5.0, 6.0])
+        assert abs(np.linalg.det(scipy.linalg.toeplitz(col, row))) > 1.0
+        with pytest.raises(SolverError, match="principal minor"):
+            ToeplitzSolver(col, row)
 
     def test_unknown_method(self):
         spec = catalog("ex1-case1", 1.5)
