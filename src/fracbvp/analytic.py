@@ -142,7 +142,7 @@ class PowerSum:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for t in self.terms:
-            val = np.full_like(x, t.coef)
+            val = t.coef
             if t.left != 0.0:
                 val = val * (x - self.a) ** t.left
             if t.right != 0.0:

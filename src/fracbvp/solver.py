@@ -148,7 +148,8 @@ def assemble(params: FracParams, grid: Grid, scheme: SchemeKind,
 
 
 def strang_circulant_eigenvalues(col: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Eigenvalues (FFT) of the Strang circulant built from a Toeplitz matrix.
+    """Half spectrum (rfft; the rest are conjugates) of the Strang circulant
+    built from a real Toeplitz matrix.
 
     The circulant copies the central diagonals: ``c_k = t_k`` for
     ``k <= m/2`` and ``c_k = t_{k-m}`` for ``k > m/2``.
@@ -159,7 +160,7 @@ def strang_circulant_eigenvalues(col: np.ndarray, row: np.ndarray) -> np.ndarray
     s[:half + 1] = col[:half + 1]
     k = np.arange(half + 1, m)
     s[k] = row[m - k]
-    return np.fft.fft(s)
+    return np.fft.rfft(s)
 
 
 class ToeplitzSolver:
@@ -207,11 +208,14 @@ class ToeplitzSolver:
         m, L = self.m, self._L
         ends = np.zeros((m, 2))
         ends[0, 0] = ends[-1, 1] = 1.0
+        # symmetric A: A^-1 is persymmetric too, A^-1 e_m = J A^-1 e_1
+        symmetric = np.array_equal(self.col, self.row)
         try:
-            xy = scipy.linalg.solve_toeplitz((self.col, self.row), ends)
+            xy = scipy.linalg.solve_toeplitz((self.col, self.row),
+                                             ends[:, :1] if symmetric else ends)
         except np.linalg.LinAlgError as err:
             raise SolverError(f"direct Toeplitz solve impossible: {err}") from err
-        x, y = xy[:, 0], xy[:, 1]
+        x, y = xy[:, 0], xy[::-1, 0] if symmetric else xy[:, 1]
         if x[0] == 0.0 or not np.all(np.isfinite(xy)):
             raise SolverError("direct Toeplitz solve impossible: (A^-1)_00 is 0 "
                               "or the end columns of A^-1 are not finite")
@@ -234,7 +238,7 @@ class ToeplitzSolver:
         return np.fft.irfft(self._spectrum * np.fft.rfft(x, n=L), n=L)[:self.m]
 
     def _precondition(self, x: np.ndarray) -> np.ndarray:
-        return np.real(np.fft.ifft(np.fft.fft(x) / self._lam))
+        return np.fft.irfft(np.fft.rfft(x) / self._lam, n=self.m)
 
     def backward_error(self, x: np.ndarray, rhs: np.ndarray) -> float:
         """Normwise backward error ``||Ax - b|| / (||A|| ||x|| + ||b||)``
@@ -243,11 +247,11 @@ class ToeplitzSolver:
 
     def _backward_error(self, residual: np.ndarray, x: np.ndarray,
                         rhs: np.ndarray) -> float:
-        res = float(np.max(np.abs(residual)))
+        res = float(np.abs(residual).max())
         if res == 0.0:
             return 0.0
-        return res / (self.norm_inf * float(np.max(np.abs(x)))
-                      + float(np.max(np.abs(rhs))))
+        return res / (self.norm_inf * float(np.abs(x).max())
+                      + float(np.abs(rhs).max()))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.method == "krylov":

@@ -2,9 +2,11 @@
 
 Each step solves ``(I - tau/2 D) u^n = (I + tau/2 D) u^{n-1} + tau f^{n-1/2}``
 with ``D`` the theta-weighted spatial operator and ``f`` sampled at the
-half node.  The implicit matrix is time-independent, so one solver set-up
-(the direct solver's Gohberg-Semencul generators, or the Krylov
-preconditioner) serves the whole march.
+half node.  With ``A = I - tau/2 D`` the explicit operator is ``2I - A``, so
+a step is one solve, ``A v = u^{n-1} + (tau/2) f^{n-1/2}``, ``u^n = 2v - u^{n-1}``.
+The implicit matrix is time-independent, so one solver set-up (the direct
+solver's Gohberg-Semencul generators, or the Krylov preconditioner) serves
+the whole march.
 
 The corrected variant marches the coarse and fine grids together, applies
 the two-grid strength correction after every step and carries the
@@ -29,15 +31,7 @@ import numpy as np
 
 from .correction import GUARD_SCALE, _guarded_ratio, _midpoint_strengths
 from .grids import Grid, GridFunction
-from .solver import (
-    BACKWARD_ERROR_BOUND,
-    FracParams,
-    SchemeKind,
-    ToeplitzSolver,
-    resolve_method,
-    scheme_toeplitz,
-)
-from .operators import toeplitz_matvec
+from .solver import BACKWARD_ERROR_BOUND, FracParams, SchemeKind, make_solver
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import TimeDependentProblem
@@ -69,21 +63,15 @@ class TimeGrid:
 
 
 class _CNSystem:
-    """Implicit/explicit operator pair of one CN grid."""
+    """Implicit operator ``A = I - tau/2 D`` of one CN grid; a step is one solve."""
 
     def __init__(self, params: FracParams, grid: Grid, tau: float, method: str):
-        half = 0.5 * tau
+        self.half_tau = 0.5 * tau
         stepping = FracParams(alpha=1.0, beta=params.beta, theta=params.theta)
-        icol, irow = scheme_toeplitz(stepping, grid, SchemeKind.WSGD,
-                                     frac_scale=half)
-        self.solver = ToeplitzSolver(icol, irow, method=resolve_method(method, grid.M))
-        self.ecol, self.erow = scheme_toeplitz(stepping, grid, SchemeKind.WSGD,
-                                               frac_scale=-half)
-        self.grid = grid
+        self.solver = make_solver(stepping, grid, SchemeKind.WSGD, method, self.half_tau)
 
-    def step(self, u_int: np.ndarray, f_half: np.ndarray, tau: float) -> np.ndarray:
-        rhs = toeplitz_matvec(self.ecol, self.erow, u_int) + tau * f_half
-        return self.solver.solve(rhs)
+    def step(self, u_int: np.ndarray, f_half: np.ndarray) -> np.ndarray:
+        return 2.0 * self.solver.solve(u_int + self.half_tau * f_half) - u_int
 
 
 def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
@@ -111,7 +99,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
 
     if not corrected:
         for n in range(1, time_grid.N + 1):
-            u_c = sys_c.step(u_c, problem.rhs(xc, time_grid.half_node(n)), tau)
+            u_c = sys_c.step(u_c, problem.rhs(xc, time_grid.half_node(n)))
         return GridFunction.from_interior(grid_c, u_c)
 
     grid_f = grid_c.refined()
@@ -127,25 +115,21 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     fs_tau = (1.0 - 0.5 * tau * alpha0) * sing.us + (0.5 * tau) * sing.fs
     us_c_solve = sys_c.solver.solve(np.asarray(fs_tau(xc), dtype=float))
     us_f_solve = sys_f.solver.solve(np.asarray(fs_tau(xf), dtype=float))
-    us_c_exact = np.asarray(sing.us(xc), dtype=float)
-    us_f_exact = np.asarray(sing.us(xf), dtype=float)
     den = us_f_solve[1::2] - us_c_solve
     guard_eps = GUARD_SCALE * float(np.max(np.abs(us_c_solve)))
-    gap_c = us_c_exact - us_c_solve
-    gap_f = us_f_exact - us_f_solve
-    gap_mid = gap_f[::2]
+    gap_c = sing.us(xc) - us_c_solve
+    gap_f = sing.us(xf) - us_f_solve
     guards = 0
 
     for n in range(1, time_grid.N + 1):
         t_half = time_grid.half_node(n)
-        u_c = sys_c.step(u_c, problem.rhs(xc, t_half), tau)
-        u_f = sys_f.step(u_f, problem.rhs(xf, t_half), tau)
+        u_c = sys_c.step(u_c, problem.rhs(xc, t_half))
+        u_f = sys_f.step(u_f, problem.rhs(xf, t_half))
         xi, g = _guarded_ratio(u_f[1::2] - u_c, den, guard_eps)
         guards += g
         u_c = u_c + xi * gap_c
-        u_f = u_f.copy()
         u_f[1::2] += xi * gap_f[1::2]
-        u_f[::2] += _midpoint_strengths(xi) * gap_mid
+        u_f[::2] += _midpoint_strengths(xi) * gap_f[::2]
     if diagnostics is not None:
         diagnostics["guard_activations"] = guards
     return GridFunction.from_interior(grid_c, u_c)

@@ -17,7 +17,13 @@ from fracbvp.analytic import (
     right_rl_derivative_power,
     riesz_symmetric_constant,
 )
-from fracbvp.catalog import CATALOG_NAMES, catalog, singular_term, with_overrides
+from fracbvp.catalog import (
+    CATALOG_NAMES,
+    _ex1_profile,
+    catalog,
+    singular_term,
+    with_overrides,
+)
 from fracbvp.grids import Grid, GridFunction
 from fracbvp.operators import apply_left_wsgd
 from fracbvp.solver import FracParams
@@ -247,3 +253,80 @@ class TestCatalog:
         spec = catalog("ex2-case2", 1.5)
         with pytest.raises(ValueError):
             singular_term(spec.params, rho=0.9)
+
+
+def _termwise(ps, x):
+    """Reference evaluation of a power sum, one full array per term."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for t in ps.terms:
+        val = np.full_like(x, t.coef)
+        if t.left != 0.0:
+            val = val * (x - ps.a) ** t.left
+        if t.right != 0.0:
+            val = val * (ps.b - x) ** t.right
+        out += val
+    return out
+
+
+def _ex3_rhs_termwise(beta, x, t):
+    profile = _ex1_profile(beta)
+    d_profile = left_derivative(profile, beta)
+    return 3.0 * t * t * _termwise(profile, x) - t ** 3 * _termwise(d_profile, x)
+
+
+class TestBitIdentity:
+    SUMS = {
+        "ex1-profile": _ex1_profile(1.5),
+        "ex1-derivative": left_derivative(_ex1_profile(1.5), 1.5),
+        "constant": PowerSum.constant(-2.5),
+        "constant-plus-right": PowerSum(0.0, 1.0, (PowerTerm(0.5, 0.0, 0.0),
+                                                   PowerTerm(3.0, 0.0, 0.7))),
+        "other-interval": PowerSum(-1.0, 2.0, (PowerTerm(1.5, 0.3, 0.0),
+                                               PowerTerm(-0.7, 1.3, 2.5))),
+        "zero": PowerSum.zero(),
+    }
+    POINTS = {
+        "array": XS,
+        "grid": Grid(0.0, 1.0, 64).interior_nodes(),
+        "matrix": XS.reshape(1, -1) * np.ones((2, 1)),
+        "0-d array": np.asarray(0.3),
+        "float": 0.3,
+        "list": [0.1, 0.5],
+    }
+
+    @pytest.mark.parametrize("points", POINTS)
+    @pytest.mark.parametrize("name", SUMS)
+    def test_power_sum_matches_termwise(self, name, points):
+        ps, x = self.SUMS[name], self.POINTS[points]
+        got, want = ps(x), _termwise(ps, x)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    def test_ex3_rhs_matches_termwise_across_grids(self):
+        beta = 1.5
+        rhs = catalog("ex3", beta).rhs
+        grids = [Grid(0.0, 1.0, M).interior_nodes() for M in (16, 32, 64, 128, 256, 512)]
+        # coarse and fine in alternation, then more grids than are kept
+        calls = [grids[k % 2] for k in range(6)] + grids + grids[::-1]
+        for k, x in enumerate(calls):
+            t = (k + 0.5) * 1e-3
+            assert np.array_equal(rhs(x, t), _ex3_rhs_termwise(beta, x, t))
+
+    def test_ex3_rhs_follows_nodes_changed_in_place(self):
+        beta = 1.5
+        rhs = catalog("ex3", beta).rhs
+        x = Grid(0.0, 1.0, 32).interior_nodes()
+        assert np.array_equal(rhs(x, 0.25), _ex3_rhs_termwise(beta, x, 0.25))
+        x[3] += 1e-3
+        x[-1] = 0.5
+        assert np.array_equal(rhs(x, 0.25), _ex3_rhs_termwise(beta, x, 0.25))
+        x *= 0.5
+        assert np.array_equal(rhs(x, 0.75), _ex3_rhs_termwise(beta, x, 0.75))
+
+    @pytest.mark.parametrize("x", [0.3, np.asarray(0.7), np.float64(0.0)])
+    def test_ex3_rhs_scalars(self, x):
+        rhs = catalog("ex3", 1.5).rhs
+        got, want = rhs(x, 0.5), _ex3_rhs_termwise(1.5, x, 0.5)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)

@@ -204,6 +204,26 @@ class TestSolve:
         u = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme)).solve(f)
         assert np.max(np.abs(u - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
+    @pytest.mark.parametrize("scheme,theta,columns", [(SchemeKind.WSGD, 0.5, 1),
+                                                      (SchemeKind.FCD, 0.5, 1),
+                                                      (SchemeKind.WSGD, 1.0, 2)])
+    def test_symmetric_setup_solves_one_column(self, monkeypatch, scheme, theta,
+                                               columns):
+        shapes = []
+        levinson = scipy.linalg.solve_toeplitz
+
+        def spy(c_or_cr, b, *args, **kwargs):
+            shapes.append(np.shape(b))
+            return levinson(c_or_cr, b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", spy)
+        params, grid = FracParams(1.0, 1.5, theta), Grid(0.0, 1.0, 64)
+        f = np.random.default_rng(0).standard_normal(63)
+        u = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme)).solve(f)
+        assert shapes == [(63, columns)]
+        np.testing.assert_allclose(assemble(params, grid, scheme) @ u, f,
+                                   atol=1e-12 * np.max(np.abs(f)))
+
     def test_direct_rejects_nonfinite_rhs(self):
         col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 32),
                                    SchemeKind.WSGD)
