@@ -25,23 +25,13 @@ from .catalog import (
 )
 from .correction import CorrectedSolution, correct, correct_iterated, xi_strength
 from .grids import Grid, GridFunction
-from .operators import (
-    apply_fcd,
-    apply_left_wsgd,
-    apply_right_wsgd,
-    fcd_matrix,
-    left_wsgd_matrix,
-    right_wsgd_matrix,
-    toeplitz_matvec,
-    toeplitz_matvec_naive,
-)
+from .operators import toeplitz_matvec
 from .report import ConvergenceReport, emit_pointwise_error, emit_report, parse_report_json
 from .solver import (
     FracParams,
     KrylovError,
     SchemeKind,
     SolverError,
-    assemble,
     solve_bvp,
 )
 from .study import StudyConfig, reference_solution, run_study, run_time_study

@@ -10,7 +10,6 @@ and without a known exact solution, plus one time-dependent problem.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 

@@ -9,9 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .catalog import CATALOG_NAMES, ProblemSpec, catalog, with_overrides
+from .catalog import CATALOG_NAMES, catalog, with_overrides
 from .correction import correct
 from .report import emit_pointwise_error
 from .solver import DENSE_LIMIT, SchemeKind, SolverError, solve_bvp
@@ -124,7 +122,7 @@ def _cmd_study(args) -> int:
     config = StudyConfig(
         example=args.example, betas=args.beta, scheme=_scheme(args.scheme),
         corrected=args.correct, M_list=args.grids, ref_level=args.ref_level,
-        method=args.method, fmt=args.format, cache_dir=args.cache_dir,
+        method=args.method, cache_dir=args.cache_dir,
         alpha=args.alpha, theta=args.theta, singular_rho=args.rho)
     reports = run_study(config)
     out = args.out or "study.csv"

@@ -8,9 +8,9 @@ the pointwise strength be estimated as
     xi_h(x_j) = (u_{h/2}(x_j) - u_h(x_j)) / (us_{h/2}(x_j) - us_h(x_j)),
 
 after which ``u_h + xi_h * (us - us_h)`` recovers second-order accuracy.
-The fine-grid field is corrected as well: at coarse nodes with the same
-ratio, at midpoints with the strength of the right neighbour (clamped at
-the last midpoint).
+:class:`TwoGridCorrector` holds this step for one singular term; the
+stationary correction here and the Crank-Nicolson march of
+:mod:`fracbvp.timestepper` both apply it.
 
 The ratio recovers xi only in the few nodes next to the singular end,
 where the singular gap ``us - us_h`` has order below 2 and dominates the
@@ -33,9 +33,6 @@ from .solver import SchemeKind, SolverError, make_solver
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec, SingularTermSpec
-
-#: Relative scale of the denominator guard; see :func:`xi_strength`.
-GUARD_SCALE = 1e-13
 
 
 @dataclass
@@ -60,34 +57,77 @@ class CorrectedSolution:
     guard_activations: int
 
 
-def _guarded_ratio(num: np.ndarray, den: np.ndarray,
-                   guard_eps: float) -> tuple[np.ndarray, int]:
-    """Pointwise num/den with tiny denominators patched from neighbours.
+class TwoGridCorrector:
+    """Two-grid extrapolation of one singular term on a grid pair (h, h/2).
 
-    Guarded entries take the value of the nearest unguarded interior
-    entry, ties breaking toward the domain center.  Raises if every
-    denominator is guarded (the singular solves are identical, so either
-    the singular spec is wrong or the grid is uselessly coarse).
+    Built from the singular problem's interior solves ``us_c`` (coarse,
+    M-1 nodes) and ``us_f`` (fine, 2M-1 nodes) and the term's exact values
+    ``exact_c``/``exact_f`` at the same nodes.  A pair of solves ``u_c``,
+    ``u_f`` of the full problem is corrected by ``xi * (us - us_h)`` on
+    each grid: coarse nodes of the fine grid take the coarse strength,
+    midpoints the strength of their right neighbour (the last midpoint the
+    last strength).
     """
-    bad = np.abs(den) <= guard_eps
-    if bad.all():
-        raise SolverError(
-            "all strength denominators fall below the guard; the singular "
-            "problem's two-grid solves are indistinguishable")
-    xi = np.empty_like(num)
-    good = ~bad
-    xi[good] = num[good] / den[good]
-    if bad.any():
-        n = len(num)
-        center = 0.5 * (n - 1)
-        good_idx = np.nonzero(good)[0]
-        for i in np.nonzero(bad)[0]:
-            dist = np.abs(good_idx - i)
-            nearest = good_idx[dist == dist.min()]
-            # ties: prefer the candidate closer to the center
-            pick = nearest[np.argmin(np.abs(nearest - center))]
-            xi[i] = xi[pick]
-    return xi, int(bad.sum())
+
+    #: Relative scale of the denominator guard; see :meth:`guarded_ratio`.
+    GUARD_SCALE = 1e-13
+
+    def __init__(self, us_c: np.ndarray, us_f: np.ndarray,
+                 exact_c: np.ndarray, exact_f: np.ndarray):
+        self.den = us_f[1::2] - us_c
+        self.us_max = float(np.max(np.abs(us_c)))
+        self.gap_c = exact_c - us_c
+        self.gap_f = exact_f - us_f
+
+    @classmethod
+    def guarded_ratio(cls, num: np.ndarray, den: np.ndarray,
+                      us_max: float) -> tuple[np.ndarray, int]:
+        """Pointwise num/den with tiny denominators patched from neighbours.
+
+        A denominator is guarded when ``|den| <= GUARD_SCALE * us_max``.
+        Guarded entries take the value of the nearest unguarded interior
+        entry, ties breaking toward the domain center.  Raises if every
+        denominator is guarded (the singular solves are identical, so
+        either the singular spec is wrong or the grid is uselessly coarse).
+        Returns the ratio and the number of guarded entries.
+        """
+        bad = np.abs(den) <= cls.GUARD_SCALE * us_max
+        if bad.all():
+            raise SolverError(
+                "all strength denominators fall below the guard; the singular "
+                "problem's two-grid solves are indistinguishable")
+        xi = np.empty_like(num)
+        good = ~bad
+        xi[good] = num[good] / den[good]
+        if bad.any():
+            center = 0.5 * (len(num) - 1)
+            good_idx = np.nonzero(good)[0]
+            for i in np.nonzero(bad)[0]:
+                dist = np.abs(good_idx - i)
+                nearest = good_idx[dist == dist.min()]
+                # ties: prefer the candidate closer to the center
+                pick = nearest[np.argmin(np.abs(nearest - center))]
+                xi[i] = xi[pick]
+        return xi, int(bad.sum())
+
+    def strength(self, u_c: np.ndarray, u_f: np.ndarray) -> tuple[np.ndarray, int]:
+        """Guarded pointwise strength at the coarse interior nodes, and the
+        number of guarded nodes."""
+        return self.guarded_ratio(u_f[1::2] - u_c, self.den, self.us_max)
+
+    def correction(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coarse and fine corrections ``xi * (us - us_h)`` for coarse-node
+        strengths ``xi``."""
+        corr_f = np.empty_like(self.gap_f)
+        corr_f[1::2] = xi * self.gap_f[1::2]
+        corr_f[::2] = np.append(xi, xi[-1]) * self.gap_f[::2]
+        return xi * self.gap_c, corr_f
+
+    def correct(self, u_c: np.ndarray, u_f: np.ndarray):
+        """Corrected coarse and fine fields, the strength and the guard count."""
+        xi, guards = self.strength(u_c, u_f)
+        corr_c, corr_f = self.correction(xi)
+        return u_c + corr_c, u_f + corr_f, xi, guards
 
 
 def xi_strength(u_h: GridFunction, u_half: GridFunction,
@@ -103,24 +143,12 @@ def xi_strength(u_h: GridFunction, u_half: GridFunction,
     function of x that in general differs from xi; see the module
     docstring.
     """
-    xi, _ = _xi_strength_interior(u_h, u_half, us_h, us_half)
-    return GridFunction.from_interior(u_h.grid, xi)
-
-
-def _xi_strength_interior(u_h, u_half, us_h, us_half) -> tuple[np.ndarray, int]:
-    grids = {g.grid.M for g in (u_h, u_half, us_h, us_half)}
-    if len(grids) != 1:
+    if len({g.grid.M for g in (u_h, u_half, us_h, us_half)}) != 1:
         raise ValueError("all four grid functions must share the coarse grid")
-    num = u_half.interior - u_h.interior
-    den = us_half.interior - us_h.interior
-    guard_eps = GUARD_SCALE * float(np.max(np.abs(us_h.values)))
-    return _guarded_ratio(num, den, guard_eps)
-
-
-def _midpoint_strengths(xi_int: np.ndarray) -> np.ndarray:
-    """Strengths used at midpoints x_{j+1/2}: the right neighbour's value,
-    with the final midpoint reusing the last interior strength."""
-    return np.append(xi_int, xi_int[-1])
+    xi, _ = TwoGridCorrector.guarded_ratio(
+        u_half.interior - u_h.interior, us_half.interior - us_h.interior,
+        float(np.max(np.abs(us_h.values))))
+    return GridFunction.from_interior(u_h.grid, xi)
 
 
 def correct(problem: "ProblemSpec", singular: "SingularTermSpec", M: int,
@@ -147,8 +175,7 @@ def correct_iterated(problem: "ProblemSpec",
     """
     if not singular_terms:
         raise ValueError("need at least one singular term")
-    return _run_correction(problem, list(singular_terms), M, scheme,
-                           "auto" if method is None else method)
+    return _run_correction(problem, list(singular_terms), M, scheme, method)
 
 
 def _run_correction(problem, terms, M, scheme, method) -> CorrectedSolution:
@@ -157,47 +184,33 @@ def _run_correction(problem, terms, M, scheme, method) -> CorrectedSolution:
     a, b = problem.domain
     grid_c = Grid(a, b, M)
     grid_f = grid_c.refined()
+    xc, xf = grid_c.interior_nodes(), grid_f.interior_nodes()
     solver_c = make_solver(problem.params, grid_c, scheme, method)
     solver_f = make_solver(problem.params, grid_f, scheme, method)
 
     def pair(rhs_ps):
-        u_c = solver_c.solve(np.asarray(rhs_ps(grid_c.interior_nodes()), dtype=float))
-        u_f = solver_f.solve(np.asarray(rhs_ps(grid_f.interior_nodes()), dtype=float))
-        return (GridFunction.from_interior(grid_c, u_c),
-                GridFunction.from_interior(grid_f, u_f))
+        return (solver_c.solve(np.asarray(rhs_ps(xc), dtype=float)),
+                solver_f.solve(np.asarray(rhs_ps(xf), dtype=float)))
 
-    u_h, u_hf = pair(problem.rhs)
-    residual = u_hf.restricted().interior - u_h.interior
-
-    solves = [pair(term.fs) for term in terms]
-    gaps_c = [term.us(grid_c.interior_nodes()) - us_h.interior
-              for term, (us_h, _) in zip(terms, solves)]
-    gaps_f = [term.us(grid_f.interior_nodes()) - us_hf.interior
-              for term, (_, us_hf) in zip(terms, solves)]
-    dens = [us_hf.restricted().interior - us_h.interior
-            for us_h, us_hf in solves]
-
+    u_c, u_f = pair(problem.rhs)
+    correctors = [TwoGridCorrector(*pair(term.fs), term.us(xc), term.us(xf))
+                  for term in terms]
     guards = 0
     if len(terms) == 1:
-        guard_eps = GUARD_SCALE * float(np.max(np.abs(solves[0][0].values)))
-        xi_int, guards = _guarded_ratio(residual, dens[0], guard_eps)
-        strengths = [xi_int]
+        xi, guards = correctors[0].strength(u_c, u_f)
+        strengths = [xi]
     else:
-        fitted, *_ = np.linalg.lstsq(np.column_stack(dens), residual, rcond=None)
+        dens = np.column_stack([c.den for c in correctors])
+        fitted, *_ = np.linalg.lstsq(dens, u_f[1::2] - u_c, rcond=None)
         strengths = [np.full(M - 1, s) for s in fitted]
-        xi_int = strengths[0]
 
-    corr_c = np.zeros(M - 1)
-    corr_f = np.zeros(2 * M - 1)
-    for xi_k, gap_c, gap_f in zip(strengths, gaps_c, gaps_f):
-        corr_c += xi_k * gap_c
-        corr_f[1::2] += xi_k * gap_f[1::2]                       # coarse nodes
-        corr_f[::2] += _midpoint_strengths(xi_k) * gap_f[::2]    # midpoints
-
-    corrected_c = GridFunction.from_interior(grid_c, u_h.interior + corr_c)
-    corrected_f = GridFunction.from_interior(grid_f, u_hf.interior + corr_f)
+    corrections = [c.correction(s) for c, s in zip(correctors, strengths)]
+    corr_c = sum(c for c, _ in corrections)
+    corr_f = sum(f for _, f in corrections)
     return CorrectedSolution(
-        coarse=u_h, fine=u_hf,
-        xi=GridFunction.from_interior(grid_c, xi_int),
-        corrected_coarse=corrected_c, corrected_fine=corrected_f,
+        coarse=GridFunction.from_interior(grid_c, u_c),
+        fine=GridFunction.from_interior(grid_f, u_f),
+        xi=GridFunction.from_interior(grid_c, strengths[0]),
+        corrected_coarse=GridFunction.from_interior(grid_c, u_c + corr_c),
+        corrected_fine=GridFunction.from_interior(grid_f, u_f + corr_f),
         guard_activations=guards)

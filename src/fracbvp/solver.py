@@ -8,8 +8,9 @@ with zero Dirichlet data is Toeplitz:
 * FCD:   ``A = alpha*I + cos(beta*pi/2) * C``       with ``C`` the centered
   operator matrix (requires ``theta = 1/2``).
 
-Systems are solved either directly (default up to ``DENSE_LIMIT``) or
-matrix-free by restarted GMRES with a Strang circulant preconditioner.
+Systems are solved either directly (default up to ``DENSE_LIMIT``, and
+wherever the Strang circulant is singular) or matrix-free by restarted
+GMRES with a Strang circulant preconditioner.
 The direct solve never forms the matrix: one Levinson call gives the
 first and last columns of ``A^-1``, and the Gohberg-Semencul formula
 (Gohberg & Semencul 1972)
@@ -45,13 +46,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .grids import Grid, GridFunction
-from .operators import (
-    _next_pow2,
-    embedding_spectrum,
-    fcd_toeplitz,
-    left_wsgd_toeplitz,
-)
-from .weights import WeightTable, weight_table
+from .operators import (embedding_size, embedding_spectrum, fcd_toeplitz,
+                        left_wsgd_toeplitz)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec
@@ -112,8 +108,7 @@ def _check_scheme(params: FracParams, scheme: SchemeKind) -> None:
 
 
 def scheme_toeplitz(params: FracParams, grid: Grid, scheme: SchemeKind,
-                    frac_scale: float = 1.0,
-                    table: WeightTable | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    frac_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """First column and row of the interior system matrix.
 
     ``frac_scale`` multiplies the fractional part only, giving
@@ -123,25 +118,18 @@ def scheme_toeplitz(params: FracParams, grid: Grid, scheme: SchemeKind,
     _check_scheme(params, scheme)
     m = grid.M - 1
     if scheme is SchemeKind.FCD:
-        ccol, _ = fcd_toeplitz(grid, params.beta, table)
+        ccol, _ = fcd_toeplitz(grid, params.beta)
         coeff = frac_scale * math.cos(0.5 * params.beta * math.pi)
         col = coeff * ccol
         col[0] += params.alpha
         return col, col.copy()
-    scol, srow = left_wsgd_toeplitz(grid, params.beta, table)
+    scol, srow = left_wsgd_toeplitz(grid, params.beta)
     th = params.theta
     col = -frac_scale * (th * scol + (1.0 - th) * srow)
     row = -frac_scale * (th * srow + (1.0 - th) * scol)
     col[0] += params.alpha
     row[0] = col[0]
     return col, row
-
-
-def assemble(params: FracParams, grid: Grid, scheme: SchemeKind,
-             frac_scale: float = 1.0) -> np.ndarray:
-    """Dense interior system matrix, ``(M-1) x (M-1)``."""
-    col, row = scheme_toeplitz(params, grid, scheme, frac_scale)
-    return scipy.linalg.toeplitz(col, row)
 
 
 # -- Toeplitz linear solver ---------------------------------------------
@@ -192,7 +180,7 @@ class ToeplitzSolver:
         lower = np.cumsum(np.abs(self.col))
         upper = np.concatenate(([0.0], np.cumsum(np.abs(self.row[1:]))))
         self.norm_inf = float(np.max(lower + upper[::-1]))
-        self._L = _next_pow2(2 * self.m - 1)
+        self._L = embedding_size(self.m)
         self._spectrum = embedding_spectrum(self.col, self.row)
         if method == "dense":
             self._setup_direct()
@@ -311,29 +299,24 @@ class ToeplitzSolver:
         return x
 
 
-def solve_system(params: FracParams, grid: Grid, scheme: SchemeKind,
-                 rhs_interior: np.ndarray, method: str = "auto",
-                 frac_scale: float = 1.0) -> np.ndarray:
-    """Solve the interior scheme system for one right-hand side."""
-    return make_solver(params, grid, scheme, method, frac_scale).solve(rhs_interior)
-
-
 def make_solver(params: FracParams, grid: Grid, scheme: SchemeKind,
                 method: str = "auto", frac_scale: float = 1.0) -> ToeplitzSolver:
-    method = resolve_method(method, grid.M)
+    """Solver of the interior scheme system on ``grid``.
+
+    ``method`` is ``'dense'``, ``'krylov'`` or ``'auto'``: the direct solve
+    up to ``DENSE_LIMIT`` intervals and GMRES beyond, unless the Strang
+    preconditioner is singular (beta = 2, alpha = 0), where the direct
+    solve serves all sizes.
+    """
+    if method not in ("auto", "dense", "krylov"):
+        raise ValueError(f"unknown solve method {method!r}")
     col, row = scheme_toeplitz(params, grid, scheme, frac_scale)
-    return ToeplitzSolver(col, row, method=method)
-
-
-def resolve_method(method: str, M: int) -> str:
-    """Map a user-facing method name to 'dense' or 'krylov'."""
-    if method in ("auto", None):
-        return "dense" if M <= DENSE_LIMIT else "krylov"
-    if method in ("dense", "dense-lu", "lu"):
-        return "dense"
-    if method == "krylov":
-        return "krylov"
-    raise ValueError(f"unknown solve method {method!r}")
+    if method == "auto" and grid.M > DENSE_LIMIT:
+        try:
+            return ToeplitzSolver(col, row, method="krylov")
+        except SolverError:  # the Strang preconditioner is singular
+            pass
+    return ToeplitzSolver(col, row, method="dense" if method == "auto" else method)
 
 
 def solve_bvp(problem: "ProblemSpec", M: int, scheme: SchemeKind,
@@ -343,12 +326,13 @@ def solve_bvp(problem: "ProblemSpec", M: int, scheme: SchemeKind,
     Returns the grid function with zero boundary entries.  The direct and
     Krylov paths meet the same backward-error bound; ``method='auto'``
     picks the direct Gohberg-Semencul solve, refined on its residual when
-    it misses the bound, for ``M <= DENSE_LIMIT`` and GMRES beyond.
+    it misses the bound, for ``M <= DENSE_LIMIT`` and GMRES beyond (see
+    :func:`make_solver`).
     """
     if M < 4:
         raise ValueError(f"need at least 4 intervals, got M={M}")
     a, b = problem.domain
     grid = Grid(a, b, M)
     f_int = np.asarray(problem.rhs(grid.interior_nodes()), dtype=float)
-    u_int = solve_system(problem.params, grid, scheme, f_int, method=method)
+    u_int = make_solver(problem.params, grid, scheme, method).solve(f_int)
     return GridFunction.from_interior(grid, u_int)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,15 +57,12 @@ class StudyConfig:
     M_list: Sequence[int] = (64, 128, 256, 512)
     ref_level: int = 15
     method: str = "auto"
-    fmt: str = "csv"
-    out: Optional[str] = None
     cache_dir: Optional[str] = None
     alpha: Optional[float] = None
     theta: Optional[float] = None
     singular_rho: Optional[float] = None
     tau: Optional[float] = None
     steps: Optional[int] = None
-    ref_corrected: bool = True
 
     def __post_init__(self):
         if self.example is None and self.problem is None:
@@ -100,13 +97,14 @@ def _powersum_fingerprint(ps) -> str:
     return f"callable:{getattr(ps, '__name__', repr(ps))}"
 
 
-def _reference_key(problem: ProblemSpec, scheme: SchemeKind, level: int,
-                   corrected_ref: bool) -> str:
+def _reference_key(problem: ProblemSpec, scheme: SchemeKind, level: int) -> str:
     p = problem.params
     sing = problem.singular
+    # "True" stands where a corrected-reference flag once did, so that the
+    # keys of caches written before its removal stay valid
     parts = [
         problem.name, repr(p.alpha), repr(p.beta), repr(p.theta),
-        repr(problem.domain), scheme.value, str(level), str(corrected_ref),
+        repr(problem.domain), scheme.value, str(level), "True",
         _powersum_fingerprint(problem.rhs),
         _powersum_fingerprint(sing.us if sing else None),
         _powersum_fingerprint(sing.fs if sing else None),
@@ -114,25 +112,24 @@ def _reference_key(problem: ProblemSpec, scheme: SchemeKind, level: int,
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def _solve_reference(problem: ProblemSpec, scheme: SchemeKind, level: int,
-                     corrected_ref: bool) -> np.ndarray:
+def _solve_reference(problem: ProblemSpec, scheme: SchemeKind,
+                     level: int) -> np.ndarray:
     """Nodal reference values on the grid 2**level (with boundaries)."""
-    if corrected_ref and problem.singular is not None:
+    if problem.singular is not None:
         sol = correct(problem, problem.singular, 2 ** (level - 1), scheme)
         return sol.corrected_fine.values
     return solve_bvp(problem, 2 ** level, scheme).values
 
 
 def reference_solution(problem: ProblemSpec, scheme: SchemeKind, level: int,
-                       cache_dir: Optional[str] = None,
-                       corrected_ref: bool = True) -> GridFunction:
+                       cache_dir: Optional[str] = None) -> GridFunction:
     """Reference solution on the grid ``2**level``, cached by content.
 
     Results are cached in-process and optionally on disk (``cache_dir``)
     keyed by a hash of everything that affects the values: problem data,
-    scheme, level and the corrected-reference flag.
+    scheme and level.
     """
-    key = _reference_key(problem, scheme, level, corrected_ref)
+    key = _reference_key(problem, scheme, level)
     a, b = problem.domain
     grid = Grid(a, b, 2 ** level)
     if key in _memory_cache:
@@ -142,7 +139,7 @@ def reference_solution(problem: ProblemSpec, scheme: SchemeKind, level: int,
         values = np.load(disk)["values"]
         _memory_cache[key] = values.copy()
         return GridFunction(grid, values)
-    values = _solve_reference(problem, scheme, level, corrected_ref)
+    values = _solve_reference(problem, scheme, level)
     _memory_cache[key] = values.copy()
     if disk is not None:
         disk.parent.mkdir(parents=True, exist_ok=True)
@@ -193,8 +190,7 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
         reference = None
         if problem.exact is None:
             reference = reference_solution(
-                problem, config.scheme, config.ref_level, cache_dir=config.cache_dir,
-                corrected_ref=config.ref_corrected)
+                problem, config.scheme, config.ref_level, cache_dir=config.cache_dir)
         rows = []
         guards = 0
         for M in config.M_list:

@@ -9,11 +9,12 @@ solver's Gohberg-Semencul generators, or the Krylov preconditioner) serves
 the whole march.
 
 The corrected variant marches the coarse and fine grids together, applies
-the two-grid strength correction after every step and carries the
-corrected fields into the next step.  The singular solves against the
-per-step operator ``I - tau/2 D`` are precomputed once: its exact
-singular right-hand side is ``us - (tau/2) * D us``, available in closed
-form from the singular term's stationary image.
+the two-grid correction of :class:`~fracbvp.correction.TwoGridCorrector`
+after every step and carries the corrected fields into the next step.
+The corrector is built once from the singular solves against the per-step
+operator ``I - tau/2 D``: its exact singular right-hand side is
+``us - (tau/2) * D us``, available in closed form from the singular term's
+stationary image.
 
 As in the stationary correction, the per-step ratio recovers the
 singular strength only in the few nodes next to the singular end x=a;
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .correction import GUARD_SCALE, _guarded_ratio, _midpoint_strengths
+from .correction import TwoGridCorrector
 from .grids import Grid, GridFunction
 from .solver import BACKWARD_ERROR_BOUND, FracParams, SchemeKind, make_solver
 
@@ -113,23 +114,18 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     # where fs was built as alpha*us - D us for the problem's alpha.
     alpha0 = problem.params.alpha
     fs_tau = (1.0 - 0.5 * tau * alpha0) * sing.us + (0.5 * tau) * sing.fs
-    us_c_solve = sys_c.solver.solve(np.asarray(fs_tau(xc), dtype=float))
-    us_f_solve = sys_f.solver.solve(np.asarray(fs_tau(xf), dtype=float))
-    den = us_f_solve[1::2] - us_c_solve
-    guard_eps = GUARD_SCALE * float(np.max(np.abs(us_c_solve)))
-    gap_c = sing.us(xc) - us_c_solve
-    gap_f = sing.us(xf) - us_f_solve
+    corrector = TwoGridCorrector(
+        sys_c.solver.solve(np.asarray(fs_tau(xc), dtype=float)),
+        sys_f.solver.solve(np.asarray(fs_tau(xf), dtype=float)),
+        sing.us(xc), sing.us(xf))
     guards = 0
 
     for n in range(1, time_grid.N + 1):
         t_half = time_grid.half_node(n)
         u_c = sys_c.step(u_c, problem.rhs(xc, t_half))
         u_f = sys_f.step(u_f, problem.rhs(xf, t_half))
-        xi, g = _guarded_ratio(u_f[1::2] - u_c, den, guard_eps)
+        u_c, u_f, _, g = corrector.correct(u_c, u_f)
         guards += g
-        u_c = u_c + xi * gap_c
-        u_f[1::2] += xi * gap_f[1::2]
-        u_f[::2] += _midpoint_strengths(xi) * gap_f[::2]
     if diagnostics is not None:
         diagnostics["guard_activations"] = guards
     return GridFunction.from_interior(grid_c, u_c)

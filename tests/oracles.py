@@ -1,0 +1,92 @@
+"""Dense and naive reference implementations that the tests check the
+fast operators and solvers against."""
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+from fracbvp.grids import Grid, GridFunction
+from fracbvp.operators import fcd_toeplitz, left_wsgd_toeplitz, toeplitz_matvec
+from fracbvp.solver import FracParams, SchemeKind, scheme_toeplitz
+from fracbvp.weights import weight_table
+
+
+def toeplitz_matvec_naive(first_column: np.ndarray, first_row: np.ndarray,
+                          x: np.ndarray) -> np.ndarray:
+    """Reference O(m**2) Toeplitz product with compensated summation.
+
+    Each output entry is accumulated with ``math.fsum`` so the result can
+    serve as an oracle for the FFT path even at large sizes.
+    """
+    col = np.asarray(first_column, dtype=float)
+    row = np.asarray(first_row, dtype=float)
+    x = np.asarray(x, dtype=float)
+    m = len(col)
+    if len(row) != m or len(x) != m:
+        raise ValueError("first_column, first_row and x must share one length")
+    if col[0] != row[0]:
+        raise ValueError("first_column[0] and first_row[0] disagree")
+    out = np.empty(m)
+    for i in range(m):
+        # entry (i, j) is col[i-j] for j <= i, row[j-i] for j > i
+        parts = [col[i - j] * x[j] for j in range(i + 1)]
+        parts += [row[j - i] * x[j] for j in range(i + 1, m)]
+        out[i] = math.fsum(parts)
+    return out
+
+
+def left_wsgd_matrix(grid: Grid, beta: float) -> np.ndarray:
+    """Dense left WSGD operator on interior unknowns, ``(M-1) x (M-1)``."""
+    return scipy.linalg.toeplitz(*left_wsgd_toeplitz(grid, beta))
+
+
+def right_wsgd_matrix(grid: Grid, beta: float) -> np.ndarray:
+    """Dense right WSGD operator; the transpose of the left one."""
+    return left_wsgd_matrix(grid, beta).T
+
+
+def fcd_matrix(grid: Grid, beta: float) -> np.ndarray:
+    """Dense centered operator on interior unknowns (symmetric Toeplitz)."""
+    return scipy.linalg.toeplitz(*fcd_toeplitz(grid, beta))
+
+
+def assemble(params: FracParams, grid: Grid, scheme: SchemeKind,
+             frac_scale: float = 1.0) -> np.ndarray:
+    """Dense interior system matrix, ``(M-1) x (M-1)``."""
+    return scipy.linalg.toeplitz(*scheme_toeplitz(params, grid, scheme, frac_scale))
+
+
+def apply_left_wsgd(v: GridFunction, beta: float) -> GridFunction:
+    """Left WSGD operator applied at interior nodes, zeros on the boundary.
+
+    The stencil at ``j = M-1`` reaches the node ``x_M`` with weight
+    ``w_0``; that contribution is included so the formula holds for any
+    boundary values.
+    """
+    grid = v.grid
+    col, row = left_wsgd_toeplitz(grid, beta)
+    y = toeplitz_matvec(col, row, v.interior)
+    y[-1] += weight_table(beta, grid.M).w[0] * grid.h ** (-beta) * v.values[-1]
+    return GridFunction.from_interior(grid, y)
+
+
+def apply_right_wsgd(v: GridFunction, beta: float) -> GridFunction:
+    """Right WSGD operator; mirror image of :func:`apply_left_wsgd`."""
+    grid = v.grid
+    col, row = left_wsgd_toeplitz(grid, beta)
+    y = toeplitz_matvec(row, col, v.interior)  # transpose product
+    y[0] += weight_table(beta, grid.M).w[0] * grid.h ** (-beta) * v.values[0]
+    return GridFunction.from_interior(grid, y)
+
+
+def apply_fcd(v: GridFunction, beta: float) -> GridFunction:
+    """Centered fractional difference operator at interior nodes."""
+    grid = v.grid
+    t = weight_table(beta, grid.M)
+    col, row = fcd_toeplitz(grid, beta)
+    y = toeplitz_matvec(col, row, v.interior)
+    scale = grid.h ** (-beta)
+    j = np.arange(1, grid.M)
+    y += scale * (t.wc_at(j) * v.values[0] + t.wc_at(grid.M - j) * v.values[-1])
+    return GridFunction.from_interior(grid, y)

@@ -25,8 +25,8 @@ from fracbvp.catalog import (
     with_overrides,
 )
 from fracbvp.grids import Grid, GridFunction
-from fracbvp.operators import apply_left_wsgd
 from fracbvp.solver import FracParams
+from oracles import apply_left_wsgd
 
 XS = np.linspace(0.05, 0.95, 11)
 

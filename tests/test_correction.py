@@ -9,6 +9,7 @@ from fracbvp.analytic import PowerSum, PowerTerm
 from fracbvp.catalog import catalog, manufactured, singular_term
 from fracbvp.correction import (
     CorrectedSolution,
+    TwoGridCorrector,
     correct,
     correct_iterated,
     xi_strength,
@@ -112,6 +113,30 @@ class TestGuard:
         interior = xi.interior
         np.testing.assert_allclose(np.delete(interior, 2), -np.delete(num, 2))
         assert interior[2] == interior[3]
+
+
+class TestTwoGridCorrector:
+    def test_strengths_on_coarse_nodes_and_midpoints(self):
+        # 7 coarse interior nodes x_1..x_7 (index j is x_{j+1}) and 15 fine
+        # ones (index 2j is the midpoint x_{j+1/2}, index 2j+1 is x_{j+1});
+        # integer data keep every product exact
+        k = np.arange(1.0, 8.0)
+        us_c, us_f = k.copy(), 2.0 * np.arange(1.0, 16.0)
+        u_c, u_f = np.zeros(7), np.zeros(15)
+        u_f[1::2] = 3.0 * k * k             # denominators 3k: strengths k
+        exact_c, exact_f = us_c + 10.0, us_f + np.arange(15.0)
+        gap_c, gap_f = exact_c - us_c, exact_f - us_f
+        corrector = TwoGridCorrector(us_c, us_f, exact_c, exact_f)
+        field_c, field_f, xi, guards = corrector.correct(u_c, u_f)
+        assert guards == 0
+        assert np.array_equal(xi, k)
+        assert np.array_equal(field_c, u_c + xi * gap_c)
+        # coarse nodes of the fine field take the coarse strength
+        assert np.array_equal(field_f[1::2], u_f[1::2] + xi * gap_f[1::2])
+        # midpoint x_{j+1/2} takes the strength of its right neighbour x_{j+1}
+        assert np.array_equal(field_f[0:14:2], u_f[0:14:2] + xi * gap_f[0:14:2])
+        # the last midpoint x_{15/2} has no interior right neighbour: clamped
+        assert field_f[14] == u_f[14] + xi[6] * gap_f[14]
 
 
 class TestCorrect:

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from fracbvp.grids import Grid, GridFunction
-from fracbvp.operators import (
+from fracbvp.operators import toeplitz_matvec
+from fracbvp.weights import weight_table
+from oracles import (
     apply_fcd,
     apply_left_wsgd,
     apply_right_wsgd,
     fcd_matrix,
     left_wsgd_matrix,
     right_wsgd_matrix,
-    toeplitz_matvec,
     toeplitz_matvec_naive,
 )
-from fracbvp.weights import weight_table
 
 
 def _inner(grid, u, v):
@@ -104,15 +104,6 @@ class TestAgainstDenseOracle:
         np.testing.assert_allclose(
             out.interior,
             2.0 * scale * t.wc_at(grid.M - np.arange(1, grid.M)), rtol=1e-13)
-
-    def test_mismatched_table_rejected(self):
-        grid = Grid(0.0, 1.0, 8)
-        v = GridFunction.zeros(grid)
-        t = weight_table(1.5, grid.M)
-        with pytest.raises(ValueError):
-            apply_left_wsgd(v, 1.7, table=t)
-        with pytest.raises(ValueError):
-            apply_left_wsgd(GridFunction.zeros(Grid(0.0, 1.0, 32)), 1.5, table=t)
 
 
 class TestAdjointness:

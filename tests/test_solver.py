@@ -17,11 +17,12 @@ from fracbvp.solver import (
     SchemeKind,
     SolverError,
     ToeplitzSolver,
-    assemble,
+    make_solver,
     scheme_toeplitz,
     solve_bvp,
 )
 from fracbvp.weights import grunwald_coeffs, wsgd_lambdas
+from oracles import assemble
 
 
 class TestFracParams:
@@ -238,6 +239,20 @@ class TestSolve:
         assert abs(np.linalg.det(scipy.linalg.toeplitz(col, row))) > 1.0
         with pytest.raises(SolverError, match="principal minor"):
             ToeplitzSolver(col, row)
+
+    def test_auto_solves_directly_where_strang_is_singular(self):
+        # beta=2, alpha=0: the Strang circulant has the eigenvalue 0 at
+        # M=16384, so GMRES cannot be preconditioned; auto solves directly
+        u = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0),))
+        params = FracParams(0.0, 2.0, 1.0)
+        prob = manufactured("smooth", params, u)
+        grid = Grid(0.0, 1.0, 16384)
+        with pytest.raises(SolverError, match="Strang preconditioner is singular"):
+            make_solver(params, grid, SchemeKind.WSGD, method="krylov")
+        solver = make_solver(params, grid, SchemeKind.WSGD)
+        assert solver.method == "dense"
+        got = solver.solve(prob.rhs(grid.interior_nodes()))
+        assert np.max(np.abs(got - u(grid.interior_nodes()))) < 1e-8
 
     def test_unknown_method(self):
         spec = catalog("ex1-case1", 1.5)
