@@ -23,7 +23,7 @@ from .catalog import (
     singular_term,
     with_overrides,
 )
-from .correction import CorrectedSolution, correct, correct_iterated, xi_strength
+from .correction import CorrectedSolution, correct, correct_iterated
 from .grids import Grid, GridFunction
 from .operators import toeplitz_matvec
 from .report import ConvergenceReport, emit_pointwise_error, emit_report, parse_report_json
@@ -35,7 +35,7 @@ from .solver import (
     solve_bvp,
 )
 from .study import StudyConfig, reference_solution, run_study, run_time_study
-from .timestepper import TimeGrid, cn_wsgd_solve, estimate_spatial_rate
+from .timestepper import TimeGrid, cn_wsgd_solve
 from .weights import (
     WeightTable,
     centered_weights,

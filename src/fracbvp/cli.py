@@ -12,7 +12,7 @@ from pathlib import Path
 from .catalog import CATALOG_NAMES, catalog, with_overrides
 from .correction import correct
 from .report import emit_pointwise_error
-from .solver import DENSE_LIMIT, SchemeKind, SolverError, solve_bvp
+from .solver import SchemeKind, SolverError, solve_bvp
 from .study import ConfigError, StudyConfig, emit_reports, run_study, run_time_study
 
 EXIT_OK = 0
@@ -41,12 +41,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="apply the two-grid singular correction")
     p.add_argument("--singular-exponent", type=float, default=None,
                    dest="rho", help="override the singular boundary exponent")
-    p.add_argument("--method", choices=["dense", "krylov", "auto"], default="auto",
-                   help="linear solver: dense (direct Toeplitz solve: Levinson "
-                        "plus Gohberg-Semencul, no matrix formed), "
-                        "Strang-preconditioned GMRES, or auto (dense up to "
-                        f"{DENSE_LIMIT} intervals); every solve meets the same "
-                        "backward-error bound")
     p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
     p.add_argument("--out", default=None, help="output file path")
 
@@ -80,10 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _scheme(name: str) -> SchemeKind:
-    return SchemeKind(name)
-
-
 def _cmd_solve(args) -> int:
     if args.example is None:
         raise ConfigError("solve requires --example")
@@ -96,14 +86,14 @@ def _cmd_solve(args) -> int:
         problem = with_overrides(problem, alpha=args.alpha, theta=args.theta,
                                  rho=args.rho)
     M = args.grids[0]
-    scheme = _scheme(args.scheme)
+    scheme = SchemeKind(args.scheme)
     if args.correct:
         if problem.singular is None:
             raise ConfigError("no singular term available for correction")
-        sol = correct(problem, problem.singular, M, scheme, method=args.method)
+        sol = correct(problem, problem.singular, M, scheme)
         u = sol.corrected_coarse
     else:
-        u = solve_bvp(problem, M, scheme, method=args.method)
+        u = solve_bvp(problem, M, scheme)
     out = Path(args.out) if args.out else Path(f"{args.example}-M{M}.csv")
     meta = {"problem": args.example, "beta": problem.params.beta,
             "scheme": args.scheme, "corrected": args.correct, "M": M}
@@ -120,9 +110,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_study(args) -> int:
     config = StudyConfig(
-        example=args.example, betas=args.beta, scheme=_scheme(args.scheme),
+        example=args.example, betas=args.beta, scheme=SchemeKind(args.scheme),
         corrected=args.correct, M_list=args.grids, ref_level=args.ref_level,
-        method=args.method, cache_dir=args.cache_dir,
+        cache_dir=args.cache_dir,
         alpha=args.alpha, theta=args.theta, singular_rho=args.rho)
     reports = run_study(config)
     out = args.out or "study.csv"
@@ -134,9 +124,8 @@ def _cmd_study(args) -> int:
 def _cmd_timestudy(args) -> int:
     config = StudyConfig(
         example=args.example or "ex3", betas=args.beta,
-        scheme=_scheme(args.scheme), corrected=args.correct,
-        M_list=args.grids, ref_level=max(15, args.grids[-1].bit_length() + 2),
-        method=args.method, tau=args.tau, steps=args.steps)
+        scheme=SchemeKind(args.scheme), corrected=args.correct,
+        M_list=args.grids, tau=args.tau, steps=args.steps)
     reports = run_time_study(config)
     out = args.out or "timestudy.csv"
     for path in emit_reports(reports, args.format, out):

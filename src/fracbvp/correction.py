@@ -130,40 +130,19 @@ class TwoGridCorrector:
         return u_c + corr_c, u_f + corr_f, xi, guards
 
 
-def xi_strength(u_h: GridFunction, u_half: GridFunction,
-                us_h: GridFunction, us_half: GridFunction) -> GridFunction:
-    """Pointwise strength of the singular component on the coarse grid.
-
-    All four arguments live on the coarse grid; ``u_half`` and ``us_half``
-    are the even-index restrictions of the fine-grid solves.  Boundary
-    entries of the result are zero.
-
-    Only the entries next to the singular end estimate xi.  For theta in
-    {0, 1} the entries away from it tend under refinement to an O(1)
-    function of x that in general differs from xi; see the module
-    docstring.
-    """
-    if len({g.grid.M for g in (u_h, u_half, us_h, us_half)}) != 1:
-        raise ValueError("all four grid functions must share the coarse grid")
-    xi, _ = TwoGridCorrector.guarded_ratio(
-        u_half.interior - u_h.interior, us_half.interior - us_h.interior,
-        float(np.max(np.abs(us_h.values))))
-    return GridFunction.from_interior(u_h.grid, xi)
-
-
 def correct(problem: "ProblemSpec", singular: "SingularTermSpec", M: int,
-            scheme: SchemeKind, method: str = "auto") -> CorrectedSolution:
+            scheme: SchemeKind) -> CorrectedSolution:
     """Two-grid singular correction of the stationary solve on M intervals.
 
     Solves the problem and the singular problem on grids M and 2M, forms
     the strength field and returns both corrected fields.
     """
-    return _run_correction(problem, [singular], M, scheme, method)
+    return _run_correction(problem, [singular], M, scheme)
 
 
 def correct_iterated(problem: "ProblemSpec",
                      singular_terms: Sequence["SingularTermSpec"], M: int,
-                     scheme: SchemeKind, method: str = "auto") -> CorrectedSolution:
+                     scheme: SchemeKind) -> CorrectedSolution:
     """Correction with a hierarchy of singular terms, applied in order.
 
     With several terms the scalar strengths of all terms are fitted
@@ -175,18 +154,18 @@ def correct_iterated(problem: "ProblemSpec",
     """
     if not singular_terms:
         raise ValueError("need at least one singular term")
-    return _run_correction(problem, list(singular_terms), M, scheme, method)
+    return _run_correction(problem, list(singular_terms), M, scheme)
 
 
-def _run_correction(problem, terms, M, scheme, method) -> CorrectedSolution:
+def _run_correction(problem, terms, M, scheme) -> CorrectedSolution:
     if M < 8 or M % 2:
         raise ValueError(f"correction needs an even interval count >= 8, got {M}")
     a, b = problem.domain
     grid_c = Grid(a, b, M)
     grid_f = grid_c.refined()
     xc, xf = grid_c.interior_nodes(), grid_f.interior_nodes()
-    solver_c = make_solver(problem.params, grid_c, scheme, method)
-    solver_f = make_solver(problem.params, grid_f, scheme, method)
+    solver_c = make_solver(problem.params, grid_c, scheme)
+    solver_f = make_solver(problem.params, grid_f, scheme)
 
     def pair(rhs_ps):
         return (solver_c.solve(np.asarray(rhs_ps(xc), dtype=float)),

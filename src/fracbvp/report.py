@@ -11,7 +11,7 @@ import numpy as np
 
 from .grids import GridFunction
 
-CSV_HEADER = "M,err_max,err_l2,rate,cpu_seconds"
+CSV_HEADER = "M,err_max,err_l2,rate,wall_seconds"
 
 
 @dataclass
@@ -20,7 +20,7 @@ class ReportRow:
     err_max: float
     err_l2: float
     rate: Optional[float]  # log2(E(2h)/E(h)); None on the first row
-    cpu_seconds: float
+    wall_seconds: float
 
 
 @dataclass
@@ -67,26 +67,26 @@ def emit_report(report: ConvergenceReport, fmt: str, path) -> Path:
         lines = _meta_lines(report.metadata) + [CSV_HEADER]
         for r in report.rows:
             rate = "" if r.rate is None else _fmt(r.rate)
-            lines.append(f"{r.M},{_fmt(r.err_max)},{_fmt(r.err_l2)},{rate},{_fmt(r.cpu_seconds)}")
+            lines.append(f"{r.M},{_fmt(r.err_max)},{_fmt(r.err_l2)},{rate},{_fmt(r.wall_seconds)}")
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         doc = {
             "metadata": report.metadata,
             "rows": [
                 {"M": r.M, "err_max": r.err_max, "err_l2": r.err_l2,
-                 "rate": r.rate, "cpu_seconds": r.cpu_seconds}
+                 "rate": r.rate, "wall_seconds": r.wall_seconds}
                 for r in report.rows
             ],
         }
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     elif fmt == "markdown":
         lines = _meta_lines(report.metadata)
-        lines += ["", "| M | E_max | E_l2 | rate | cpu (s) |",
+        lines += ["", "| M | E_max | E_l2 | rate | wall (s) |",
                   "|---:|---:|---:|---:|---:|"]
         for r in report.rows:
             rate = "" if r.rate is None else f"{r.rate:.2f}"
             lines.append(f"| {r.M} | {r.err_max:.3e} | {r.err_l2:.3e} "
-                         f"| {rate} | {r.cpu_seconds:.2f} |")
+                         f"| {rate} | {r.wall_seconds:.2f} |")
         path.write_text("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
@@ -97,7 +97,7 @@ def parse_report_json(path) -> ConvergenceReport:
     """Inverse of :func:`emit_report` for the json format."""
     doc = json.loads(Path(path).read_text())
     rows = [ReportRow(r["M"], r["err_max"], r["err_l2"], r["rate"],
-                      r["cpu_seconds"]) for r in doc["rows"]]
+                      r["wall_seconds"]) for r in doc["rows"]]
     return ConvergenceReport(rows=rows, metadata=doc["metadata"])
 
 

@@ -8,9 +8,10 @@ with zero Dirichlet data is Toeplitz:
 * FCD:   ``A = alpha*I + cos(beta*pi/2) * C``       with ``C`` the centered
   operator matrix (requires ``theta = 1/2``).
 
-Systems are solved either directly (default up to ``DENSE_LIMIT``, and
-wherever the Strang circulant is singular) or matrix-free by restarted
-GMRES with a Strang circulant preconditioner.
+:func:`make_solver` picks the solve path from the grid size: directly up
+to ``DENSE_LIMIT`` intervals (and wherever the Strang circulant is
+singular), matrix-free by restarted GMRES with a Strang circulant
+preconditioner beyond.
 The direct solve never forms the matrix: one Levinson call gives the
 first and last columns of ``A^-1``, and the Gohberg-Semencul formula
 (Gohberg & Semencul 1972)
@@ -52,7 +53,7 @@ from .operators import (embedding_size, embedding_spectrum, fcd_toeplitz,
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec
 
-#: Largest interval count solved directly by default.
+#: Largest interval count that :func:`make_solver` solves directly.
 DENSE_LIMIT = 4096
 
 #: Largest normwise backward error accepted from any solve (1024 eps).
@@ -300,39 +301,32 @@ class ToeplitzSolver:
 
 
 def make_solver(params: FracParams, grid: Grid, scheme: SchemeKind,
-                method: str = "auto", frac_scale: float = 1.0) -> ToeplitzSolver:
+                frac_scale: float = 1.0) -> ToeplitzSolver:
     """Solver of the interior scheme system on ``grid``.
 
-    ``method`` is ``'dense'``, ``'krylov'`` or ``'auto'``: the direct solve
-    up to ``DENSE_LIMIT`` intervals and GMRES beyond, unless the Strang
-    preconditioner is singular (beta = 2, alpha = 0), where the direct
-    solve serves all sizes.
+    The direct solve up to ``DENSE_LIMIT`` intervals and GMRES beyond,
+    unless the Strang preconditioner is singular (beta = 2, alpha = 0),
+    where the direct solve serves all sizes.
     """
-    if method not in ("auto", "dense", "krylov"):
-        raise ValueError(f"unknown solve method {method!r}")
     col, row = scheme_toeplitz(params, grid, scheme, frac_scale)
-    if method == "auto" and grid.M > DENSE_LIMIT:
+    if grid.M > DENSE_LIMIT:
         try:
             return ToeplitzSolver(col, row, method="krylov")
         except SolverError:  # the Strang preconditioner is singular
             pass
-    return ToeplitzSolver(col, row, method="dense" if method == "auto" else method)
+    return ToeplitzSolver(col, row, method="dense")
 
 
-def solve_bvp(problem: "ProblemSpec", M: int, scheme: SchemeKind,
-              method: str = "auto") -> GridFunction:
+def solve_bvp(problem: "ProblemSpec", M: int, scheme: SchemeKind) -> GridFunction:
     """Solve a stationary boundary-value problem on M intervals.
 
-    Returns the grid function with zero boundary entries.  The direct and
-    Krylov paths meet the same backward-error bound; ``method='auto'``
-    picks the direct Gohberg-Semencul solve, refined on its residual when
-    it misses the bound, for ``M <= DENSE_LIMIT`` and GMRES beyond (see
-    :func:`make_solver`).
+    Returns the grid function with zero boundary entries, solved on the
+    path :func:`make_solver` picks for M.
     """
     if M < 4:
         raise ValueError(f"need at least 4 intervals, got M={M}")
     a, b = problem.domain
     grid = Grid(a, b, M)
     f_int = np.asarray(problem.rhs(grid.interior_nodes()), dtype=float)
-    u_int = make_solver(problem.params, grid, scheme, method).solve(f_int)
+    u_int = make_solver(problem.params, grid, scheme).solve(f_int)
     return GridFunction.from_interior(grid, u_int)

@@ -38,7 +38,7 @@ from .correction import correct
 from .grids import Grid, GridFunction
 from .report import ConvergenceReport, emit_pointwise_error, emit_report
 from .solver import BACKWARD_ERROR_BOUND, SchemeKind, solve_bvp
-from .timestepper import TimeGrid, estimate_spatial_rate
+from .timestepper import TimeGrid, cn_wsgd_solve
 
 
 class ConfigError(ValueError):
@@ -56,7 +56,6 @@ class StudyConfig:
     corrected: bool = False
     M_list: Sequence[int] = (64, 128, 256, 512)
     ref_level: int = 15
-    method: str = "auto"
     cache_dir: Optional[str] = None
     alpha: Optional[float] = None
     theta: Optional[float] = None
@@ -74,11 +73,6 @@ class StudyConfig:
             raise ConfigError("grids need at least 4 intervals")
         if self.corrected and any(m % 2 for m in Ms):
             raise ConfigError("corrected studies need even interval counts")
-        max_exp = math.ceil(math.log2(max(Ms)))
-        if self.ref_level < max_exp + 2:
-            raise ConfigError(
-                f"reference level {self.ref_level} must exceed the largest "
-                f"grid exponent {max_exp} by at least 2")
         if not self.betas:
             raise ConfigError("at least one order is required")
 
@@ -189,6 +183,11 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
                 f"problem {problem.name!r} has no singular term to correct")
         reference = None
         if problem.exact is None:
+            max_exp = math.ceil(math.log2(max(config.M_list)))
+            if config.ref_level < max_exp + 2:
+                raise ConfigError(
+                    f"reference level {config.ref_level} must exceed the largest "
+                    f"grid exponent {max_exp} by at least 2")
             reference = reference_solution(
                 problem, config.scheme, config.ref_level, cache_dir=config.cache_dir)
         rows = []
@@ -196,13 +195,12 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
         for M in config.M_list:
             t0 = time.perf_counter()
             if config.corrected:
-                sol = correct(problem, problem.singular, M, config.scheme,
-                              method=config.method)
+                sol = correct(problem, problem.singular, M, config.scheme)
                 seconds = time.perf_counter() - t0
                 guards += sol.guard_activations
                 err = _restrict_errors(sol.corrected_fine, problem.exact, reference)
             else:
-                u = solve_bvp(problem, M, config.scheme, method=config.method)
+                u = solve_bvp(problem, M, config.scheme)
                 seconds = time.perf_counter() - t0
                 err = _restrict_errors(u, problem.exact, reference)
             rows.append((M, err.max_norm(), err.l2_norm(), seconds))
@@ -217,7 +215,6 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
             "error_grid": "2M" if config.corrected else "M",
             "reference": "exact" if problem.exact is not None
                          else f"level-{config.ref_level}",
-            "method": config.method,
             "backward_error_bound": BACKWARD_ERROR_BOUND,
             "guard_activations": guards,
         }
@@ -226,12 +223,20 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
 
 
 def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
-    """Spatial-rate study of the time stepper (one report per order)."""
+    """Final-time errors and spatial rates of the Crank-Nicolson march
+    (one report per order).
+
+    Needs the problem's exact solution.  The time step must be small
+    enough that the spatial error dominates (the tables use tau = 1e-3).
+    """
     reports = []
     for beta in config.betas:
         problem = _resolve_problem(config, beta)
         if not isinstance(problem, TimeDependentProblem):
             raise ConfigError("timestudy needs a time-dependent problem")
+        if problem.exact is None:
+            raise ConfigError(
+                f"problem {problem.name!r} has no exact solution to measure against")
         T = problem.final_time
         if config.steps is not None:
             N = config.steps
@@ -239,9 +244,30 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
             tau = config.tau if config.tau is not None else 1e-3
             N = max(1, round(T / tau))
         tg = TimeGrid(T=T, N=N)
-        reports.append(estimate_spatial_rate(
-            problem, list(config.M_list), tg, corrected=config.corrected,
-            method=config.method))
+        rows = []
+        guards = 0
+        for M in config.M_list:
+            diag: dict = {}
+            t0 = time.perf_counter()
+            u = cn_wsgd_solve(problem, M, tg, corrected=config.corrected,
+                              diagnostics=diag)
+            seconds = time.perf_counter() - t0
+            guards += diag.get("guard_activations", 0)
+            err = _restrict_errors(u, lambda x: problem.exact(x, T), None)
+            rows.append((M, err.max_norm(), err.l2_norm(), seconds))
+        meta = {
+            "problem": problem.name,
+            "beta": problem.params.beta,
+            "theta": problem.params.theta,
+            "scheme": "cn-wsgd",
+            "corrected": config.corrected,
+            "tau": tg.tau,
+            "steps": tg.N,
+            "final_time": T,
+            "backward_error_bound": BACKWARD_ERROR_BOUND,
+            "guard_activations": guards,
+        }
+        reports.append(ConvergenceReport.from_rows(rows, meta))
     return reports
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .correction import TwoGridCorrector
 from .grids import Grid, GridFunction
-from .solver import BACKWARD_ERROR_BOUND, FracParams, SchemeKind, make_solver
+from .solver import FracParams, SchemeKind, make_solver
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import TimeDependentProblem
@@ -66,17 +66,17 @@ class TimeGrid:
 class _CNSystem:
     """Implicit operator ``A = I - tau/2 D`` of one CN grid; a step is one solve."""
 
-    def __init__(self, params: FracParams, grid: Grid, tau: float, method: str):
+    def __init__(self, params: FracParams, grid: Grid, tau: float):
         self.half_tau = 0.5 * tau
         stepping = FracParams(alpha=1.0, beta=params.beta, theta=params.theta)
-        self.solver = make_solver(stepping, grid, SchemeKind.WSGD, method, self.half_tau)
+        self.solver = make_solver(stepping, grid, SchemeKind.WSGD, self.half_tau)
 
     def step(self, u_int: np.ndarray, f_half: np.ndarray) -> np.ndarray:
         return 2.0 * self.solver.solve(u_int + self.half_tau * f_half) - u_int
 
 
 def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
-                  corrected: bool = False, method: str = "auto",
+                  corrected: bool = False,
                   diagnostics: Optional[dict] = None) -> GridFunction:
     """March the CN scheme to the final time; returns the field on grid M.
 
@@ -94,7 +94,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     a, b = problem.domain
     tau = time_grid.tau
     grid_c = Grid(a, b, M)
-    sys_c = _CNSystem(problem.params, grid_c, tau, method)
+    sys_c = _CNSystem(problem.params, grid_c, tau)
     xc = grid_c.interior_nodes()
     u_c = np.asarray(problem.initial(xc), dtype=float)
 
@@ -104,7 +104,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         return GridFunction.from_interior(grid_c, u_c)
 
     grid_f = grid_c.refined()
-    sys_f = _CNSystem(problem.params, grid_f, tau, method)
+    sys_f = _CNSystem(problem.params, grid_f, tau)
     xf = grid_f.interior_nodes()
     u_f = np.asarray(problem.initial(xf), dtype=float)
 
@@ -130,44 +130,3 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         diagnostics["guard_activations"] = guards
     return GridFunction.from_interior(grid_c, u_c)
 
-
-def estimate_spatial_rate(problem: "TimeDependentProblem", M_list, time_grid: TimeGrid,
-                          corrected: bool = False, method: str = "auto"):
-    """Final-time errors and spatial rates over a list of interval counts.
-
-    Requires the problem's exact solution.  The temporal step must be
-    small enough that the spatial error dominates (the tables use
-    tau = 1e-3).  Returns a :class:`~fracbvp.report.ConvergenceReport`.
-    """
-    from time import perf_counter
-
-    from .report import ConvergenceReport
-
-    if problem.exact is None:
-        raise ValueError("spatial rate estimation needs an exact solution")
-    rows = []
-    guards_total = 0
-    for M in M_list:
-        diag: dict = {}
-        t0 = perf_counter()
-        u = cn_wsgd_solve(problem, M, time_grid, corrected=corrected,
-                          method=method, diagnostics=diag)
-        seconds = perf_counter() - t0
-        guards_total += diag.get("guard_activations", 0)
-        exact = GridFunction(u.grid, problem.exact(u.grid.nodes(), time_grid.T))
-        err = GridFunction(u.grid, u.values - exact.values)
-        rows.append((M, err.max_norm(), err.l2_norm(), seconds))
-    meta = {
-        "problem": problem.name,
-        "beta": problem.params.beta,
-        "theta": problem.params.theta,
-        "scheme": "cn-wsgd",
-        "corrected": corrected,
-        "tau": time_grid.tau,
-        "steps": time_grid.N,
-        "final_time": time_grid.T,
-        "method": method,
-        "backward_error_bound": BACKWARD_ERROR_BOUND,
-        "guard_activations": guards_total,
-    }
-    return ConvergenceReport.from_rows(rows, meta)

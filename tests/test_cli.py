@@ -1,5 +1,9 @@
 """The command-line interface in-process: exit codes, reports, reference cache."""
 
+import json
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,8 @@ from fracbvp.study import reference_solution
 
 EPS = np.finfo(float).eps
 
+ROOT = Path(__file__).resolve().parents[1]
+
 #: Frozen ex1-case2 rows (beta=1.5, WSGD, corrected, level-15 reference):
 #: (M, err_max, err_l2) of the corrected fine field on grid 2M.
 EX1_CASE2_ROWS = [
@@ -19,13 +25,6 @@ EX1_CASE2_ROWS = [
     (256, 1.5137218454253087e-06, 1.3884930697663206e-07),
     (512, 4.1892490862394105e-07, 2.7353171875360176e-08),
 ]
-
-
-@pytest.fixture
-def fresh_cache(monkeypatch):
-    """An empty in-memory reference cache for the duration of one test."""
-    monkeypatch.setattr(study, "_memory_cache", {})
-    return study._memory_cache
 
 
 @pytest.mark.parametrize("extra", [[], ["--alpha", "0"]])
@@ -88,3 +87,68 @@ def test_reference_cache_in_memory_then_on_disk(tmp_path, monkeypatch, fresh_cac
     fresh_cache.clear()
     with pytest.raises(AssertionError):
         reference_solution(spec, SchemeKind.WSGD, 8)
+
+
+def test_time_study_matches_benchmark_rows(tmp_path):
+    out = tmp_path / "timestudy.json"
+    argv = ["timestudy", "--grids", "16", "64", "--correct", "--steps", "1000",
+            "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    rows = parse_report_json(out).rows
+    assert [r.M for r in rows] == [16, 64]
+    for row in rows:
+        spec = expected["operations"][f"ex3/M{row.M}/corrected"]
+        ((M, e_max, e_l2),) = spec["rows"]
+        # the benchmark's gate: |e - e0| <= 1e-6 |e0| + eps * (factor M)**beta
+        floor = EPS * (spec["grid_factor"] * M) ** spec["beta"]
+        for got, want in ((row.err_max, e_max), (row.err_l2, e_l2)):
+            assert abs(got - want) <= 1e-6 * abs(want) + floor, (M, got, want)
+
+
+def test_solve_without_exact_solution_writes_values(tmp_path):
+    out = tmp_path / "u.csv"
+    argv = ["solve", "--example", "ex1-case2", "--grids", "64", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = [line for line in out.read_text().splitlines()
+            if line and not line.startswith("#")]
+    assert rows[0] == "x,u"
+    assert len(rows) == 1 + 65
+
+
+def test_exact_study_needs_no_reference_level(tmp_path, fresh_cache):
+    out = tmp_path / "study.csv"
+    argv = ["study", "--example", "ex1-case1", "--grids", "16384", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert not fresh_cache
+
+
+def test_method_option_is_gone(tmp_path):
+    argv = ["study", "--example", "ex1-case1", "--method", "dense",
+            "--out", str(tmp_path / "study.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text()
+    usage = text.split("## Usage", 1)[1].split("\n## ", 1)[0]
+    commands, pending = [], ""
+    for line in usage.splitlines():
+        line = line.strip()
+        if pending or line.startswith("fracbvp "):
+            pending += line
+            if pending.endswith("\\"):
+                pending = pending[:-1]
+            else:
+                commands.append(shlex.split(pending))
+                pending = ""
+    return commands
+
+
+def test_readme_commands_succeed(tmp_path, monkeypatch, fresh_cache):
+    commands = _readme_commands()
+    assert [argv[1] for argv in commands] == ["solve", "study", "timestudy"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "fracbvp"
+        assert cli.main(argv[1:]) == cli.EXIT_OK, argv

@@ -33,7 +33,7 @@ def test_csv(tmp_path):
 
 def test_markdown(tmp_path):
     text = emit_report(_report(), "markdown", tmp_path / "r.md").read_text()
-    assert "| M | E_max | E_l2 | rate | cpu (s) |" in text
+    assert "| M | E_max | E_l2 | rate | wall (s) |" in text
     assert "| 64 | 1.600e-03 | 4.000e-04 |  | 0.50 |" in text
     assert "| 128 | 4.000e-04 | 1.000e-04 | 2.00 | 1.25 |" in text
 

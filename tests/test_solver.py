@@ -12,6 +12,7 @@ from fracbvp.analytic import PowerSum, PowerTerm
 from fracbvp.operators import toeplitz_matvec
 from fracbvp.solver import (
     BACKWARD_ERROR_BOUND,
+    DENSE_LIMIT,
     FracParams,
     KrylovError,
     SchemeKind,
@@ -116,9 +117,12 @@ class TestSolve:
     ])
     def test_dense_krylov_agreement(self, name, scheme, beta):
         spec = catalog(name, beta)
-        ud = solve_bvp(spec, 256, scheme, method="dense")
-        uk = solve_bvp(spec, 256, scheme, method="krylov")
-        assert np.max(np.abs(ud.values - uk.values)) < 1e-10
+        grid = Grid(*spec.domain, 256)
+        col, row = scheme_toeplitz(spec.params, grid, scheme)
+        f = spec.rhs(grid.interior_nodes())
+        ud = ToeplitzSolver(col, row, method="dense").solve(f)
+        uk = ToeplitzSolver(col, row, method="krylov").solve(f)
+        assert np.max(np.abs(ud - uk)) < 1e-10
 
     def test_alpha_zero_pure_fractional(self):
         spec = catalog("ex1-case1", 1.5)
@@ -242,22 +246,32 @@ class TestSolve:
 
     def test_auto_solves_directly_where_strang_is_singular(self):
         # beta=2, alpha=0: the Strang circulant has the eigenvalue 0 at
-        # M=16384, so GMRES cannot be preconditioned; auto solves directly
+        # M=16384, so GMRES cannot be preconditioned; make_solver solves
+        # directly
         u = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0),))
         params = FracParams(0.0, 2.0, 1.0)
         prob = manufactured("smooth", params, u)
         grid = Grid(0.0, 1.0, 16384)
         with pytest.raises(SolverError, match="Strang preconditioner is singular"):
-            make_solver(params, grid, SchemeKind.WSGD, method="krylov")
+            ToeplitzSolver(*scheme_toeplitz(params, grid, SchemeKind.WSGD),
+                           method="krylov")
         solver = make_solver(params, grid, SchemeKind.WSGD)
         assert solver.method == "dense"
         got = solver.solve(prob.rhs(grid.interior_nodes()))
         assert np.max(np.abs(got - u(grid.interior_nodes()))) < 1e-8
 
     def test_unknown_method(self):
-        spec = catalog("ex1-case1", 1.5)
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
+                                   SchemeKind.WSGD)
         with pytest.raises(ValueError):
-            solve_bvp(spec, 64, SchemeKind.WSGD, method="cg")
+            ToeplitzSolver(col, row, method="cg")
+
+    @pytest.mark.parametrize("M,method", [(DENSE_LIMIT, "dense"),
+                                          (DENSE_LIMIT + 2, "krylov")])
+    def test_make_solver_switches_path_above_dense_limit(self, M, method):
+        solver = make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, M),
+                             SchemeKind.WSGD)
+        assert solver.method == method
 
 
 class TestSmoothRate:

@@ -1,5 +1,7 @@
 """The study harness: configuration checks, error restriction, report paths."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from fracbvp.study import (
     _reference_key,
     _restrict_errors,
     emit_reports,
+    run_study,
     run_time_study,
 )
 
@@ -21,7 +24,7 @@ class TestStudyConfig:
     @pytest.mark.parametrize("kwargs,match", [
         (dict(M_list=(2, 8)), "at least 4 intervals"),
         (dict(M_list=(64, 128, 255), corrected=True), "even interval counts"),
-        (dict(M_list=(64, 512), ref_level=10), "reference level 10"),
+        (dict(M_list=()), "strictly increasing"),
         (dict(betas=()), "at least one order"),
         (dict(M_list=(128, 64)), "strictly increasing"),
         (dict(example=None), "example name or an inline problem"),
@@ -30,8 +33,16 @@ class TestStudyConfig:
         with pytest.raises(ConfigError, match=match):
             StudyConfig(**{"example": "ex1-case1", **kwargs})
 
-    def test_smallest_valid_reference_level(self):
-        StudyConfig(example="ex1-case1", M_list=(64, 512), ref_level=11)
+    def test_smallest_valid_reference_level(self, fresh_cache):
+        run_study(StudyConfig(example="ex1-case2", M_list=(64, 512), ref_level=11))
+        # an exact solution needs no reference, so no level is too small
+        run_study(StudyConfig(example="ex1-case1", M_list=(64, 512), ref_level=10))
+
+    def test_reference_level_must_clear_the_grids(self, fresh_cache):
+        config = StudyConfig(example="ex1-case2", M_list=(64, 512), ref_level=10)
+        with pytest.raises(ConfigError, match="reference level 10"):
+            run_study(config)
+        assert not fresh_cache  # rejected before any reference solve
 
 
 def test_restrict_errors_needs_nested_grids():
@@ -64,6 +75,12 @@ def test_time_study_steps_override_tau():
     assert report.metadata["steps"] == 4
     assert report.metadata["tau"] == 0.25
     assert [row.M for row in report.rows] == [8, 16]
+
+
+def test_time_study_needs_an_exact_solution():
+    config = StudyConfig(problem=replace(catalog("ex3", 1.5), exact=None), M_list=(8,))
+    with pytest.raises(ConfigError, match="exact solution"):
+        run_time_study(config)
 
 
 def test_reference_key_is_stable():

@@ -9,7 +9,8 @@ from fracbvp.catalog import catalog
 from fracbvp.grids import Grid
 from fracbvp.operators import toeplitz_matvec
 from fracbvp.solver import FracParams, SchemeKind, ToeplitzSolver, scheme_toeplitz
-from fracbvp.timestepper import TimeGrid, cn_wsgd_solve, estimate_spatial_rate
+from fracbvp.study import StudyConfig, run_time_study
+from fracbvp.timestepper import TimeGrid, cn_wsgd_solve
 
 BETA = 1.5
 EPS = 2.0 ** -52
@@ -48,7 +49,7 @@ class TestOneSolveStep:
         problem = catalog("ex3", BETA)
         time_grid = TimeGrid(0.05, 50)
         want = _explicit_march(problem, M, time_grid)
-        got = cn_wsgd_solve(problem, M, time_grid, method="dense").interior
+        got = cn_wsgd_solve(problem, M, time_grid).interior
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -56,8 +57,9 @@ class TestFrozenRows:
     @pytest.mark.parametrize("M,corrected", sorted(FROZEN))
     def test_final_time_errors(self, M, corrected):
         # the benchmark's gate: |e - e0| <= 1e-6 |e0| + eps * M**beta
-        report = estimate_spatial_rate(catalog("ex3", BETA), [M], TimeGrid(1.0, 1000),
-                                       corrected=corrected)
+        (report,) = run_time_study(StudyConfig(problem=catalog("ex3", BETA),
+                                               M_list=[M], steps=1000,
+                                               corrected=corrected))
         (row,) = report.rows
         assert row.M == M
         floor = EPS * M ** BETA
