@@ -7,7 +7,6 @@ from .analytic import (
     PowerSum,
     PowerTerm,
     elliptic_rhs,
-    expand_polynomial,
     left_derivative,
     left_rl_derivative_power,
     right_derivative,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.special import gammaln, gammasgn
@@ -125,19 +125,6 @@ class PowerSum:
 
     # -- queries -------------------------------------------------------
 
-    @property
-    def orientation(self) -> str:
-        """'left', 'right', 'constant' or 'mixed' anchoring of the terms."""
-        has_l = any(t.left != 0.0 for t in self.terms)
-        has_r = any(t.right != 0.0 for t in self.terms)
-        if has_l and has_r:
-            return "mixed"
-        if has_l:
-            return "left"
-        if has_r:
-            return "right"
-        return "constant"
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
@@ -149,38 +136,6 @@ class PowerSum:
                 val = val * (self.b - x) ** t.right
             out += val
         return out
-
-
-# -- polynomial re-expansion ------------------------------------------
-
-
-def expand_polynomial(coeffs: Sequence[float], orientation: str,
-                      a: float = 0.0, b: float = 1.0) -> PowerSum:
-    """Re-expand a polynomial ``sum coeffs[k] * x**k`` in anchored powers.
-
-    ``orientation='left'`` produces powers of ``(x - a)``,
-    ``orientation='right'`` powers of ``(b - x)``.  The binomial
-    re-expansion is exact.
-    """
-    if orientation not in ("left", "right"):
-        raise ValueError(f"orientation must be 'left' or 'right', got {orientation!r}")
-    deg = len(coeffs) - 1
-    out = [0.0] * (deg + 1)
-    for k, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        for j in range(k + 1):
-            binom = math.comb(k, j)
-            if orientation == "left":
-                # x**k = sum_j C(k,j) a**(k-j) (x-a)**j
-                out[j] += c * binom * a ** (k - j)
-            else:
-                # x**k = sum_j C(k,j) b**(k-j) (-1)**j (b-x)**j
-                out[j] += c * binom * b ** (k - j) * (-1) ** j
-    pairs = [(cj, float(j)) for j, cj in enumerate(out)]
-    if orientation == "left":
-        return PowerSum.left_anchored(pairs, a, b)
-    return PowerSum.right_anchored(pairs, a, b)
 
 
 def _reanchor(ps: PowerSum, orientation: str) -> PowerSum:

@@ -19,6 +19,8 @@ EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
 
+STATIONARY_NAMES = [name for name in CATALOG_NAMES if name != "ex3"]
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with the config code."""
@@ -28,21 +30,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--example", choices=CATALOG_NAMES, help="catalog problem name")
+def _add_common(p: argparse.ArgumentParser, **example) -> None:
+    p.add_argument("--example", help="catalog problem name", **example)
     p.add_argument("--beta", type=float, nargs="+", default=[1.5],
                    help="fractional order(s) in (1, 2)")
+    p.add_argument("--correct", action="store_true",
+                   help="apply the two-grid singular correction")
+    p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
+    p.add_argument("--out", default=None, help="output file path")
+
+
+def _add_stationary(p: argparse.ArgumentParser) -> None:
+    _add_common(p, choices=STATIONARY_NAMES, required=True)
+    p.add_argument("--scheme", choices=["wsgd", "fcd"], default="wsgd")
     p.add_argument("--theta", type=float, default=None,
                    help="override the derivative weight of the catalog problem")
     p.add_argument("--alpha", type=float, default=None,
                    help="override the reaction coefficient")
-    p.add_argument("--scheme", choices=["wsgd", "fcd"], default="wsgd")
-    p.add_argument("--correct", action="store_true",
-                   help="apply the two-grid singular correction")
     p.add_argument("--singular-exponent", type=float, default=None,
                    dest="rho", help="override the singular boundary exponent")
-    p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
-    p.add_argument("--out", default=None, help="output file path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,21 +58,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     solve = sub.add_parser("solve", help="solve one problem and write x,u data")
-    _add_common(solve)
+    _add_stationary(solve)
     solve.add_argument("--grids", type=int, nargs="+", default=[256],
                        help="interval count (one value)")
 
     study = sub.add_parser("study", help="stationary convergence study")
-    _add_common(study)
+    _add_stationary(study)
     study.add_argument("--grids", type=int, nargs="+",
                        default=[64, 128, 256, 512], help="interval counts")
     study.add_argument("--ref-level", type=int, default=15,
                        help="reference grid is 2**level when no exact solution")
-    study.add_argument("--cache-dir", default=None,
-                       help="directory for the on-disk reference cache")
 
     tstudy = sub.add_parser("timestudy", help="time-dependent spatial-rate study")
-    _add_common(tstudy)
+    _add_common(tstudy, choices=["ex3"], default="ex3")
     tstudy.add_argument("--grids", type=int, nargs="+", default=[16, 32, 64, 128])
     tstudy.add_argument("--tau", type=float, default=1e-3, help="time step")
     tstudy.add_argument("--steps", type=int, default=None,
@@ -74,17 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _problems(args) -> list:
+    """The catalog problem at each ``--beta``, with the stationary overrides."""
+    if len(set(args.beta)) != len(args.beta):
+        raise ConfigError(f"repeated --beta value in {args.beta}")
+    problems = [catalog(args.example, beta) for beta in args.beta]
+    if args.command == "timestudy":
+        return problems
+    return [with_overrides(p, alpha=args.alpha, theta=args.theta, rho=args.rho)
+            for p in problems]
+
+
 def _cmd_solve(args) -> int:
-    if args.example is None:
-        raise ConfigError("solve requires --example")
-    if args.example == "ex3":
-        raise ConfigError("ex3 is time-dependent; use the timestudy subcommand")
     if len(args.beta) != 1 or len(args.grids) != 1:
         raise ConfigError("solve takes exactly one --beta and one --grids value")
-    problem = catalog(args.example, args.beta[0])
-    if args.alpha is not None or args.theta is not None or args.rho is not None:
-        problem = with_overrides(problem, alpha=args.alpha, theta=args.theta,
-                                 rho=args.rho)
+    (problem,) = _problems(args)
     M = args.grids[0]
     scheme = SchemeKind(args.scheme)
     if args.correct:
@@ -109,26 +117,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    config = StudyConfig(
-        example=args.example, betas=args.beta, scheme=SchemeKind(args.scheme),
-        corrected=args.correct, M_list=args.grids, ref_level=args.ref_level,
-        cache_dir=args.cache_dir,
-        alpha=args.alpha, theta=args.theta, singular_rho=args.rho)
-    reports = run_study(config)
-    out = args.out or "study.csv"
-    for path in emit_reports(reports, args.format, out):
-        print(path)
-    return EXIT_OK
-
-
-def _cmd_timestudy(args) -> int:
-    config = StudyConfig(
-        example=args.example or "ex3", betas=args.beta,
-        scheme=SchemeKind(args.scheme), corrected=args.correct,
-        M_list=args.grids, tau=args.tau, steps=args.steps)
-    reports = run_time_study(config)
-    out = args.out or "timestudy.csv"
-    for path in emit_reports(reports, args.format, out):
+    """One study per problem (``study`` or ``timestudy``); all reports are
+    written together."""
+    if args.command == "study":
+        run = run_study
+        fields = dict(scheme=SchemeKind(args.scheme), ref_level=args.ref_level)
+    else:
+        run, fields = run_time_study, dict(tau=args.tau, steps=args.steps)
+    reports = []
+    for problem in _problems(args):
+        reports += run(StudyConfig(problem, corrected=args.correct,
+                                   M_list=args.grids, **fields))
+    for path in emit_reports(reports, args.format, args.out or f"{args.command}.csv"):
         print(path)
     return EXIT_OK
 
@@ -142,9 +142,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "solve":
             return _cmd_solve(args)
-        if args.command == "study":
-            return _cmd_study(args)
-        return _cmd_timestudy(args)
+        return _cmd_study(args)
     except (ConfigError, KeyError, ValueError) as err:
         print(f"fracbvp: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,11 +34,6 @@ class Grid:
     def refined(self) -> "Grid":
         return Grid(self.a, self.b, 2 * self.M)
 
-    def coarsened(self) -> "Grid":
-        if self.M % 2:
-            raise ValueError("cannot coarsen a grid with an odd interval count")
-        return Grid(self.a, self.b, self.M // 2)
-
 
 @dataclass
 class GridFunction:
@@ -75,10 +70,6 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
-
-    def restricted(self) -> "GridFunction":
-        """Restriction to the coarsened grid by even-index selection."""
-        return GridFunction(self.grid.coarsened(), self.values[::2].copy())
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -44,12 +44,6 @@ class ConvergenceReport:
             prev = emax
         return cls(rows=out, metadata=dict(metadata))
 
-    def errors(self) -> list[float]:
-        return [r.err_max for r in self.rows]
-
-    def rates(self) -> list[float]:
-        return [r.rate for r in self.rows if r.rate is not None]
-
 
 def _fmt(v: float) -> str:
     return format(float(v), ".16e")

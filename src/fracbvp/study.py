@@ -20,11 +20,13 @@ the reference level); without one it falls back to the plain solve.
 Every linear solve, the reference's included, is accepted on the one
 normwise backward-error bound of :mod:`fracbvp.solver`; reports record
 that bound as ``backward_error_bound``.
+
+References are cached in memory only, keyed by the problem, scheme and
+level values; nothing is written to disk.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import ProblemSpec, TimeDependentProblem, catalog, with_overrides
+from .catalog import ProblemSpec, TimeDependentProblem
 from .correction import correct
 from .grids import Grid, GridFunction
 from .report import ConvergenceReport, emit_pointwise_error, emit_report
@@ -47,25 +49,17 @@ class ConfigError(ValueError):
 
 @dataclass
 class StudyConfig:
-    """Inputs of one convergence study (stationary or time-dependent)."""
+    """One convergence study of one problem (stationary or time-dependent)."""
 
-    example: Optional[str] = None
-    problem: Optional[ProblemSpec | TimeDependentProblem] = None
-    betas: Sequence[float] = (1.5,)
+    problem: ProblemSpec | TimeDependentProblem
     scheme: SchemeKind = SchemeKind.WSGD
     corrected: bool = False
     M_list: Sequence[int] = (64, 128, 256, 512)
     ref_level: int = 15
-    cache_dir: Optional[str] = None
-    alpha: Optional[float] = None
-    theta: Optional[float] = None
-    singular_rho: Optional[float] = None
     tau: Optional[float] = None
     steps: Optional[int] = None
 
     def __post_init__(self):
-        if self.example is None and self.problem is None:
-            raise ConfigError("either an example name or an inline problem is required")
         Ms = list(self.M_list)
         if not Ms or any(m2 <= m1 for m1, m2 in zip(Ms, Ms[1:])):
             raise ConfigError(f"grid list must be strictly increasing, got {Ms}")
@@ -73,37 +67,11 @@ class StudyConfig:
             raise ConfigError("grids need at least 4 intervals")
         if self.corrected and any(m % 2 for m in Ms):
             raise ConfigError("corrected studies need even interval counts")
-        if not self.betas:
-            raise ConfigError("at least one order is required")
 
 
 # -- reference solutions -------------------------------------------------
 
-_memory_cache: dict[str, np.ndarray] = {}
-
-
-def _powersum_fingerprint(ps) -> str:
-    if ps is None:
-        return "none"
-    if hasattr(ps, "terms"):
-        terms = ";".join(f"{t.coef!r}*{t.left!r}*{t.right!r}" for t in ps.terms)
-        return f"[{ps.a!r},{ps.b!r}]{terms}"
-    return f"callable:{getattr(ps, '__name__', repr(ps))}"
-
-
-def _reference_key(problem: ProblemSpec, scheme: SchemeKind, level: int) -> str:
-    p = problem.params
-    sing = problem.singular
-    # "True" stands where a corrected-reference flag once did, so that the
-    # keys of caches written before its removal stay valid
-    parts = [
-        problem.name, repr(p.alpha), repr(p.beta), repr(p.theta),
-        repr(problem.domain), scheme.value, str(level), "True",
-        _powersum_fingerprint(problem.rhs),
-        _powersum_fingerprint(sing.us if sing else None),
-        _powersum_fingerprint(sing.fs if sing else None),
-    ]
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()
+_memory_cache: dict[tuple[ProblemSpec, SchemeKind, int], np.ndarray] = {}
 
 
 def _solve_reference(problem: ProblemSpec, scheme: SchemeKind,
@@ -115,45 +83,22 @@ def _solve_reference(problem: ProblemSpec, scheme: SchemeKind,
     return solve_bvp(problem, 2 ** level, scheme).values
 
 
-def reference_solution(problem: ProblemSpec, scheme: SchemeKind, level: int,
-                       cache_dir: Optional[str] = None) -> GridFunction:
-    """Reference solution on the grid ``2**level``, cached by content.
+def reference_solution(problem: ProblemSpec, scheme: SchemeKind,
+                       level: int) -> GridFunction:
+    """Reference solution on the grid ``2**level``, cached in memory.
 
-    Results are cached in-process and optionally on disk (``cache_dir``)
-    keyed by a hash of everything that affects the values: problem data,
-    scheme and level.
+    The cache key is the value ``(problem, scheme, level)``: problems that
+    compare equal share a reference, and any change to the problem data
+    (a callable right-hand side included) makes a new one.
     """
-    key = _reference_key(problem, scheme, level)
+    key = (problem, scheme, level)
+    if key not in _memory_cache:
+        _memory_cache[key] = _solve_reference(problem, scheme, level)
     a, b = problem.domain
-    grid = Grid(a, b, 2 ** level)
-    if key in _memory_cache:
-        return GridFunction(grid, _memory_cache[key].copy())
-    disk = Path(cache_dir) / f"ref-{key}.npz" if cache_dir else None
-    if disk is not None and disk.exists():
-        values = np.load(disk)["values"]
-        _memory_cache[key] = values.copy()
-        return GridFunction(grid, values)
-    values = _solve_reference(problem, scheme, level)
-    _memory_cache[key] = values.copy()
-    if disk is not None:
-        disk.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(disk, values=values)
-    return GridFunction(grid, values)
+    return GridFunction(Grid(a, b, 2 ** level), _memory_cache[key].copy())
 
 
 # -- study execution -----------------------------------------------------
-
-
-def _resolve_problem(config: StudyConfig, beta: float):
-    if config.problem is not None:
-        return config.problem
-    spec = catalog(config.example, beta)
-    if isinstance(spec, ProblemSpec) and (config.alpha is not None
-                                          or config.theta is not None
-                                          or config.singular_rho is not None):
-        spec = with_overrides(spec, alpha=config.alpha, theta=config.theta,
-                              rho=config.singular_rho)
-    return spec
 
 
 def _restrict_errors(field: GridFunction, exact, reference: GridFunction | None):
@@ -171,104 +116,96 @@ def _restrict_errors(field: GridFunction, exact, reference: GridFunction | None)
 
 
 def run_study(config: StudyConfig) -> list[ConvergenceReport]:
-    """Run the configured study; one report per order in ``config.betas``."""
-    reports = []
-    for beta in config.betas:
-        problem = _resolve_problem(config, beta)
-        if isinstance(problem, TimeDependentProblem):
+    """Run the configured stationary study; returns its one report."""
+    problem = config.problem
+    if isinstance(problem, TimeDependentProblem):
+        raise ConfigError("time-dependent problems run through run_time_study")
+    if config.corrected and problem.singular is None:
+        raise ConfigError(
+            f"problem {problem.name!r} has no singular term to correct")
+    reference = None
+    if problem.exact is None:
+        max_exp = math.ceil(math.log2(max(config.M_list)))
+        if config.ref_level < max_exp + 2:
             raise ConfigError(
-                "time-dependent problems run through run_time_study")
-        if config.corrected and problem.singular is None:
-            raise ConfigError(
-                f"problem {problem.name!r} has no singular term to correct")
-        reference = None
-        if problem.exact is None:
-            max_exp = math.ceil(math.log2(max(config.M_list)))
-            if config.ref_level < max_exp + 2:
-                raise ConfigError(
-                    f"reference level {config.ref_level} must exceed the largest "
-                    f"grid exponent {max_exp} by at least 2")
-            reference = reference_solution(
-                problem, config.scheme, config.ref_level, cache_dir=config.cache_dir)
-        rows = []
-        guards = 0
-        for M in config.M_list:
-            t0 = time.perf_counter()
-            if config.corrected:
-                sol = correct(problem, problem.singular, M, config.scheme)
-                seconds = time.perf_counter() - t0
-                guards += sol.guard_activations
-                err = _restrict_errors(sol.corrected_fine, problem.exact, reference)
-            else:
-                u = solve_bvp(problem, M, config.scheme)
-                seconds = time.perf_counter() - t0
-                err = _restrict_errors(u, problem.exact, reference)
-            rows.append((M, err.max_norm(), err.l2_norm(), seconds))
-        p = problem.params
-        meta = {
-            "problem": problem.name,
-            "beta": p.beta,
-            "theta": p.theta,
-            "alpha": p.alpha,
-            "scheme": config.scheme.value,
-            "corrected": config.corrected,
-            "error_grid": "2M" if config.corrected else "M",
-            "reference": "exact" if problem.exact is not None
-                         else f"level-{config.ref_level}",
-            "backward_error_bound": BACKWARD_ERROR_BOUND,
-            "guard_activations": guards,
-        }
-        reports.append(ConvergenceReport.from_rows(rows, meta))
-    return reports
+                f"reference level {config.ref_level} must exceed the largest "
+                f"grid exponent {max_exp} by at least 2")
+        reference = reference_solution(problem, config.scheme, config.ref_level)
+    rows = []
+    guards = 0
+    for M in config.M_list:
+        t0 = time.perf_counter()
+        if config.corrected:
+            sol = correct(problem, problem.singular, M, config.scheme)
+            seconds = time.perf_counter() - t0
+            guards += sol.guard_activations
+            err = _restrict_errors(sol.corrected_fine, problem.exact, reference)
+        else:
+            u = solve_bvp(problem, M, config.scheme)
+            seconds = time.perf_counter() - t0
+            err = _restrict_errors(u, problem.exact, reference)
+        rows.append((M, err.max_norm(), err.l2_norm(), seconds))
+    p = problem.params
+    meta = {
+        "problem": problem.name,
+        "beta": p.beta,
+        "theta": p.theta,
+        "alpha": p.alpha,
+        "scheme": config.scheme.value,
+        "corrected": config.corrected,
+        "error_grid": "2M" if config.corrected else "M",
+        "reference": "exact" if problem.exact is not None
+                     else f"level-{config.ref_level}",
+        "backward_error_bound": BACKWARD_ERROR_BOUND,
+        "guard_activations": guards,
+    }
+    return [ConvergenceReport.from_rows(rows, meta)]
 
 
 def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
-    """Final-time errors and spatial rates of the Crank-Nicolson march
-    (one report per order).
+    """Final-time errors and spatial rates of the Crank-Nicolson march;
+    returns its one report.
 
     Needs the problem's exact solution.  The time step must be small
     enough that the spatial error dominates (the tables use tau = 1e-3).
     """
-    reports = []
-    for beta in config.betas:
-        problem = _resolve_problem(config, beta)
-        if not isinstance(problem, TimeDependentProblem):
-            raise ConfigError("timestudy needs a time-dependent problem")
-        if problem.exact is None:
-            raise ConfigError(
-                f"problem {problem.name!r} has no exact solution to measure against")
-        T = problem.final_time
-        if config.steps is not None:
-            N = config.steps
-        else:
-            tau = config.tau if config.tau is not None else 1e-3
-            N = max(1, round(T / tau))
-        tg = TimeGrid(T=T, N=N)
-        rows = []
-        guards = 0
-        for M in config.M_list:
-            diag: dict = {}
-            t0 = time.perf_counter()
-            u = cn_wsgd_solve(problem, M, tg, corrected=config.corrected,
-                              diagnostics=diag)
-            seconds = time.perf_counter() - t0
-            guards += diag.get("guard_activations", 0)
-            err = _restrict_errors(u, lambda x: problem.exact(x, T), None)
-            rows.append((M, err.max_norm(), err.l2_norm(), seconds))
-        meta = {
-            "problem": problem.name,
-            "beta": problem.params.beta,
-            "theta": problem.params.theta,
-            "scheme": "cn-wsgd",
-            "corrected": config.corrected,
-            "tau": tg.tau,
-            "steps": tg.N,
-            "final_time": T,
-            "backward_error_bound": BACKWARD_ERROR_BOUND,
-            "guard_activations": guards,
-        }
-        reports.append(ConvergenceReport.from_rows(rows, meta))
-    return reports
+    problem = config.problem
+    if not isinstance(problem, TimeDependentProblem):
+        raise ConfigError("timestudy needs a time-dependent problem")
+    if problem.exact is None:
+        raise ConfigError(
+            f"problem {problem.name!r} has no exact solution to measure against")
+    T = problem.final_time
+    if config.steps is not None:
+        N = config.steps
+    else:
+        tau = config.tau if config.tau is not None else 1e-3
+        N = max(1, round(T / tau))
+    tg = TimeGrid(T=T, N=N)
+    rows = []
+    guards = 0
+    for M in config.M_list:
+        diag: dict = {}
+        t0 = time.perf_counter()
+        u = cn_wsgd_solve(problem, M, tg, corrected=config.corrected,
+                          diagnostics=diag)
+        seconds = time.perf_counter() - t0
+        guards += diag.get("guard_activations", 0)
+        err = _restrict_errors(u, lambda x: problem.exact(x, T), None)
+        rows.append((M, err.max_norm(), err.l2_norm(), seconds))
+    meta = {
+        "problem": problem.name,
+        "beta": problem.params.beta,
+        "theta": problem.params.theta,
+        "scheme": "cn-wsgd",
+        "corrected": config.corrected,
+        "tau": tg.tau,
+        "steps": tg.N,
+        "final_time": T,
+        "backward_error_bound": BACKWARD_ERROR_BOUND,
+        "guard_activations": guards,
+    }
+    return [ConvergenceReport.from_rows(rows, meta)]
 
 
 def emit_reports(reports: Sequence[ConvergenceReport], fmt: str,

@@ -10,10 +10,8 @@ from fracbvp.analytic import (
     PowerSum,
     PowerTerm,
     elliptic_rhs,
-    expand_polynomial,
     left_derivative,
     left_rl_derivative_power,
-    right_derivative,
     right_rl_derivative_power,
     riesz_symmetric_constant,
 )
@@ -84,31 +82,6 @@ class TestPowerDerivatives:
             np.testing.assert_allclose(whole(XS), parts, rtol=1e-12, atol=1e-12)
 
 
-class TestExpandPolynomial:
-    def test_x_squared_right_anchored(self):
-        ps = expand_polynomial([0.0, 0.0, 1.0], "right")
-        got = {t.right: t.coef for t in ps.terms}
-        assert got == {0.0: 1.0, 1.0: -2.0, 2.0: 1.0}
-
-    def test_constant(self):
-        ps = expand_polynomial([3.5], "left")
-        assert ps.terms == (PowerTerm(3.5, 0.0, 0.0),)
-
-    def test_round_trip_evaluation(self):
-        # x^2 (1-x)^2 = x^2 - 2x^3 + x^4
-        coeffs = [0.0, 0.0, 1.0, -2.0, 1.0]
-        left = expand_polynomial(coeffs, "left")
-        right = expand_polynomial(coeffs, "right")
-        direct = XS ** 2 * (1 - XS) ** 2
-        np.testing.assert_allclose(left(XS), direct, atol=1e-13)
-        np.testing.assert_allclose(right(XS), direct, atol=1e-13)
-        np.testing.assert_allclose(left(XS), right(XS), atol=1e-13)
-
-    def test_bad_orientation(self):
-        with pytest.raises(ValueError):
-            expand_polynomial([1.0], "up")
-
-
 class TestPowerSumAlgebra:
     def test_add_scale_negate(self):
         p = PowerSum.left_anchored([(2.0, 1.0)])
@@ -122,13 +95,6 @@ class TestPowerSumAlgebra:
         q = PowerSum.left_anchored([(1.0, 1.0)], a=0.0, b=2.0)
         with pytest.raises(ValueError):
             p + q
-
-    def test_orientation_flag(self):
-        assert PowerSum.left_anchored([(1.0, 1.5)]).orientation == "left"
-        assert PowerSum.right_anchored([(1.0, 1.5)]).orientation == "right"
-        assert PowerSum.constant(2.0).orientation == "constant"
-        mixed = PowerSum(0.0, 1.0, (PowerTerm(1.0, 0.7, 0.7),))
-        assert mixed.orientation == "mixed"
 
     def test_mixed_orientation_cannot_take_fractional_side(self):
         mixed = PowerSum(0.0, 1.0, (PowerTerm(1.0, 0.7, 0.7),))

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,24 +70,29 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     assert cli.main(argv) == cli.EXIT_SOLVER
 
 
-def test_reference_cache_in_memory_then_on_disk(tmp_path, monkeypatch, fresh_cache):
-    spec = catalog("ex1-case2", 1.5)
-    first = reference_solution(spec, SchemeKind.WSGD, 8, cache_dir=str(tmp_path))
+def test_reference_cache_in_memory(monkeypatch, fresh_cache):
+    first = reference_solution(catalog("ex1-case2", 1.5), SchemeKind.WSGD, 8)
 
     def solve_again(*args, **kwargs):
         raise AssertionError("the reference was solved again")
 
     monkeypatch.setattr(study, "_solve_reference", solve_again)
-    from_memory = reference_solution(spec, SchemeKind.WSGD, 8)
+    # an equal problem built anew finds the cached values
+    from_memory = reference_solution(catalog("ex1-case2", 1.5), SchemeKind.WSGD, 8)
     np.testing.assert_array_equal(from_memory.values, first.values)
 
     fresh_cache.clear()
-    from_disk = reference_solution(spec, SchemeKind.WSGD, 8, cache_dir=str(tmp_path))
-    np.testing.assert_array_equal(from_disk.values, first.values)
-
-    fresh_cache.clear()
     with pytest.raises(AssertionError):
-        reference_solution(spec, SchemeKind.WSGD, 8)
+        reference_solution(catalog("ex1-case2", 1.5), SchemeKind.WSGD, 8)
+
+
+def test_reference_cache_tells_callable_rhs_apart(fresh_cache):
+    base = replace(catalog("ex1-case2", 1.5), singular=None)
+    one = replace(base, rhs=lambda x: np.full_like(x, 1.0))
+    two = replace(base, rhs=lambda x: np.full_like(x, 2.0))
+    u1 = reference_solution(one, SchemeKind.WSGD, 8).values
+    u2 = reference_solution(two, SchemeKind.WSGD, 8).values
+    np.testing.assert_array_equal(u2[1:-1] / u1[1:-1], 2.0)
 
 
 def test_time_study_matches_benchmark_rows(tmp_path):
@@ -127,6 +133,46 @@ def test_method_option_is_gone(tmp_path):
     argv = ["study", "--example", "ex1-case1", "--method", "dense",
             "--out", str(tmp_path / "study.csv")]
     assert cli.main(argv) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--example", "ex1-case1", "--cache-dir", "x"],
+    # the time-dependent march takes no scheme or problem overrides
+    ["timestudy", "--scheme", "fcd"],
+    ["timestudy", "--theta", "0.5"],
+    ["timestudy", "--alpha", "3"],
+    ["timestudy", "--singular-exponent", "0.7"],
+])
+def test_removed_options_are_config_errors(tmp_path, argv):
+    argv = [*argv, "--grids", "16", "--out", str(tmp_path / "r.csv")]
+    if argv[0] == "timestudy":
+        argv += ["--steps", "4"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["study"],  # no --example
+    ["study", "--example", "ex3"],
+    ["solve", "--example", "ex3"],
+    ["study", "--example", "ex1-case1", "--beta"],  # no order
+    ["study", "--example", "ex1-case1", "--beta", "1.5", "1.5"],
+    ["timestudy", "--beta", "1.5", "1.5"],
+])
+def test_problem_selection_errors(tmp_path, argv):
+    out = tmp_path / "r.csv"
+    assert cli.main([*argv, "--grids", "64", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_study_writes_one_report_per_order(tmp_path, capsys):
+    argv = ["study", "--example", "ex1-case1", "--alpha", "0", "--beta", "1.3", "1.7",
+            "--grids", "64", "128", "--format", "json", "--out", str(tmp_path / "s.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    paths = [tmp_path / "s-beta1.3.json", tmp_path / "s-beta1.7.json"]
+    assert capsys.readouterr().out.split() == [str(p) for p in paths]
+    metadata = [parse_report_json(p).metadata for p in paths]
+    assert [(m["alpha"], m["beta"]) for m in metadata] == [(0.0, 1.3), (0.0, 1.7)]
 
 
 def _readme_commands() -> list[list[str]]:

@@ -8,7 +8,6 @@ import pytest
 from fracbvp.analytic import PowerSum, PowerTerm
 from fracbvp.catalog import catalog, manufactured, singular_term
 from fracbvp.correction import (
-    CorrectedSolution,
     TwoGridCorrector,
     correct,
     correct_iterated,

@@ -1,0 +1,45 @@
+"""Every name a module imports is used in that module.
+
+Package ``__init__.py`` files are skipped: their imports are the public
+re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MODULES = sorted(path for folder in ("src/fracbvp", "tests")
+                 for path in (ROOT / folder).glob("*.py")
+                 if path.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # string annotations and ``__all__`` entries use names too
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(_imported_names(tree) - _used_names(tree)) == []

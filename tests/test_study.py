@@ -8,11 +8,9 @@ import pytest
 from fracbvp.catalog import catalog
 from fracbvp.grids import Grid, GridFunction
 from fracbvp.report import ConvergenceReport
-from fracbvp.solver import SchemeKind
 from fracbvp.study import (
     ConfigError,
     StudyConfig,
-    _reference_key,
     _restrict_errors,
     emit_reports,
     run_study,
@@ -25,21 +23,23 @@ class TestStudyConfig:
         (dict(M_list=(2, 8)), "at least 4 intervals"),
         (dict(M_list=(64, 128, 255), corrected=True), "even interval counts"),
         (dict(M_list=()), "strictly increasing"),
-        (dict(betas=()), "at least one order"),
+        (dict(M_list=(64, 64)), "strictly increasing"),
         (dict(M_list=(128, 64)), "strictly increasing"),
-        (dict(example=None), "example name or an inline problem"),
     ])
     def test_rejects(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
-            StudyConfig(**{"example": "ex1-case1", **kwargs})
+            StudyConfig(problem=catalog("ex1-case1", 1.5), **kwargs)
 
     def test_smallest_valid_reference_level(self, fresh_cache):
-        run_study(StudyConfig(example="ex1-case2", M_list=(64, 512), ref_level=11))
+        run_study(StudyConfig(problem=catalog("ex1-case2", 1.5), M_list=(64, 512),
+                              ref_level=11))
         # an exact solution needs no reference, so no level is too small
-        run_study(StudyConfig(example="ex1-case1", M_list=(64, 512), ref_level=10))
+        run_study(StudyConfig(problem=catalog("ex1-case1", 1.5), M_list=(64, 512),
+                              ref_level=10))
 
     def test_reference_level_must_clear_the_grids(self, fresh_cache):
-        config = StudyConfig(example="ex1-case2", M_list=(64, 512), ref_level=10)
+        config = StudyConfig(problem=catalog("ex1-case2", 1.5), M_list=(64, 512),
+                             ref_level=10)
         with pytest.raises(ConfigError, match="reference level 10"):
             run_study(config)
         assert not fresh_cache  # rejected before any reference solve
@@ -70,7 +70,7 @@ def test_emit_reports_suffixes_each_order(tmp_path):
 
 
 def test_time_study_steps_override_tau():
-    config = StudyConfig(example="ex3", M_list=(8, 16), tau=0.5, steps=4)
+    config = StudyConfig(problem=catalog("ex3", 1.5), M_list=(8, 16), tau=0.5, steps=4)
     (report,) = run_time_study(config)
     assert report.metadata["steps"] == 4
     assert report.metadata["tau"] == 0.25
@@ -83,7 +83,14 @@ def test_time_study_needs_an_exact_solution():
         run_time_study(config)
 
 
-def test_reference_key_is_stable():
-    # on-disk reference caches are named by this key
-    key = _reference_key(catalog("ex1-case2", 1.5), SchemeKind.WSGD, 8)
-    assert key == "3bb1255d69f68b336209afe64e2a7689ddba7b395916ac0270e2d59b28926a41"
+@pytest.mark.parametrize("run,name", [(run_study, "ex3"), (run_time_study, "ex1-case1")])
+def test_study_kind_must_match_the_problem(run, name):
+    with pytest.raises(ConfigError):
+        run(StudyConfig(problem=catalog(name, 1.5), M_list=(8,)))
+
+
+@pytest.mark.parametrize("name", ["ex1-case1", "ex1-case2", "ex2-case1", "ex2-case2"])
+def test_stationary_catalog_specs_are_cache_keys(name):
+    # the reference cache is keyed by value: a rebuilt spec must find it
+    assert catalog(name, 1.5) == catalog(name, 1.5)
+    assert hash(catalog(name, 1.5)) == hash(catalog(name, 1.5))
