@@ -1,0 +1,168 @@
+"""Costs of the Toeplitz solve paths, and end-to-end benchmark medians.
+
+Run from the repository root::
+
+    python3 scripts/solver_costs.py --out BENCH.json [--quick]
+        [--baseline DIR --pairs 10 --seconds 40]
+
+Layer costs, on one BLAS thread: for every interval count M in
+2**4 ... 2**12 (2**4 ... 2**7 with ``--quick``) and beta in {1.1, 1.5, 1.8},
+the set-up seconds, the seconds per solve and the GMRES iterations of each
+path of :func:`fracbvp.solver.make_solver` -- the explicit inverse, the
+Gohberg-Semencul product and GMRES -- on the stationary WSGD system
+(alpha = 1, theta = 1) and on the Crank-Nicolson matrix of the ``ex3``
+march (tau = 1e-3).  The explicit inverse holds two dense M x M arrays, so
+it is timed up to M = 1024 only.  Then one Crank-Nicolson step at beta = 1.5
+on the path the march takes and on the Gohberg-Semencul path.
+
+With ``--baseline DIR`` (another checkout of this repository, say the
+parent commit) it also runs ``perfbench/run.py`` on both checkouts for
+each workload, ``--pairs`` times, alternating which runs first, and
+records the median and quartiles of every end-to-end metric.
+
+Exits 1 when a path has no entry.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from fracbvp.grids import Grid  # noqa: E402
+from fracbvp.solver import (FracParams, SchemeKind, ToeplitzSolver,  # noqa: E402
+                            scheme_toeplitz)
+from fracbvp.timestepper import _CNSystem  # noqa: E402
+
+BETAS = (1.1, 1.5, 1.8)
+TAU = 1e-3
+EXPLICIT_TIMED_UP_TO = 1024
+PATHS = {"explicit": dict(method="dense", explicit=True),
+         "gohberg-semencul": dict(method="dense"),
+         "gmres": dict(method="krylov")}
+SYSTEMS = {"stationary": 1.0, "crank-nicolson": 0.5 * TAU}
+WORKLOADS = ("dense", "reference")
+METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s", "ok_frac")
+
+
+def _best(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def path_costs(M: int, beta: float, system: str, path: str) -> dict:
+    params = FracParams(1.0, beta, 1.0)
+    col, row = scheme_toeplitz(params, Grid(0.0, 1.0, M), SchemeKind.WSGD,
+                               SYSTEMS[system])
+    b = np.random.default_rng(M).standard_normal(M - 1)
+    repeats = 3 if M >= 1024 else 10
+    setup = _best(lambda: ToeplitzSolver(col, row, **PATHS[path]), repeats)
+    solver = ToeplitzSolver(col, row, **PATHS[path])
+    x = solver.solve(b)
+    return {"M": M, "beta": beta, "system": system, "path": path,
+            "setup_s": setup,
+            "solve_s": _best(lambda: solver.solve(b), 5 * repeats),
+            "iterations": solver.last_iterations,
+            "refinements": solver.last_refinements,
+            "backward_error": solver.backward_error(x, b)}
+
+
+def cn_step(M: int, solves: int) -> dict:
+    system = _CNSystem(FracParams(0.0, 1.5, 1.0), Grid(0.0, 1.0, M), TAU, solves)
+    x = Grid(0.0, 1.0, M).interior_nodes()
+    u, f = x * (1.0 - x), np.ones(M - 1)
+    path = "explicit" if system.solver.explicit else "gohberg-semencul"
+    return {"M": M, "beta": 1.5, "solves": solves, "path": path,
+            "step_s": _best(lambda: system.step(u, f), 200)}
+
+
+def _perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True,
+                         text=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    return {name: result["metrics"][name]["value"] for name in METRICS} | {
+        "correct": result["correct"]}
+
+
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def end_to_end(baseline: Path, pairs: int, seconds: float) -> dict:
+    sides = {"baseline": baseline, "change": ROOT}
+    result = {}
+    for workload in WORKLOADS:
+        runs = {side: [] for side in sides}
+        for i in range(pairs):
+            order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
+            for side in order:
+                runs[side].append(_perfbench(sides[side], workload, i, seconds))
+        wins = sum(c["wall_s"] < b["wall_s"]
+                   for b, c in zip(runs["baseline"], runs["change"]))
+        result[workload] = {
+            side: {name: _summary([r[name] for r in rs]) for name in METRICS}
+            | {"correct": all(r["correct"] for r in rs)}
+            for side, rs in runs.items()} | {"wall_s_change_wins": wins,
+                                              "pairs": pairs}
+    return result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--quick", action="store_true",
+                    help="interval counts 2**4 ... 2**7 only")
+    ap.add_argument("--baseline", type=Path, default=None,
+                    help="checkout to compare end to end against")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=40.0)
+    args = ap.parse_args(argv)
+
+    sizes = [2 ** k for k in range(4, 8 if args.quick else 13)]
+    solves = [path_costs(M, beta, system, path)
+              for M in sizes for beta in BETAS for system in SYSTEMS
+              for path in PATHS
+              if path != "explicit" or M <= EXPLICIT_TIMED_UP_TO]
+    steps = [cn_step(M, n) for M in sizes if M <= 512 for n in (1, 1001)]
+    doc = {
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__, "scipy": scipy.__version__,
+                        "nproc": len(os.sched_getaffinity(0)),
+                        "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"]},
+        "solve": solves,
+        "cn_step": steps,
+    }
+    if args.baseline is not None:
+        doc["end_to_end"] = end_to_end(args.baseline.resolve(), args.pairs,
+                                       args.seconds)
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    missing = sorted(set(PATHS) - {entry["path"] for entry in solves})
+    if missing:
+        print(f"no entry for the paths {missing}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

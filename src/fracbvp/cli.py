@@ -103,8 +103,13 @@ def _cmd_solve(args) -> int:
     else:
         u = solve_bvp(problem, M, scheme)
     out = Path(args.out) if args.out else Path(f"{args.example}-M{M}.csv")
-    meta = {"problem": args.example, "beta": problem.params.beta,
-            "scheme": args.scheme, "corrected": args.correct, "M": M}
+    p = problem.params
+    meta = {"problem": problem.name, "alpha": p.alpha, "beta": p.beta,
+            "theta": p.theta, "scheme": args.scheme, "corrected": args.correct,
+            "M": M}
+    if problem.singular is not None:
+        meta["rho_left"] = problem.singular.rho_left
+        meta["rho_right"] = problem.singular.rho_right
     if problem.exact is not None:
         emit_pointwise_error(u, problem.exact, out, metadata=meta)
     else:

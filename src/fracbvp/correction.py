@@ -164,8 +164,10 @@ def _run_correction(problem, terms, M, scheme) -> CorrectedSolution:
     grid_c = Grid(a, b, M)
     grid_f = grid_c.refined()
     xc, xf = grid_c.interior_nodes(), grid_f.interior_nodes()
-    solver_c = make_solver(problem.params, grid_c, scheme)
-    solver_f = make_solver(problem.params, grid_f, scheme)
+    # one solve of the problem and one per singular term on each grid
+    solves = 1 + len(terms)
+    solver_c = make_solver(problem.params, grid_c, scheme, solves=solves)
+    solver_f = make_solver(problem.params, grid_f, scheme, solves=solves)
 
     def pair(rhs_ps):
         return (solver_c.solve(np.asarray(rhs_ps(xc), dtype=float)),

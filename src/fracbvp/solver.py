@@ -8,10 +8,12 @@ with zero Dirichlet data is Toeplitz:
 * FCD:   ``A = alpha*I + cos(beta*pi/2) * C``       with ``C`` the centered
   operator matrix (requires ``theta = 1/2``).
 
-:func:`make_solver` picks the solve path from the grid size: directly up
-to ``DENSE_LIMIT`` intervals (and wherever the Strang circulant is
-singular), matrix-free by restarted GMRES with a Strang circulant
-preconditioner beyond.
+:func:`make_solver` picks the solve path by expected cost, from the grid
+size and the number of solves the caller will make: a direct solve in
+general, matrix-free restarted GMRES with a Strang circulant
+preconditioner for a few solves on a fine grid (where the O(M^2) direct
+set-up costs more than the solves), and an explicit inverse for many
+solves on a coarse grid (a Crank-Nicolson march).
 The direct solve never forms the matrix: one Levinson call gives the
 first and last columns of ``A^-1``, and the Gohberg-Semencul formula
 (Gohberg & Semencul 1972)
@@ -20,7 +22,9 @@ first and last columns of ``A^-1``, and the Gohberg-Semencul formula
 
 with ``x = A^-1 e_1``, ``y = A^-1 e_m``, ``L``/``U`` lower/upper
 triangular Toeplitz, ``J`` the reversal and ``Z`` the down shift, applies
-it with FFTs in O(M log M) per right-hand side.  Both paths accept a
+it with FFTs in O(M log M) per right-hand side.  The explicit inverse is
+the same formula summed into a dense matrix (Trench 1964) and applied by
+one matrix-vector product.  Every path accepts a
 solution on one rule, a normwise backward error (Rigal & Gaches 1967;
 Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 7) in the
 infinity norm:
@@ -29,10 +33,10 @@ infinity norm:
 
 The bound sits above what FFT rounding reaches for every system size, so
 the same rule holds at M = 16 and at M = 65536.  The Gohberg-Semencul
-product alone can miss it on systems near beta = 1 (up to about 1e6 eps
-at beta = 1.001, theta in {0, 1}); a direct solve that misses is refined
-on its own residual, ``x <- x - A^-1 (A x - b)``; one step brought every
-system measured below 2 eps.
+product alone, explicit or not, can miss it on systems near beta = 1 (up
+to about 1e6 eps at beta = 1.001, theta in {0, 1}); a direct solve that
+misses is refined on its own residual, ``x <- x - A^-1 (A x - b)``; one
+step brought every system measured below 2 eps.
 """
 
 from __future__ import annotations
@@ -53,8 +57,28 @@ from .operators import (embedding_size, embedding_spectrum, fcd_toeplitz,
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec
 
-#: Largest interval count that :func:`make_solver` solves directly.
-DENSE_LIMIT = 4096
+# The cost rule of :func:`make_solver`.  The timings that set it are in
+# BENCH_9.json, written by scripts/solver_costs.py (one BLAS thread, WSGD,
+# beta in {1.1, 1.5, 1.8}).
+
+#: Largest interval count at which many solves use the explicit inverse:
+#: a solve costs 22-43 us up to M = 256 against 86-111 us for the
+#: Gohberg-Semencul product, but 211-236 us against 132-143 us at M = 512.
+EXPLICIT_LIMIT = 256
+
+#: Fewest solves that pay for forming the explicit inverse: at M = 256 it
+#: adds 1.4-1.6 ms to the set-up, 20-32 of the 50-70 us per-solve savings.
+EXPLICIT_MIN_SOLVES = 32
+
+#: Smallest interval count at which a few solves use GMRES: at M = 2048
+#: the direct set-up costs 15-21 ms against 3.2-3.7 ms per GMRES solve; at
+#: M = 1024 it costs 5.3-5.8 ms against 1.4-3.0 ms, too close to switch.
+KRYLOV_FROM = 2048
+
+#: Most solves that GMRES serves from ``KRYLOV_FROM`` intervals on: the
+#: direct set-up at M = 2048 is worth 4-6 GMRES solves, so the two of a
+#: correction leave a margin.
+KRYLOV_MAX_SOLVES = 2
 
 #: Largest normwise backward error accepted from any solve (1024 eps).
 BACKWARD_ERROR_BOUND = 2.0 ** -42
@@ -159,8 +183,12 @@ class ToeplitzSolver:
     ``A^-1`` from one Levinson call, held for reuse, with up to
     ``_MAX_REFINEMENTS`` refinement steps per solve) or ``'krylov'``
     (matrix-free preconditioned GMRES, capped at ``maxiter`` inner
-    iterations).  Every solve must meet ``BACKWARD_ERROR_BOUND``; the last
-    solve's GMRES iteration count is kept in ``last_iterations``.
+    iterations).  With ``explicit=True`` the direct path sums the
+    generators into ``A^-1`` and also holds ``A``, both dense, so that a
+    solve and its residual are one matrix-vector product each.  Every
+    solve must meet ``BACKWARD_ERROR_BOUND``; the last solve's GMRES
+    iteration count is kept in ``last_iterations`` and its refinement
+    count in ``last_refinements``.
 
     The direct path needs every leading principal minor of ``A`` to be
     nonsingular (Levinson's recursion runs through them) and raises
@@ -170,21 +198,22 @@ class ToeplitzSolver:
     """
 
     def __init__(self, col: np.ndarray, row: np.ndarray, method: str = "dense",
-                 maxiter: int = DEFAULT_MAXITER):
+                 maxiter: int = DEFAULT_MAXITER, explicit: bool = False):
         self.col = np.asarray(col, dtype=float)
         self.row = np.asarray(row, dtype=float)
         self.m = len(self.col)
         self.method = method
         self.maxiter = maxiter
-        self.last_iterations = 0
+        self.last_iterations = self.last_refinements = 0
         # row i of a Toeplitz matrix sums col[0..i] and row[1..m-1-i]
         lower = np.cumsum(np.abs(self.col))
         upper = np.concatenate(([0.0], np.cumsum(np.abs(self.row[1:]))))
         self.norm_inf = float(np.max(lower + upper[::-1]))
         self._L = embedding_size(self.m)
         self._spectrum = embedding_spectrum(self.col, self.row)
+        self._matrix = self._inverse = None
         if method == "dense":
-            self._setup_direct()
+            self._setup_direct(explicit)
         elif method == "krylov":
             lam = strang_circulant_eigenvalues(self.col, self.row)
             if np.min(np.abs(lam)) == 0.0:
@@ -193,7 +222,7 @@ class ToeplitzSolver:
         else:
             raise ValueError(f"unknown method {method!r}")
 
-    def _setup_direct(self) -> None:
+    def _setup_direct(self, explicit: bool) -> None:
         m, L = self.m, self._L
         ends = np.zeros((m, 2))
         ends[0, 0] = ends[-1, 1] = 1.0
@@ -210,19 +239,39 @@ class ToeplitzSolver:
                               "or the end columns of A^-1 are not finite")
         shift_y = np.concatenate(([0.0], y[:-1]))
         shift_rev_x = np.concatenate(([0.0], x[:0:-1]))
+        if explicit:
+            # Trench (1964): entry (i, j) of L(a) U(b) exceeds entry
+            # (i-1, j-1) by a_i b_j, so A^-1 is the running sum, down each
+            # diagonal, of the rank-2 kernel of the formula
+            inverse = (np.outer(x, y[::-1]) - np.outer(shift_y, shift_rev_x)) / x[0]
+            for i in range(1, m):
+                inverse[i, 1:] += inverse[i - 1, :-1]
+            self._inverse = inverse
+            self._matrix = scipy.linalg.toeplitz(self.col, self.row)
+            return
         # (U(v) b)_i = sum_j v_j b_{i+j} is a correlation: with zero
         # padding to L >= 2m - 1 it is irfft(conj(rfft(v)) * rfft(b))[:m]
         self._upper = np.conj(np.fft.rfft(np.stack([y[::-1], shift_rev_x]), n=L))
         self._lower = np.fft.rfft(np.stack([x, shift_y]), n=L) / x[0]
 
+    @property
+    def explicit(self) -> bool:
+        """Whether the direct path holds ``A^-1`` as a dense matrix."""
+        return self._inverse is not None
+
     def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        """Gohberg-Semencul product ``A^-1 b`` (direct path only)."""
+        """``A^-1 b``, explicit or by the Gohberg-Semencul product (direct
+        path only)."""
+        if self._inverse is not None:
+            return self._inverse @ b
         m, L = self.m, self._L
         u = np.fft.irfft(self._upper * np.fft.rfft(b, n=L), n=L)
         z = np.fft.rfft(u[:, :m], n=L) * self._lower
         return np.fft.irfft(z[0] - z[1], n=L)[:m]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self._matrix is not None:
+            return self._matrix @ x
         L = self._L
         return np.fft.irfft(self._spectrum * np.fft.rfft(x, n=L), n=L)[:self.m]
 
@@ -248,19 +297,19 @@ class ToeplitzSolver:
         return self._solve_direct(np.asarray_chkfinite(rhs, dtype=float))
 
     def _solve_direct(self, rhs: np.ndarray) -> np.ndarray:
-        self.last_iterations = 0
+        self.last_iterations = self.last_refinements = 0
         x = self._apply_inverse(rhs)
         residual = self.matvec(x) - rhs
-        refinements = 0
         while not ((eta := self._backward_error(residual, x, rhs))
                    <= BACKWARD_ERROR_BOUND):
-            if refinements == _MAX_REFINEMENTS:
+            if self.last_refinements == _MAX_REFINEMENTS:
                 raise SolverError(
                     f"direct solve backward error {eta:.3e} exceeds the bound "
-                    f"{BACKWARD_ERROR_BOUND:.3e} after {refinements} refinements")
+                    f"{BACKWARD_ERROR_BOUND:.3e} after {_MAX_REFINEMENTS} "
+                    f"refinements")
             x = x - self._apply_inverse(residual)
             residual = self.matvec(x) - rhs
-            refinements += 1
+            self.last_refinements += 1
         return x
 
     def _solve_krylov(self, rhs: np.ndarray) -> np.ndarray:
@@ -301,27 +350,38 @@ class ToeplitzSolver:
 
 
 def make_solver(params: FracParams, grid: Grid, scheme: SchemeKind,
-                frac_scale: float = 1.0) -> ToeplitzSolver:
-    """Solver of the interior scheme system on ``grid``.
+                frac_scale: float = 1.0, solves: int = 1) -> ToeplitzSolver:
+    """Solver of the interior scheme system on ``grid`` for ``solves`` solves.
 
-    The direct solve up to ``DENSE_LIMIT`` intervals and GMRES beyond,
-    unless the Strang preconditioner is singular (beta = 2, alpha = 0),
-    where the direct solve serves all sizes.
+    The path is the one of least expected cost for that many solves:
+
+    * an explicit inverse for at least ``EXPLICIT_MIN_SOLVES`` solves up
+      to ``EXPLICIT_LIMIT`` intervals (a Crank-Nicolson march);
+    * GMRES for at most ``KRYLOV_MAX_SOLVES`` solves from ``KRYLOV_FROM``
+      intervals on, unless the Strang preconditioner is singular
+      (beta = 2, alpha = 0);
+    * the Gohberg-Semencul product otherwise.
+
+    The explicit inverse is a representation of the direct path, so its
+    ``method`` is ``'dense'``.
     """
+    if solves < 1:
+        raise ValueError(f"need at least one solve, got solves={solves}")
     col, row = scheme_toeplitz(params, grid, scheme, frac_scale)
-    if grid.M > DENSE_LIMIT:
+    if grid.M >= KRYLOV_FROM and solves <= KRYLOV_MAX_SOLVES:
         try:
             return ToeplitzSolver(col, row, method="krylov")
         except SolverError:  # the Strang preconditioner is singular
             pass
-    return ToeplitzSolver(col, row, method="dense")
+    explicit = grid.M <= EXPLICIT_LIMIT and solves >= EXPLICIT_MIN_SOLVES
+    return ToeplitzSolver(col, row, method="dense", explicit=explicit)
 
 
 def solve_bvp(problem: "ProblemSpec", M: int, scheme: SchemeKind) -> GridFunction:
     """Solve a stationary boundary-value problem on M intervals.
 
     Returns the grid function with zero boundary entries, solved on the
-    path :func:`make_solver` picks for M.
+    path :func:`make_solver` picks for one solve on M intervals.
     """
     if M < 4:
         raise ValueError(f"need at least 4 intervals, got M={M}")

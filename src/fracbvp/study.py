@@ -210,17 +210,21 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
 
 def emit_reports(reports: Sequence[ConvergenceReport], fmt: str,
                  out: str) -> list[Path]:
-    """Write reports; multiple reports get a -beta<value> path suffix."""
-    paths = []
+    """Write reports; multiple reports get a -beta<value> path suffix.
+
+    Raises :class:`ConfigError`, before writing anything, when two reports
+    would go to one path (several reports at one ``beta``).
+    """
     base = Path(out)
-    for rep in reports:
-        if len(reports) == 1:
-            path = base
-        else:
-            beta = rep.metadata.get("beta")
-            path = base.with_name(f"{base.stem}-beta{beta}{base.suffix}")
-        paths.append(emit_report(rep, fmt, path))
-    return paths
+    if len(reports) == 1:
+        paths = [base]
+    else:
+        paths = [base.with_name(f"{base.stem}-beta{rep.metadata.get('beta')}"
+                                f"{base.suffix}") for rep in reports]
+    if len(set(paths)) != len(paths):
+        raise ConfigError(f"several reports would be written to one path: "
+                          f"{[str(p) for p in paths]}")
+    return [emit_report(rep, fmt, path) for rep, path in zip(reports, paths)]
 
 
 __all__ = [

@@ -4,9 +4,11 @@ Each step solves ``(I - tau/2 D) u^n = (I + tau/2 D) u^{n-1} + tau f^{n-1/2}``
 with ``D`` the theta-weighted spatial operator and ``f`` sampled at the
 half node.  With ``A = I - tau/2 D`` the explicit operator is ``2I - A``, so
 a step is one solve, ``A v = u^{n-1} + (tau/2) f^{n-1/2}``, ``u^n = 2v - u^{n-1}``.
-The implicit matrix is time-independent, so one solver set-up (the direct
-solver's Gohberg-Semencul generators, or the Krylov preconditioner) serves
-the whole march.
+The implicit matrix is time-independent, so one solver set-up serves the
+whole march.  The march tells :func:`~fracbvp.solver.make_solver` that it
+makes ``N + 1`` solves, so on a coarse grid it gets an explicit inverse,
+applied by one matrix-vector product per step, and on a finer grid, for
+two steps or more, the Gohberg-Semencul generators.
 
 The corrected variant marches the coarse and fine grids together, applies
 the two-grid correction of :class:`~fracbvp.correction.TwoGridCorrector`
@@ -66,10 +68,11 @@ class TimeGrid:
 class _CNSystem:
     """Implicit operator ``A = I - tau/2 D`` of one CN grid; a step is one solve."""
 
-    def __init__(self, params: FracParams, grid: Grid, tau: float):
+    def __init__(self, params: FracParams, grid: Grid, tau: float, solves: int):
         self.half_tau = 0.5 * tau
         stepping = FracParams(alpha=1.0, beta=params.beta, theta=params.theta)
-        self.solver = make_solver(stepping, grid, SchemeKind.WSGD, self.half_tau)
+        self.solver = make_solver(stepping, grid, SchemeKind.WSGD, self.half_tau,
+                                  solves=solves)
 
     def step(self, u_int: np.ndarray, f_half: np.ndarray) -> np.ndarray:
         return 2.0 * self.solver.solve(u_int + self.half_tau * f_half) - u_int
@@ -94,7 +97,9 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     a, b = problem.domain
     tau = time_grid.tau
     grid_c = Grid(a, b, M)
-    sys_c = _CNSystem(problem.params, grid_c, tau)
+    # a solve per step, and one singular solve when corrected
+    solves = time_grid.N + 1
+    sys_c = _CNSystem(problem.params, grid_c, tau, solves)
     xc = grid_c.interior_nodes()
     u_c = np.asarray(problem.initial(xc), dtype=float)
 
@@ -104,7 +109,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         return GridFunction.from_interior(grid_c, u_c)
 
     grid_f = grid_c.refined()
-    sys_f = _CNSystem(problem.params, grid_f, tau)
+    sys_f = _CNSystem(problem.params, grid_f, tau, solves)
     xf = grid_f.interior_nodes()
     u_f = np.asarray(problem.initial(xf), dtype=float)
 

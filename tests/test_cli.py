@@ -122,6 +122,25 @@ def test_solve_without_exact_solution_writes_values(tmp_path):
     assert len(rows) == 1 + 65
 
 
+@pytest.mark.parametrize("example,theta,rho_left,rho_right", [
+    ("ex1-case1", "1", "0.7", "1.0"),
+    ("ex1-case2", "0", "1.0", "0.7"),
+])
+def test_solve_header_records_the_problem_solved(tmp_path, example, theta,
+                                                 rho_left, rho_right):
+    out = tmp_path / "u.csv"
+    argv = ["solve", "--example", example, "--alpha", "0", "--theta", theta,
+            "--singular-exponent", "0.7", "--grids", "64", "--correct",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    header = dict(line[2:].split("=", 1) for line in out.read_text().splitlines()
+                  if line.startswith("# "))
+    assert header == {"problem": example, "alpha": "0.0", "beta": "1.5",
+                      "theta": f"{float(theta)}", "scheme": "wsgd",
+                      "corrected": "True", "M": "64", "rho_left": rho_left,
+                      "rho_right": rho_right}
+
+
 def test_exact_study_needs_no_reference_level(tmp_path, fresh_cache):
     out = tmp_path / "study.csv"
     argv = ["study", "--example", "ex1-case1", "--grids", "16384", "--out", str(out)]

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fracbvp import correction
 from fracbvp.analytic import PowerSum, PowerTerm
 from fracbvp.catalog import catalog, manufactured, singular_term
 from fracbvp.correction import (
@@ -12,7 +13,7 @@ from fracbvp.correction import (
     correct,
     correct_iterated,
 )
-from fracbvp.solver import FracParams, SchemeKind, SolverError
+from fracbvp.solver import FracParams, SchemeKind, SolverError, make_solver
 from fracbvp.study import reference_solution
 
 
@@ -161,6 +162,18 @@ class TestCorrect:
         raw = np.max(np.abs(sol.coarse.values - spec.exact(xc)))
         done = np.max(np.abs(sol.corrected_coarse.values - spec.exact(xc)))
         assert done < raw / 50.0
+
+    def test_declares_two_solves_per_grid(self, monkeypatch):
+        seen = []
+
+        def spy(*args, solves=1, **kwargs):
+            seen.append(solves)
+            return make_solver(*args, solves=solves, **kwargs)
+
+        monkeypatch.setattr(correction, "make_solver", spy)
+        spec = catalog("ex1-case1", 1.5)
+        correct(spec, spec.singular, 64, SchemeKind.WSGD)
+        assert seen == [2, 2]
 
 
 class TestCorrectIterated:

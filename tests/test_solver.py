@@ -12,7 +12,10 @@ from fracbvp.analytic import PowerSum, PowerTerm
 from fracbvp.operators import toeplitz_matvec
 from fracbvp.solver import (
     BACKWARD_ERROR_BOUND,
-    DENSE_LIMIT,
+    EXPLICIT_LIMIT,
+    EXPLICIT_MIN_SOLVES,
+    KRYLOV_FROM,
+    KRYLOV_MAX_SOLVES,
     FracParams,
     KrylovError,
     SchemeKind,
@@ -266,12 +269,64 @@ class TestSolve:
         with pytest.raises(ValueError):
             ToeplitzSolver(col, row, method="cg")
 
-    @pytest.mark.parametrize("M,method", [(DENSE_LIMIT, "dense"),
-                                          (DENSE_LIMIT + 2, "krylov")])
-    def test_make_solver_switches_path_above_dense_limit(self, M, method):
+    # each threshold of the cost rule, from both sides
+    @pytest.mark.parametrize("M,solves,method,explicit", [
+        (EXPLICIT_LIMIT, EXPLICIT_MIN_SOLVES, "dense", True),
+        (EXPLICIT_LIMIT, EXPLICIT_MIN_SOLVES - 1, "dense", False),
+        (EXPLICIT_LIMIT + 2, EXPLICIT_MIN_SOLVES, "dense", False),
+        (KRYLOV_FROM, KRYLOV_MAX_SOLVES, "krylov", False),
+        (KRYLOV_FROM - 2, KRYLOV_MAX_SOLVES, "dense", False),
+        (KRYLOV_FROM, KRYLOV_MAX_SOLVES + 1, "dense", False),
+    ])
+    def test_make_solver_picks_path_by_cost(self, M, solves, method, explicit):
         solver = make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, M),
-                             SchemeKind.WSGD)
-        assert solver.method == method
+                             SchemeKind.WSGD, solves=solves)
+        assert (solver.method, solver.explicit) == (method, explicit)
+
+    def test_make_solver_needs_a_solve(self):
+        with pytest.raises(ValueError, match="at least one solve"):
+            make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
+                        SchemeKind.WSGD, solves=0)
+
+
+class TestExplicitInverse:
+    @pytest.mark.parametrize("M", [5, 33, EXPLICIT_LIMIT])
+    @pytest.mark.parametrize("beta", [1.001, 1.99])
+    @pytest.mark.parametrize("scheme,theta", [(SchemeKind.WSGD, 0.0),
+                                              (SchemeKind.WSGD, 0.5),
+                                              (SchemeKind.WSGD, 1.0),
+                                              (SchemeKind.FCD, 0.5)])
+    def test_against_lu_oracle(self, scheme, theta, beta, M):
+        params = FracParams(0.0, beta, theta)
+        grid = Grid(0.0, 1.0, M)
+        f = np.random.default_rng(M).standard_normal(M - 1)
+        oracle = scipy.linalg.lu_solve(
+            scipy.linalg.lu_factor(assemble(params, grid, scheme)), f)
+        solver = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme),
+                                explicit=True)
+        u = solver.solve(f)
+        assert solver.explicit
+        assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
+        assert np.max(np.abs(u - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    def test_rejects_nonfinite_rhs(self):
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 32),
+                                   SchemeKind.WSGD)
+        f = np.ones(31)
+        f[7] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ToeplitzSolver(col, row, explicit=True).solve(f)
+
+    def test_refines_near_beta_one(self):
+        # the explicit product misses the bound by about 1e6 eps here, as
+        # the Gohberg-Semencul product does: the generators are the cause
+        col, row = scheme_toeplitz(FracParams(0.0, 1.001, 1.0), Grid(0.0, 1.0, 33),
+                                   SchemeKind.WSGD)
+        f = np.random.default_rng(0).standard_normal(32)
+        solver = ToeplitzSolver(col, row, explicit=True)
+        u = solver.solve(f)
+        assert 1 <= solver.last_refinements <= 3
+        assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
 
 
 class TestSmoothRate:

@@ -69,6 +69,15 @@ def test_emit_reports_suffixes_each_order(tmp_path):
     assert single == tmp_path / "one.csv"
 
 
+def test_emit_reports_refuses_two_reports_at_one_order(tmp_path):
+    reports = [ConvergenceReport.from_rows([(64, 1e-3, 1e-4, 0.0)],
+                                           {"beta": 1.5, "scheme": scheme})
+               for scheme in ("wsgd", "fcd")]
+    with pytest.raises(ConfigError, match="one path"):
+        emit_reports(reports, "csv", str(tmp_path / "s.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_time_study_steps_override_tau():
     config = StudyConfig(problem=catalog("ex3", 1.5), M_list=(8, 16), tau=0.5, steps=4)
     (report,) = run_time_study(config)

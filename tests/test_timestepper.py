@@ -8,7 +8,9 @@ import pytest
 from fracbvp.catalog import catalog
 from fracbvp.grids import Grid
 from fracbvp.operators import toeplitz_matvec
-from fracbvp.solver import FracParams, SchemeKind, ToeplitzSolver, scheme_toeplitz
+from fracbvp import timestepper
+from fracbvp.solver import (FracParams, SchemeKind, ToeplitzSolver, make_solver,
+                            scheme_toeplitz)
 from fracbvp.study import StudyConfig, run_time_study
 from fracbvp.timestepper import TimeGrid, cn_wsgd_solve
 
@@ -65,6 +67,28 @@ class TestFrozenRows:
         floor = EPS * M ** BETA
         for got, want in zip((row.err_max, row.err_l2), FROZEN[M, corrected]):
             assert abs(got - want) <= 1e-6 * abs(want) + floor
+
+
+class TestSolvePath:
+    def test_march_declares_its_solves(self, monkeypatch):
+        # a solve per step on each grid, plus the corrector's singular solve
+        seen = []
+
+        def spy(*args, solves=1, **kwargs):
+            seen.append(solves)
+            return make_solver(*args, solves=solves, **kwargs)
+
+        monkeypatch.setattr(timestepper, "make_solver", spy)
+        cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(0.05, 50), corrected=True)
+        assert seen == [51, 51]
+
+    def test_march_at_m32_corrected_still_diverges(self):
+        # the known failure of the ex3/M32/corrected benchmark operation: the
+        # per-step strength overflows and the next solve refuses the field
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                cn_wsgd_solve(catalog("ex3", BETA), 32, TimeGrid(1.0, 1000),
+                              corrected=True)
 
 
 class TestRejects:
