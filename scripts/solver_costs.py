@@ -12,8 +12,17 @@ path of :func:`fracbvp.solver.make_solver` -- the explicit inverse, the
 Gohberg-Semencul product and GMRES -- on the stationary WSGD system
 (alpha = 1, theta = 1) and on the Crank-Nicolson matrix of the ``ex3``
 march (tau = 1e-3).  The explicit inverse holds two dense M x M arrays, so
-it is timed up to M = 1024 only.  Then one Crank-Nicolson step at beta = 1.5
-on the path the march takes and on the Gohberg-Semencul path.
+it is timed up to M = 1024 only.
+
+Then whole ``ex3`` marches (beta = 1.5, 1000 steps) through
+:func:`fracbvp.timestepper.cn_wsgd_solve`: uncorrected at M = 2**4 ...
+2**11, corrected up to 2**9 (up to 2**7 and 2**6 with ``--quick``).  A
+round times every march ``MARCH_REPEATS`` times in a fresh interpreter
+and keeps the least wall and CPU seconds of each; with ``--baseline DIR``
+the script runs ``MARCH_ROUNDS`` rounds on this checkout and on DIR,
+alternating which runs first, and records the median and quartiles over
+the rounds and how many rounds the change won.  Other processes on the machine lengthen the
+wall time; the CPU time leaves out the time they hold the processor.
 
 With ``--baseline DIR`` (another checkout of this repository, say the
 parent commit) it also runs ``perfbench/run.py`` on both checkouts for
@@ -46,7 +55,6 @@ import scipy  # noqa: E402
 from fracbvp.grids import Grid  # noqa: E402
 from fracbvp.solver import (FracParams, SchemeKind, ToeplitzSolver,  # noqa: E402
                             scheme_toeplitz)
-from fracbvp.timestepper import _CNSystem  # noqa: E402
 
 BETAS = (1.1, 1.5, 1.8)
 TAU = 1e-3
@@ -56,6 +64,34 @@ PATHS = {"explicit": dict(method="dense", explicit=True),
          "gmres": dict(method="krylov")}
 SYSTEMS = {"stationary": 1.0, "crank-nicolson": 0.5 * TAU}
 WORKLOADS = ("dense", "reference")
+MARCH_REPEATS = 3
+MARCH_ROUNDS = 10
+
+# Times the marches given as JSON [[M, corrected], ...] with fracbvp from
+# the src/ directory given first; prints
+# {"M/corrected": [wall seconds, CPU seconds, raised]}.
+MARCH_CODE = """
+import json, sys, time, warnings
+sys.path.insert(0, sys.argv[1])
+from fracbvp.catalog import catalog
+from fracbvp.timestepper import TimeGrid, cn_wsgd_solve
+warnings.simplefilter("ignore")  # the diverging corrected march overflows
+problem, time_grid = catalog("ex3", 1.5), TimeGrid(1.0, 1000)
+result = {}
+for M, corrected in json.loads(sys.argv[2]):
+    wall = cpu = float("inf")
+    raised = None
+    for _ in range(int(sys.argv[3])):
+        t0, c0 = time.perf_counter(), time.process_time()
+        try:
+            cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
+        except Exception as exc:
+            raised = type(exc).__name__
+        wall = min(wall, time.perf_counter() - t0)
+        cpu = min(cpu, time.process_time() - c0)
+    result[f"{M}/{corrected}"] = [wall, cpu, raised]
+print(json.dumps(result))
+"""
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s", "ok_frac")
 
 
@@ -82,16 +118,39 @@ def path_costs(M: int, beta: float, system: str, path: str) -> dict:
             "solve_s": _best(lambda: solver.solve(b), 5 * repeats),
             "iterations": solver.last_iterations,
             "refinements": solver.last_refinements,
-            "backward_error": solver.backward_error(x, b)}
+            "backward_error": solver.backward_errors(x, b)}
 
 
-def cn_step(M: int, solves: int) -> dict:
-    system = _CNSystem(FracParams(0.0, 1.5, 1.0), Grid(0.0, 1.0, M), TAU, solves)
-    x = Grid(0.0, 1.0, M).interior_nodes()
-    u, f = x * (1.0 - x), np.ones(M - 1)
-    path = "explicit" if system.solver.explicit else "gohberg-semencul"
-    return {"M": M, "beta": 1.5, "solves": solves, "path": path,
-            "step_s": _best(lambda: system.step(u, f), 200)}
+def _time_marches(checkout: Path, runs: list) -> dict:
+    out = subprocess.run([sys.executable, "-c", MARCH_CODE, str(checkout / "src"),
+                          json.dumps(runs), str(MARCH_REPEATS)],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def marches(runs: list, baseline: Path | None) -> list:
+    """Wall and CPU seconds of each whole march over the rounds, on this
+    checkout and the baseline."""
+    sides = {"change": ROOT} | ({"baseline": baseline} if baseline else {})
+    rounds: dict = {side: [] for side in sides}
+    for i in range(MARCH_ROUNDS if baseline else 1):
+        for side in sorted(sides, reverse=i % 2 == 1):
+            rounds[side].append(_time_marches(sides[side], runs))
+    entries = []
+    for M, corrected in runs:
+        key = f"{M}/{corrected}"
+        entry = {"M": M, "beta": 1.5, "steps": 1000, "corrected": corrected}
+        for side, results in rounds.items():
+            entry[side] = {"raises": results[0][key][2]}
+            for j, name in enumerate(("wall_s", "cpu_s")):
+                times = [r[key][j] for r in results]
+                entry[side][name] = _summary(times) if len(times) > 1 else times[0]
+        if baseline:
+            entry["change_wins"] = sum(
+                c[key][0] < b[key][0]
+                for b, c in zip(rounds["baseline"], rounds["change"]))
+        entries.append(entry)
+    return entries
 
 
 def _perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -144,18 +203,19 @@ def main(argv=None) -> int:
               for M in sizes for beta in BETAS for system in SYSTEMS
               for path in PATHS
               if path != "explicit" or M <= EXPLICIT_TIMED_UP_TO]
-    steps = [cn_step(M, n) for M in sizes if M <= 512 for n in (1, 1001)]
+    march_runs = ([[M, False] for M in sizes if M <= 2048]
+                  + [[M, True] for M in sizes if M <= (64 if args.quick else 512)])
+    baseline = args.baseline.resolve() if args.baseline is not None else None
     doc = {
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__, "scipy": scipy.__version__,
                         "nproc": len(os.sched_getaffinity(0)),
                         "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"]},
         "solve": solves,
-        "cn_step": steps,
+        "march": marches(march_runs, baseline),
     }
-    if args.baseline is not None:
-        doc["end_to_end"] = end_to_end(args.baseline.resolve(), args.pairs,
-                                       args.seconds)
+    if baseline is not None:
+        doc["end_to_end"] = end_to_end(baseline, args.pairs, args.seconds)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     missing = sorted(set(PATHS) - {entry["path"] for entry in solves})
     if missing:

@@ -67,67 +67,67 @@ class TwoGridCorrector:
     each grid: coarse nodes of the fine grid take the coarse strength,
     midpoints the strength of their right neighbour (the last midpoint the
     last strength).
+
+    The strength's denominator ``us_f - us_c`` at the coarse nodes is fixed
+    by the singular solves, so its guard is resolved here, once: a
+    denominator is guarded when ``|den| <= GUARD_SCALE * max|us_c|``, and a
+    guarded node takes the strength of the nearest unguarded node, ties
+    breaking toward the domain center.  ``guard_activations`` counts the
+    guarded nodes.  Raises :class:`SolverError` if every denominator is
+    guarded (the singular solves are identical, so either the singular
+    spec is wrong or the grid is uselessly coarse).
     """
 
-    #: Relative scale of the denominator guard; see :meth:`guarded_ratio`.
+    #: Relative scale of the denominator guard.
     GUARD_SCALE = 1e-13
 
     def __init__(self, us_c: np.ndarray, us_f: np.ndarray,
                  exact_c: np.ndarray, exact_f: np.ndarray):
         self.den = us_f[1::2] - us_c
-        self.us_max = float(np.max(np.abs(us_c)))
         self.gap_c = exact_c - us_c
         self.gap_f = exact_f - us_f
-
-    @classmethod
-    def guarded_ratio(cls, num: np.ndarray, den: np.ndarray,
-                      us_max: float) -> tuple[np.ndarray, int]:
-        """Pointwise num/den with tiny denominators patched from neighbours.
-
-        A denominator is guarded when ``|den| <= GUARD_SCALE * us_max``.
-        Guarded entries take the value of the nearest unguarded interior
-        entry, ties breaking toward the domain center.  Raises if every
-        denominator is guarded (the singular solves are identical, so
-        either the singular spec is wrong or the grid is uselessly coarse).
-        Returns the ratio and the number of guarded entries.
-        """
-        bad = np.abs(den) <= cls.GUARD_SCALE * us_max
+        bad = np.abs(self.den) <= self.GUARD_SCALE * float(np.max(np.abs(us_c)))
         if bad.all():
             raise SolverError(
                 "all strength denominators fall below the guard; the singular "
                 "problem's two-grid solves are indistinguishable")
-        xi = np.empty_like(num)
-        good = ~bad
-        xi[good] = num[good] / den[good]
-        if bad.any():
-            center = 0.5 * (len(num) - 1)
-            good_idx = np.nonzero(good)[0]
+        self.guard_activations = int(bad.sum())
+        # node i takes the strength num[pick[i]] / den[pick[i]]
+        self._pick = None
+        if self.guard_activations:
+            pick = np.arange(len(self.den))
+            center = 0.5 * (len(pick) - 1)
+            good_idx = np.nonzero(~bad)[0]
             for i in np.nonzero(bad)[0]:
                 dist = np.abs(good_idx - i)
                 nearest = good_idx[dist == dist.min()]
                 # ties: prefer the candidate closer to the center
-                pick = nearest[np.argmin(np.abs(nearest - center))]
-                xi[i] = xi[pick]
-        return xi, int(bad.sum())
+                pick[i] = nearest[np.argmin(np.abs(nearest - center))]
+            self._pick = pick
+            self._den_pick = self.den[pick]
 
-    def strength(self, u_c: np.ndarray, u_f: np.ndarray) -> tuple[np.ndarray, int]:
-        """Guarded pointwise strength at the coarse interior nodes, and the
-        number of guarded nodes."""
-        return self.guarded_ratio(u_f[1::2] - u_c, self.den, self.us_max)
+    def strength(self, u_c: np.ndarray, u_f: np.ndarray) -> np.ndarray:
+        """Guarded pointwise strength at the coarse interior nodes."""
+        num = u_f[1::2] - u_c
+        if self._pick is None:
+            return num / self.den
+        return num[self._pick] / self._den_pick
 
     def correction(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coarse and fine corrections ``xi * (us - us_h)`` for coarse-node
         strengths ``xi``."""
-        corr_f = np.empty_like(self.gap_f)
-        corr_f[1::2] = xi * self.gap_f[1::2]
-        corr_f[::2] = np.append(xi, xi[-1]) * self.gap_f[::2]
+        gap_f = self.gap_f
+        corr_f = np.empty_like(gap_f)
+        corr_f[1::2] = xi * gap_f[1::2]
+        corr_f[:-1:2] = xi * gap_f[:-1:2]
+        corr_f[-1] = xi[-1] * gap_f[-1]
         return xi * self.gap_c, corr_f
 
     def correct(self, u_c: np.ndarray, u_f: np.ndarray):
         """Corrected coarse and fine fields, the strength and the guard count."""
-        xi, guards = self.strength(u_c, u_f)
+        xi = self.strength(u_c, u_f)
         corr_c, corr_f = self.correction(xi)
-        return u_c + corr_c, u_f + corr_f, xi, guards
+        return u_c + corr_c, u_f + corr_f, xi, self.guard_activations
 
 
 def correct(problem: "ProblemSpec", singular: "SingularTermSpec", M: int,
@@ -178,8 +178,8 @@ def _run_correction(problem, terms, M, scheme) -> CorrectedSolution:
                   for term in terms]
     guards = 0
     if len(terms) == 1:
-        xi, guards = correctors[0].strength(u_c, u_f)
-        strengths = [xi]
+        strengths = [correctors[0].strength(u_c, u_f)]
+        guards = correctors[0].guard_activations
     else:
         dens = np.column_stack([c.den for c in correctors])
         fitted, *_ = np.linalg.lstsq(dens, u_f[1::2] - u_c, rcond=None)

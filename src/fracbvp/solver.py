@@ -29,7 +29,12 @@ solution on one rule, a normwise backward error (Rigal & Gaches 1967;
 Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 7) in the
 infinity norm:
 
-    ||A x - b|| <= BACKWARD_ERROR_BOUND * (||A|| ||x|| + ||b||).
+    ||A x - b|| <= BACKWARD_ERROR_BOUND * (||A|| ||x|| + ||b||),
+
+computed by :meth:`ToeplitzSolver.backward_errors` for one solution or
+for a block of them, one per row: a direct solve, each GMRES restart
+cycle and each block of a Crank-Nicolson march
+(:mod:`fracbvp.timestepper`) are accepted through it.
 
 The bound sits above what FFT rounding reaches for every system size, so
 the same rule holds at M = 16 and at M = 65536.  The Gohberg-Semencul
@@ -89,6 +94,13 @@ _GMRES_RESTART = 60
 
 #: Cap on the refinement steps of one direct solve.
 _MAX_REFINEMENTS = 3
+
+#: Most values one block product transforms at once: a larger batch's
+#: temporaries (2 MB for 32 rows at M = 2048) fall out of cache and are
+#: handed back to the system between blocks, so that each block faults
+#: their pages in again; the Crank-Nicolson march then lost at M = 2048
+#: what the batch gains at M = 512.
+_BATCH_VALUES = 2 ** 15
 
 
 class SchemeKind(enum.Enum):
@@ -190,6 +202,13 @@ class ToeplitzSolver:
     iteration count is kept in ``last_iterations`` and its refinement
     count in ``last_refinements``.
 
+    A caller that makes many solves can take them apart:
+    :meth:`apply_inverse` gives ``A^-1 b`` without a check, and
+    :meth:`backward_errors` checks a block of such solutions, one per
+    row, with one product (a matrix-matrix product on the explicit
+    representation, a row-batched FFT product otherwise).  A solution
+    that misses the bound goes back through :meth:`solve`.
+
     The direct path needs every leading principal minor of ``A`` to be
     nonsingular (Levinson's recursion runs through them) and raises
     :class:`SolverError` when one is singular.  Every scheme matrix here
@@ -259,37 +278,45 @@ class ToeplitzSolver:
         """Whether the direct path holds ``A^-1`` as a dense matrix."""
         return self._inverse is not None
 
-    def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        """``A^-1 b``, explicit or by the Gohberg-Semencul product (direct
-        path only)."""
+    def apply_inverse(self, b: np.ndarray) -> np.ndarray:
+        """``A^-1 b`` for a vector ``b``, explicit or by the Gohberg-Semencul
+        product, with no check (direct path only)."""
         if self._inverse is not None:
-            return self._inverse @ b
+            return self._inverse.dot(b)
         m, L = self.m, self._L
         u = np.fft.irfft(self._upper * np.fft.rfft(b, n=L), n=L)
         z = np.fft.rfft(u[:, :m], n=L) * self._lower
         return np.fft.irfft(z[0] - z[1], n=L)[:m]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` for a vector, or ``A`` times each row of a block."""
         if self._matrix is not None:
-            return self._matrix @ x
+            return (self._matrix @ x.T).T
         L = self._L
-        return np.fft.irfft(self._spectrum * np.fft.rfft(x, n=L), n=L)[:self.m]
+        return np.fft.irfft(self._spectrum * np.fft.rfft(x, n=L), n=L)[..., :self.m]
 
     def _precondition(self, x: np.ndarray) -> np.ndarray:
         return np.fft.irfft(np.fft.rfft(x) / self._lam, n=self.m)
 
-    def backward_error(self, x: np.ndarray, rhs: np.ndarray) -> float:
-        """Normwise backward error ``||Ax - b|| / (||A|| ||x|| + ||b||)``
-        of ``x``, in the infinity norm."""
-        return self._backward_error(self.matvec(x) - rhs, x, rhs)
+    def backward_errors(self, x: np.ndarray, rhs: np.ndarray):
+        """Normwise backward error ``||Ax - b|| / (||A|| ||x|| + ||b||)``,
+        in the infinity norm, of a solution ``x`` of ``rhs`` (a float), or
+        of each row of a block of them (an array)."""
+        if x.ndim == 1:
+            return self._backward_errors(self.matvec(x) - rhs, x, rhs)
+        rows = max(1, _BATCH_VALUES // self._L)
+        return np.concatenate([
+            self._backward_errors(self.matvec(x[i:i + rows]) - rhs[i:i + rows],
+                                  x[i:i + rows], rhs[i:i + rows])
+            for i in range(0, len(x), rows)])
 
-    def _backward_error(self, residual: np.ndarray, x: np.ndarray,
-                        rhs: np.ndarray) -> float:
-        res = float(np.abs(residual).max())
-        if res == 0.0:
-            return 0.0
-        return res / (self.norm_inf * float(np.abs(x).max())
-                      + float(np.abs(rhs).max()))
+    def _backward_errors(self, residual: np.ndarray, x: np.ndarray,
+                         rhs: np.ndarray):
+        res = np.abs(residual).max(axis=-1)
+        scale = self.norm_inf * np.abs(x).max(axis=-1) + np.abs(rhs).max(axis=-1)
+        # a zero residual is exact, also for x = b = 0
+        eta = np.divide(res, scale, out=np.zeros_like(res), where=res != 0.0)
+        return float(eta) if eta.ndim == 0 else eta
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.method == "krylov":
@@ -298,16 +325,16 @@ class ToeplitzSolver:
 
     def _solve_direct(self, rhs: np.ndarray) -> np.ndarray:
         self.last_iterations = self.last_refinements = 0
-        x = self._apply_inverse(rhs)
+        x = self.apply_inverse(rhs)
         residual = self.matvec(x) - rhs
-        while not ((eta := self._backward_error(residual, x, rhs))
+        while not ((eta := self._backward_errors(residual, x, rhs))
                    <= BACKWARD_ERROR_BOUND):
             if self.last_refinements == _MAX_REFINEMENTS:
                 raise SolverError(
                     f"direct solve backward error {eta:.3e} exceeds the bound "
                     f"{BACKWARD_ERROR_BOUND:.3e} after {_MAX_REFINEMENTS} "
                     f"refinements")
-            x = x - self._apply_inverse(residual)
+            x = x - self.apply_inverse(residual)
             residual = self.matvec(x) - rhs
             self.last_refinements += 1
         return x
@@ -329,7 +356,7 @@ class ToeplitzSolver:
 
         x = self._precondition(rhs)
         fnorm = float(np.max(np.abs(rhs)))
-        eta = self.backward_error(x, rhs)
+        eta = self.backward_errors(x, rhs)
         scale = 1.0
         while not eta <= BACKWARD_ERROR_BOUND:
             if self.last_iterations >= self.maxiter:
@@ -344,7 +371,7 @@ class ToeplitzSolver:
                 A, rhs, x0=x, rtol=0.0, atol=scale * target,
                 restart=min(_GMRES_RESTART, self.maxiter - self.last_iterations),
                 maxiter=1, M=P, callback=_count, callback_type="pr_norm")
-            eta = self.backward_error(x, rhs)
+            eta = self.backward_errors(x, rhs)
             scale *= 0.5 * BACKWARD_ERROR_BOUND / eta
         return x
 

@@ -19,7 +19,10 @@ the reference level); without one it falls back to the plain solve.
 
 Every linear solve, the reference's included, is accepted on the one
 normwise backward-error bound of :mod:`fracbvp.solver`; reports record
-that bound as ``backward_error_bound``.
+that bound as ``backward_error_bound``.  A time study also records the
+largest backward error its march steps reached, ``backward_error_max``,
+and how many step solves missed the bound and were solved again,
+``refinements``.
 
 References are cached in memory only, keyed by the problem, scheme and
 level values; nothing is written to disk.
@@ -183,14 +186,17 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
         N = max(1, round(T / tau))
     tg = TimeGrid(T=T, N=N)
     rows = []
-    guards = 0
+    guards = refinements = 0
+    eta_max = 0.0
     for M in config.M_list:
         diag: dict = {}
         t0 = time.perf_counter()
         u = cn_wsgd_solve(problem, M, tg, corrected=config.corrected,
                           diagnostics=diag)
         seconds = time.perf_counter() - t0
-        guards += diag.get("guard_activations", 0)
+        guards += diag["guard_activations"]
+        refinements += diag["refinements"]
+        eta_max = max(eta_max, diag["backward_error_max"])
         err = _restrict_errors(u, lambda x: problem.exact(x, T), None)
         rows.append((M, err.max_norm(), err.l2_norm(), seconds))
     meta = {
@@ -203,6 +209,8 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
         "steps": tg.N,
         "final_time": T,
         "backward_error_bound": BACKWARD_ERROR_BOUND,
+        "backward_error_max": eta_max,
+        "refinements": refinements,
         "guard_activations": guards,
     }
     return [ConvergenceReport.from_rows(rows, meta)]

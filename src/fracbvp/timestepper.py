@@ -10,6 +10,18 @@ makes ``N + 1`` solves, so on a coarse grid it gets an explicit inverse,
 applied by one matrix-vector product per step, and on a finer grid, for
 two steps or more, the Gohberg-Semencul generators.
 
+The march advances in blocks of ``BLOCK_STEPS`` steps.  A step applies
+``A^-1`` to its right-hand side with no check of its own and keeps the
+right-hand side and the solution as rows of the block.  After the block,
+:meth:`~fracbvp.solver.ToeplitzSolver.backward_errors` checks every row
+with one product on the bound every solve meets.  The first step that
+misses it is solved again by :meth:`~fracbvp.solver.ToeplitzSolver.solve`,
+which refines, and the march resumes after it: the block's start state
+and its kept solutions give the state before that step again, bit for
+bit, and the steps after it sample their forcing again.  A right-hand
+side that is not finite raises ``ValueError`` at its step, as
+:meth:`solve` would.
+
 The corrected variant marches the coarse and fine grids together, applies
 the two-grid correction of :class:`~fracbvp.correction.TwoGridCorrector`
 after every step and carries the corrected fields into the next step.
@@ -34,7 +46,7 @@ import numpy as np
 
 from .correction import TwoGridCorrector
 from .grids import Grid, GridFunction
-from .solver import FracParams, SchemeKind, make_solver
+from .solver import BACKWARD_ERROR_BOUND, FracParams, SchemeKind, make_solver
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import TimeDependentProblem
@@ -57,25 +69,14 @@ class TimeGrid:
     def tau(self) -> float:
         return self.T / self.N
 
-    def node(self, n: int) -> float:
-        return n * self.tau
-
     def half_node(self, n: int) -> float:
         """t_{n-1/2} for step n >= 1."""
         return (n - 0.5) * self.tau
 
 
-class _CNSystem:
-    """Implicit operator ``A = I - tau/2 D`` of one CN grid; a step is one solve."""
-
-    def __init__(self, params: FracParams, grid: Grid, tau: float, solves: int):
-        self.half_tau = 0.5 * tau
-        stepping = FracParams(alpha=1.0, beta=params.beta, theta=params.theta)
-        self.solver = make_solver(stepping, grid, SchemeKind.WSGD, self.half_tau,
-                                  solves=solves)
-
-    def step(self, u_int: np.ndarray, f_half: np.ndarray) -> np.ndarray:
-        return 2.0 * self.solver.solve(u_int + self.half_tau * f_half) - u_int
+#: Steps per checked block: one product with the block's solutions
+#: checks them all.
+BLOCK_STEPS = 32
 
 
 def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
@@ -86,7 +87,10 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     With ``corrected=True`` the two-grid correction runs inside every
     step and the returned coarse-grid field is the corrected one (it
     coincides with the corrected fine field at coarse nodes).  A
-    ``diagnostics`` dict, when given, receives guard activation counts.
+    ``diagnostics`` dict, when given, receives ``guard_activations``
+    (guarded strength nodes, summed over the steps), ``backward_error_max``
+    (the largest backward error of a step's solve) and ``refinements``
+    (step solves that missed the bound and were solved again).
     """
     if abs(problem.params.theta - 1.0) > 1e-14:
         raise ValueError("time stepping covers the one-sided case theta = 1 only")
@@ -94,44 +98,92 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         raise ValueError("corrected time stepping needs the problem's singular term")
     if corrected and M % 2:
         raise ValueError("corrected time stepping needs an even interval count")
-    a, b = problem.domain
-    tau = time_grid.tau
-    grid_c = Grid(a, b, M)
+    N = time_grid.N
+    half_tau = 0.5 * time_grid.tau
+    grids = [Grid(*problem.domain, M)]
+    if corrected:
+        grids.append(grids[0].refined())
+    stepping = FracParams(alpha=1.0, beta=problem.params.beta,
+                          theta=problem.params.theta)
     # a solve per step, and one singular solve when corrected
-    solves = time_grid.N + 1
-    sys_c = _CNSystem(problem.params, grid_c, tau, solves)
-    xc = grid_c.interior_nodes()
-    u_c = np.asarray(problem.initial(xc), dtype=float)
+    solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau,
+                           solves=N + 1) for grid in grids]
+    nodes = [grid.interior_nodes() for grid in grids]
+    state = [np.asarray(problem.initial(x), dtype=float) for x in nodes]
 
-    if not corrected:
-        for n in range(1, time_grid.N + 1):
-            u_c = sys_c.step(u_c, problem.rhs(xc, time_grid.half_node(n)))
-        return GridFunction.from_interior(grid_c, u_c)
+    corrector = None
+    if corrected:
+        sing = problem.singular
+        # singular problem under the per-step operator I - tau/2 D:
+        # rhs = us - (tau/2) D us = (1 - tau/2*alpha0)*us + (tau/2)*(fs_alpha0),
+        # where fs was built as alpha*us - D us for the problem's alpha.
+        alpha0 = problem.params.alpha
+        fs_tau = (1.0 - half_tau * alpha0) * sing.us + half_tau * sing.fs
+        corrector = TwoGridCorrector(
+            *(solver.solve(np.asarray(fs_tau(x), dtype=float))
+              for solver, x in zip(solvers, nodes)),
+            *(sing.us(x) for x in nodes))
 
-    grid_f = grid_c.refined()
-    sys_f = _CNSystem(problem.params, grid_f, tau, solves)
-    xf = grid_f.interior_nodes()
-    u_f = np.asarray(problem.initial(xf), dtype=float)
+    apply = [solver.apply_inverse for solver in solvers]
+    on_grids = range(len(grids))
+    # per grid, two k x m blocks: the right-hand side and the unchecked
+    # solution of each step of the block, as rows; allocated once, since
+    # buffers freed at every block's end fault their pages in again
+    blocks = [np.empty((2, BLOCK_STEPS, len(x))) for x in nodes]
+    eta_max, refinements = 0.0, 0
 
-    sing = problem.singular
-    # singular problem under the per-step operator I - tau/2 D:
-    # rhs = us - (tau/2) D us = (1 - tau/2*alpha0)*us + (tau/2)*(fs_alpha0),
-    # where fs was built as alpha*us - D us for the problem's alpha.
-    alpha0 = problem.params.alpha
-    fs_tau = (1.0 - 0.5 * tau * alpha0) * sing.us + (0.5 * tau) * sing.fs
-    corrector = TwoGridCorrector(
-        sys_c.solver.solve(np.asarray(fs_tau(xc), dtype=float)),
-        sys_f.solver.solve(np.asarray(fs_tau(xf), dtype=float)),
-        sing.us(xc), sing.us(xf))
-    guards = 0
+    def advance(u, row):
+        """States after the block's step ``row`` from the states ``u``."""
+        new = [2.0 * block[1, row] - v for block, v in zip(blocks, u)]
+        return list(corrector.correct(*new)[:2]) if corrected else new
 
-    for n in range(1, time_grid.N + 1):
-        t_half = time_grid.half_node(n)
-        u_c = sys_c.step(u_c, problem.rhs(xc, t_half))
-        u_f = sys_f.step(u_f, problem.rhs(xf, t_half))
-        u_c, u_f, _, g = corrector.correct(u_c, u_f)
-        guards += g
+    try:
+        for n in range(0, N, BLOCK_STEPS):
+            k = min(BLOCK_STEPS, N - n)
+            first, u = 0, state
+            while first < k:
+                for row in range(first, k):
+                    t = time_grid.half_node(n + row + 1)
+                    for g in on_grids:
+                        b = u[g] + half_tau * problem.rhs(nodes[g], t)
+                        if not np.isfinite(b).all():
+                            raise ValueError("array must not contain infs or NaNs")
+                        blocks[g][0, row] = b
+                        blocks[g][1, row] = apply[g](b)
+                    u = advance(u, row)
+                etas = [solvers[g].backward_errors(blocks[g][1, first:k],
+                                                   blocks[g][0, first:k])
+                        for g in on_grids]
+                ok = np.logical_and.reduce([eta <= BACKWARD_ERROR_BOUND
+                                            for eta in etas])
+                miss = first + int(np.argmin(ok)) if not ok.all() else k
+                if miss > first:
+                    eta_max = max(eta_max, *(float(eta[:miss - first].max())
+                                             for eta in etas))
+                if miss == k:
+                    break
+                # solve the first step that missed again, then resume after
+                # it; the block's start state and its solutions reproduce
+                # the states up to there bit for bit
+                for g in on_grids:
+                    b = blocks[g][0, miss].copy()  # no view into the block
+                    if not etas[g][miss - first] <= BACKWARD_ERROR_BOUND:
+                        blocks[g][1, miss] = solvers[g].solve(b)
+                        refinements += 1
+                    eta_max = max(eta_max, float(
+                        solvers[g].backward_errors(blocks[g][1, miss], b)))
+                u = state
+                for row in range(miss + 1):
+                    u = advance(u, row)
+                first = miss + 1
+            state = u
+    finally:
+        # an exception's traceback keeps this frame: hold no block in it
+        blocks.clear()
+
     if diagnostics is not None:
-        diagnostics["guard_activations"] = guards
-    return GridFunction.from_interior(grid_c, u_c)
-
+        diagnostics["guard_activations"] = (
+            corrector.guard_activations * N if corrected else 0)
+        diagnostics["backward_error_max"] = eta_max
+        diagnostics["refinements"] = refinements
+    return GridFunction.from_interior(grids[0], state[0])

@@ -8,7 +8,8 @@ import scipy.linalg
 
 from fracbvp.grids import Grid, GridFunction
 from fracbvp.operators import fcd_toeplitz, left_wsgd_toeplitz, toeplitz_matvec
-from fracbvp.solver import FracParams, SchemeKind, scheme_toeplitz
+from fracbvp.correction import TwoGridCorrector
+from fracbvp.solver import FracParams, SchemeKind, make_solver, scheme_toeplitz
 from fracbvp.weights import weight_table
 
 
@@ -90,3 +91,37 @@ def apply_fcd(v: GridFunction, beta: float) -> GridFunction:
     j = np.arange(1, grid.M)
     y += scale * (t.wc_at(j) * v.values[0] + t.wc_at(grid.M - j) * v.values[-1])
     return GridFunction.from_interior(grid, y)
+
+
+def cn_march(problem, M: int, time_grid, corrected: bool = False) -> np.ndarray:
+    """Crank-Nicolson march one checked solve at a time: interior values at
+    the final time on grid M (the corrected coarse field when corrected).
+
+    Every step is ``u <- 2 A^-1 (u + (tau/2) f) - u`` through
+    ``ToeplitzSolver.solve`` on the path ``make_solver`` picks for the
+    march, followed by ``TwoGridCorrector.correct`` when corrected.
+    """
+    half_tau = 0.5 * time_grid.tau
+    grids = [Grid(*problem.domain, M)]
+    if corrected:
+        grids.append(grids[0].refined())
+    stepping = FracParams(1.0, problem.params.beta, problem.params.theta)
+    solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau,
+                           solves=time_grid.N + 1) for grid in grids]
+    nodes = [grid.interior_nodes() for grid in grids]
+    u = [np.asarray(problem.initial(x), dtype=float) for x in nodes]
+    if corrected:
+        sing = problem.singular
+        fs_tau = ((1.0 - half_tau * problem.params.alpha) * sing.us
+                  + half_tau * sing.fs)
+        corrector = TwoGridCorrector(
+            *(s.solve(np.asarray(fs_tau(x), dtype=float))
+              for s, x in zip(solvers, nodes)),
+            *(sing.us(x) for x in nodes))
+    for n in range(1, time_grid.N + 1):
+        t = time_grid.half_node(n)
+        u = [2.0 * s.solve(v + half_tau * problem.rhs(x, t)) - v
+             for s, x, v in zip(solvers, nodes, u)]
+        if corrected:
+            u = list(corrector.correct(*u)[:2])
+    return u[0]

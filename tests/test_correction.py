@@ -85,22 +85,48 @@ class TestXiStrength:
 
 
 class TestGuard:
+    # 7 coarse interior nodes; fine index 2j+1 is the coarse node j, so the
+    # strength denominators are us_f[1::2] - us_c
+    @staticmethod
+    def _corrector(us_h, us_half):
+        us_f = np.zeros(15)
+        us_f[1::2] = us_half
+        return TwoGridCorrector(us_h, us_f, np.zeros(7), np.zeros(15))
+
     def test_all_denominators_guarded_raises(self):
-        zeros = np.zeros(7)
+        ones = np.ones(7)
         with pytest.raises(SolverError):
             # us_half == us_h: zero denominators
-            TwoGridCorrector.guarded_ratio(zeros, zeros, 1.0)
+            self._corrector(ones, ones)
 
     def test_guarded_node_inherits_nearest(self):
         num = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
         us_h = np.ones(7)
         us_half = np.array([2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 2.0])  # zero denominator at idx 2
-        interior, guarded = TwoGridCorrector.guarded_ratio(-num, us_half - us_h, 1.0)
+        corrector = self._corrector(us_h, us_half)
+        interior = corrector.strength(num, np.zeros(15))
         # numerator = -num, denominator = 1 except idx 2;
         # idx 2 ties between neighbours 1 and 3; 3 is closer to the center
-        assert guarded == 1
+        assert corrector.guard_activations == 1
         np.testing.assert_allclose(np.delete(interior, 2), -np.delete(num, 2))
         assert interior[2] == interior[3]
+
+    def test_resolved_guard_matches_the_pointwise_rule(self):
+        # the guard is resolved once into an index map; the strength it
+        # gives equals num/den at unguarded nodes and, bit for bit, the
+        # nearest unguarded node's num/den elsewhere (ties toward the center)
+        rng = np.random.default_rng(3)
+        us_h = rng.uniform(1.0, 2.0, 7)
+        us_half = us_h + rng.uniform(0.5, 1.0, 7)
+        us_half[[0, 3, 6]] = us_h[[0, 3, 6]]  # guarded: both ends and the center
+        corrector = self._corrector(us_h, us_half)
+        u_c, u_f = rng.standard_normal(7), rng.standard_normal(15)
+        xi = corrector.strength(u_c, u_f)
+        num, den = u_f[1::2] - u_c, us_half - us_h
+        # node 3 ties between 2 and 4, both 1 from the center: the first wins
+        for node, source in enumerate([1, 1, 2, 2, 4, 5, 5]):
+            assert xi[node] == num[source] / den[source]
+        assert corrector.guard_activations == 3
 
 
 class TestTwoGridCorrector:

@@ -1,5 +1,6 @@
 """Crank-Nicolson march of the time-dependent example ex3."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +10,16 @@ from fracbvp.catalog import catalog
 from fracbvp.grids import Grid
 from fracbvp.operators import toeplitz_matvec
 from fracbvp import timestepper
-from fracbvp.solver import (FracParams, SchemeKind, ToeplitzSolver, make_solver,
+from fracbvp.solver import (BACKWARD_ERROR_BOUND, FracParams, SchemeKind,
+                            SolverError, ToeplitzSolver, make_solver,
                             scheme_toeplitz)
 from fracbvp.study import StudyConfig, run_time_study
-from fracbvp.timestepper import TimeGrid, cn_wsgd_solve
+from fracbvp.timestepper import BLOCK_STEPS, TimeGrid, cn_wsgd_solve
+from oracles import cn_march
 
 BETA = 1.5
 EPS = 2.0 ** -52
+K = BLOCK_STEPS
 
 # Final-time errors of ``fracbvp timestudy`` at tau = 1e-3, beta = 1.5:
 # rows (M, max error, l2 error) of the ex3 benchmark operations.
@@ -89,6 +93,127 @@ class TestSolvePath:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 cn_wsgd_solve(catalog("ex3", BETA), 32, TimeGrid(1.0, 1000),
                               corrected=True)
+
+
+def _spoil_products(monkeypatch, m, first, count):
+    """Halve the unchecked products ``A^-1 b`` with ``len(b) == m``, from
+    the ``first``-th such call (1-based) for ``count`` calls (all after it
+    when None); every other product stays exact."""
+    apply_inverse = ToeplitzSolver.apply_inverse
+    calls = 0
+
+    def spoiled(self, b):
+        nonlocal calls
+        x = apply_inverse(self, b)
+        if len(b) != m:
+            return x
+        calls += 1
+        hit = calls >= first and (count is None or calls < first + count)
+        return 0.5 * x if hit else x
+
+    monkeypatch.setattr(ToeplitzSolver, "apply_inverse", spoiled)
+
+
+def _held_arrays(value):
+    """Arrays a frame local holds, directly or in lists, tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in _held_arrays(item)]
+    return []
+
+
+class TestBlockMarch:
+    """Blocks of unchecked steps, checked together, equal the per-step march
+    of checked solves bit for bit."""
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("N", [1, K - 1, K, K + 1, 1000])
+    # explicit inverse at 16 and 64 (from 31 steps on), Gohberg-Semencul at 300
+    @pytest.mark.parametrize("M", [16, 64, 300])
+    def test_equals_the_per_step_march(self, M, N, corrected):
+        problem, time_grid = catalog("ex3", BETA), TimeGrid(N * 1e-3, N)
+        want = cn_march(problem, M, time_grid, corrected)
+        got = cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
+        assert np.array_equal(got.interior, want)
+
+    # the second block's middle step misses the bound on one grid
+    @pytest.mark.parametrize("corrected,m", [(False, 15), (True, 15), (True, 31)])
+    def test_a_step_that_misses_is_solved_again(self, monkeypatch, corrected, m):
+        problem, time_grid = catalog("ex3", BETA), TimeGrid(1.0, 1000)
+        want = cn_march(problem, 16, time_grid, corrected)
+        step = K + K // 2
+        # when corrected, each grid's first product is the singular solve
+        _spoil_products(monkeypatch, m, step + corrected, 1)
+        diag = {}
+        got = cn_wsgd_solve(problem, 16, time_grid, corrected=corrected,
+                            diagnostics=diag)
+        assert np.array_equal(got.interior, want)
+        assert diag["refinements"] == 1
+        assert 0.0 < diag["backward_error_max"] <= BACKWARD_ERROR_BOUND
+
+    def test_a_step_that_keeps_missing_raises(self, monkeypatch):
+        # the step's solve refines on spoiled products too: 3 steps, then out
+        _spoil_products(monkeypatch, 15, K + K // 2, None)
+        with pytest.raises(SolverError, match="after 3 refinements") as info:
+            cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(1.0, 1000))
+        self._assert_no_block(info.tb)
+
+    def test_nonfinite_forcing_raises_at_its_step(self):
+        # the forcing of one step in the middle of a block is not finite:
+        # the march raises there, evaluates no later forcing, warns nothing
+        # and its traceback holds no block of rows
+        problem = catalog("ex3", BETA)
+        rhs, times = problem.rhs, []
+        step = K + K // 2
+
+        def forcing(x, t):
+            times.append(t)
+            return rhs(x, t) * (np.nan if len(times) == step else 1.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infs or NaNs") as info:
+                cn_wsgd_solve(replace(problem, rhs=forcing), 16, TimeGrid(1.0, 1000))
+        assert len(times) == step
+        self._assert_no_block(info.tb)
+
+    def test_known_failure_traceback_holds_no_block(self):
+        with pytest.warns(RuntimeWarning, match="overflow") as record:
+            with pytest.raises(ValueError, match="infs or NaNs") as info:
+                cn_wsgd_solve(catalog("ex3", BETA), 32, TimeGrid(1.0, 1000),
+                              corrected=True)
+        assert all("overflow" in str(w.message) for w in record)
+        self._assert_no_block(info.tb)
+
+    @staticmethod
+    def _assert_no_block(tb):
+        # a frame may hold the failing step's vectors, one per grid, but no
+        # k x m block, no view into one (a row keeps its block alive) and no
+        # list of a block's rows
+        while tb is not None:
+            for name, value in tb.tb_frame.f_locals.items():
+                held = _held_arrays(value)
+                assert len(held) <= 2, (name, len(held))
+                for a in held:
+                    while a.base is not None:
+                        a = a.base
+                    assert a.ndim <= 1, (name, a.shape)
+            tb = tb.tb_next
+
+    def test_diagnostics_and_report_record_the_checks(self, monkeypatch):
+        problem = catalog("ex3", BETA)
+        diag = {}
+        cn_wsgd_solve(problem, 16, TimeGrid(1.0, 100), diagnostics=diag)
+        assert diag["refinements"] == 0
+        assert 0.0 < diag["backward_error_max"] <= BACKWARD_ERROR_BOUND
+        _spoil_products(monkeypatch, 15, 50, 1)
+        (report,) = run_time_study(StudyConfig(problem=problem, M_list=[16, 32],
+                                               steps=100))
+        assert report.metadata["refinements"] == 1
+        assert 0.0 < report.metadata["backward_error_max"] <= BACKWARD_ERROR_BOUND
 
 
 class TestRejects:
