@@ -118,7 +118,7 @@ def path_costs(M: int, beta: float, system: str, path: str) -> dict:
             "solve_s": _best(lambda: solver.solve(b), 5 * repeats),
             "iterations": solver.last_iterations,
             "refinements": solver.last_refinements,
-            "backward_error": solver.backward_errors(x, b)}
+            "backward_error": solver.backward_error(x, b)}
 
 
 def _time_marches(checkout: Path, runs: list) -> dict:

@@ -31,7 +31,7 @@ infinity norm:
 
     ||A x - b|| <= BACKWARD_ERROR_BOUND * (||A|| ||x|| + ||b||),
 
-computed by :meth:`ToeplitzSolver.backward_errors` for one solution or
+computed by :meth:`ToeplitzSolver.backward_error` for one solution or
 for a block of them, one per row: a direct solve, each GMRES restart
 cycle and each block of a Crank-Nicolson march
 (:mod:`fracbvp.timestepper`) are accepted through it.
@@ -203,8 +203,9 @@ class ToeplitzSolver:
     count in ``last_refinements``.
 
     A caller that makes many solves can take them apart:
-    :meth:`apply_inverse` gives ``A^-1 b`` without a check, and
-    :meth:`backward_errors` checks a block of such solutions, one per
+    :meth:`apply_inverse` gives ``A^-1 b`` without a check (a checked
+    GMRES solve on the Krylov path), and
+    :meth:`backward_error` checks a block of such solutions, one per
     row, with one product (a matrix-matrix product on the explicit
     representation, a row-batched FFT product otherwise).  A solution
     that misses the bound goes back through :meth:`solve`.
@@ -279,10 +280,13 @@ class ToeplitzSolver:
         return self._inverse is not None
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        """``A^-1 b`` for a vector ``b``, explicit or by the Gohberg-Semencul
-        product, with no check (direct path only)."""
+        """``A^-1 b`` for a vector ``b``: on the direct path, explicit or by
+        the Gohberg-Semencul product, with no check; on the Krylov path,
+        which has no representation of ``A^-1``, a checked :meth:`solve`."""
         if self._inverse is not None:
             return self._inverse.dot(b)
+        if self.method == "krylov":
+            return self.solve(b)
         m, L = self.m, self._L
         u = np.fft.irfft(self._upper * np.fft.rfft(b, n=L), n=L)
         z = np.fft.rfft(u[:, :m], n=L) * self._lower
@@ -298,19 +302,19 @@ class ToeplitzSolver:
     def _precondition(self, x: np.ndarray) -> np.ndarray:
         return np.fft.irfft(np.fft.rfft(x) / self._lam, n=self.m)
 
-    def backward_errors(self, x: np.ndarray, rhs: np.ndarray):
+    def backward_error(self, x: np.ndarray, rhs: np.ndarray):
         """Normwise backward error ``||Ax - b|| / (||A|| ||x|| + ||b||)``,
         in the infinity norm, of a solution ``x`` of ``rhs`` (a float), or
         of each row of a block of them (an array)."""
         if x.ndim == 1:
-            return self._backward_errors(self.matvec(x) - rhs, x, rhs)
+            return self._backward_error(self.matvec(x) - rhs, x, rhs)
         rows = max(1, _BATCH_VALUES // self._L)
         return np.concatenate([
-            self._backward_errors(self.matvec(x[i:i + rows]) - rhs[i:i + rows],
+            self._backward_error(self.matvec(x[i:i + rows]) - rhs[i:i + rows],
                                   x[i:i + rows], rhs[i:i + rows])
             for i in range(0, len(x), rows)])
 
-    def _backward_errors(self, residual: np.ndarray, x: np.ndarray,
+    def _backward_error(self, residual: np.ndarray, x: np.ndarray,
                          rhs: np.ndarray):
         res = np.abs(residual).max(axis=-1)
         scale = self.norm_inf * np.abs(x).max(axis=-1) + np.abs(rhs).max(axis=-1)
@@ -327,7 +331,7 @@ class ToeplitzSolver:
         self.last_iterations = self.last_refinements = 0
         x = self.apply_inverse(rhs)
         residual = self.matvec(x) - rhs
-        while not ((eta := self._backward_errors(residual, x, rhs))
+        while not ((eta := self._backward_error(residual, x, rhs))
                    <= BACKWARD_ERROR_BOUND):
             if self.last_refinements == _MAX_REFINEMENTS:
                 raise SolverError(
@@ -356,7 +360,7 @@ class ToeplitzSolver:
 
         x = self._precondition(rhs)
         fnorm = float(np.max(np.abs(rhs)))
-        eta = self.backward_errors(x, rhs)
+        eta = self.backward_error(x, rhs)
         scale = 1.0
         while not eta <= BACKWARD_ERROR_BOUND:
             if self.last_iterations >= self.maxiter:
@@ -371,7 +375,7 @@ class ToeplitzSolver:
                 A, rhs, x0=x, rtol=0.0, atol=scale * target,
                 restart=min(_GMRES_RESTART, self.maxiter - self.last_iterations),
                 maxiter=1, M=P, callback=_count, callback_type="pr_norm")
-            eta = self.backward_errors(x, rhs)
+            eta = self.backward_error(x, rhs)
             scale *= 0.5 * BACKWARD_ERROR_BOUND / eta
         return x
 

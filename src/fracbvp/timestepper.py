@@ -13,14 +13,15 @@ two steps or more, the Gohberg-Semencul generators.
 The march advances in blocks of ``BLOCK_STEPS`` steps.  A step applies
 ``A^-1`` to its right-hand side with no check of its own and keeps the
 right-hand side and the solution as rows of the block.  After the block,
-:meth:`~fracbvp.solver.ToeplitzSolver.backward_errors` checks every row
-with one product on the bound every solve meets.  The first step that
-misses it is solved again by :meth:`~fracbvp.solver.ToeplitzSolver.solve`,
-which refines, and the march resumes after it: the block's start state
-and its kept solutions give the state before that step again, bit for
-bit, and the steps after it sample their forcing again.  A right-hand
-side that is not finite raises ``ValueError`` at its step, as
-:meth:`solve` would.
+:meth:`~fracbvp.solver.ToeplitzSolver.backward_error` checks every row
+with one product on the bound every solve meets.  When a row misses it,
+the block is marched again from its start state one
+:meth:`~fracbvp.solver.ToeplitzSolver.solve` at a time, which refines,
+or raises :class:`~fracbvp.solver.SolverError` at the step that still
+misses.  A right-hand side that is not finite ends the block early: if
+every step before it holds, the march raises ``ValueError`` there, as
+:meth:`solve` would; if one does not, as when a finite right-hand side
+gave a solution that is not finite, the block is marched again.
 
 The corrected variant marches the coarse and fine grids together, applies
 the two-grid correction of :class:`~fracbvp.correction.TwoGridCorrector`
@@ -125,57 +126,59 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
             *(sing.us(x) for x in nodes))
 
     apply = [solver.apply_inverse for solver in solvers]
-    on_grids = range(len(grids))
     # per grid, two k x m blocks: the right-hand side and the unchecked
     # solution of each step of the block, as rows; allocated once, since
     # buffers freed at every block's end fault their pages in again
     blocks = [np.empty((2, BLOCK_STEPS, len(x))) for x in nodes]
     eta_max, refinements = 0.0, 0
 
-    def advance(u, row):
-        """States after the block's step ``row`` from the states ``u``."""
-        new = [2.0 * block[1, row] - v for block, v in zip(blocks, u)]
+    def advance(u, solutions):
+        """States after a step from the states ``u`` and the step's solutions."""
+        new = [2.0 * w - v for w, v in zip(solutions, u)]
         return list(corrector.correct(*new)[:2]) if corrected else new
+
+    def fill(u, row, t):
+        """Solve the block's step ``row`` from the states ``u``, unchecked;
+        False when a right-hand side is not finite."""
+        for g, block in enumerate(blocks):
+            b = u[g] + half_tau * problem.rhs(nodes[g], t)
+            if not np.isfinite(b).all():
+                return False
+            block[0, row] = b
+            block[1, row] = apply[g](b)
+        return True
 
     try:
         for n in range(0, N, BLOCK_STEPS):
             k = min(BLOCK_STEPS, N - n)
-            first, u = 0, state
-            while first < k:
-                for row in range(first, k):
-                    t = time_grid.half_node(n + row + 1)
-                    for g in on_grids:
-                        b = u[g] + half_tau * problem.rhs(nodes[g], t)
-                        if not np.isfinite(b).all():
-                            raise ValueError("array must not contain infs or NaNs")
-                        blocks[g][0, row] = b
-                        blocks[g][1, row] = apply[g](b)
-                    u = advance(u, row)
-                etas = [solvers[g].backward_errors(blocks[g][1, first:k],
-                                                   blocks[g][0, first:k])
-                        for g in on_grids]
-                ok = np.logical_and.reduce([eta <= BACKWARD_ERROR_BOUND
-                                            for eta in etas])
-                miss = first + int(np.argmin(ok)) if not ok.all() else k
-                if miss > first:
-                    eta_max = max(eta_max, *(float(eta[:miss - first].max())
-                                             for eta in etas))
-                if miss == k:
-                    break
-                # solve the first step that missed again, then resume after
-                # it; the block's start state and its solutions reproduce
-                # the states up to there bit for bit
-                for g in on_grids:
-                    b = blocks[g][0, miss].copy()  # no view into the block
-                    if not etas[g][miss - first] <= BACKWARD_ERROR_BOUND:
-                        blocks[g][1, miss] = solvers[g].solve(b)
-                        refinements += 1
-                    eta_max = max(eta_max, float(
-                        solvers[g].backward_errors(blocks[g][1, miss], b)))
-                u = state
-                for row in range(miss + 1):
-                    u = advance(u, row)
-                first = miss + 1
+            u, done = state, 0
+            while done < k and fill(u, done, time_grid.half_node(n + done + 1)):
+                u = advance(u, [block[1, done] for block in blocks])
+                done += 1
+            etas = [solver.backward_error(block[1, :done], block[0, :done])
+                    for solver, block in zip(solvers, blocks)] if done else []
+            missed = sum(int(np.count_nonzero(~(eta <= BACKWARD_ERROR_BOUND)))
+                         for eta in etas)
+            if not missed:
+                if done < k:
+                    # every step before it holds: the march stops here, as
+                    # the step's checked solve would
+                    raise ValueError("array must not contain infs or NaNs")
+                eta_max = max(eta_max, *(float(eta.max()) for eta in etas))
+                state = u
+                continue
+            # a solve missed the bound: march the block again one checked,
+            # refined solve at a time, from the same start state
+            refinements += missed
+            u = state
+            for row in range(k):
+                t = time_grid.half_node(n + row + 1)
+                solutions = []
+                for solver, x, v in zip(solvers, nodes, u):
+                    b = v + half_tau * problem.rhs(x, t)
+                    solutions.append(solver.solve(b))
+                    eta_max = max(eta_max, solver.backward_error(solutions[-1], b))
+                u = advance(u, solutions)
             state = u
     finally:
         # an exception's traceback keeps this frame: hold no block in it

@@ -191,7 +191,7 @@ class TestSolve:
         for method in ("dense", "krylov"):
             solver = ToeplitzSolver(col, row, method=method)
             u = solver.solve(f)
-            eta = solver.backward_errors(u, f)
+            eta = solver.backward_error(u, f)
             assert eta <= BACKWARD_ERROR_BOUND, (method, eta)
             solutions.append(u)
         dense, krylov = solutions
@@ -306,7 +306,7 @@ class TestExplicitInverse:
                                 explicit=True)
         u = solver.solve(f)
         assert solver.explicit
-        assert solver.backward_errors(u, f) <= BACKWARD_ERROR_BOUND
+        assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
         assert np.max(np.abs(u - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     def test_rejects_nonfinite_rhs(self):
@@ -326,7 +326,7 @@ class TestExplicitInverse:
         solver = ToeplitzSolver(col, row, explicit=True)
         u = solver.solve(f)
         assert 1 <= solver.last_refinements <= 3
-        assert solver.backward_errors(u, f) <= BACKWARD_ERROR_BOUND
+        assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
 
 
 class TestSmoothRate:

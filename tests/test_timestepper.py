@@ -95,10 +95,10 @@ class TestSolvePath:
                               corrected=True)
 
 
-def _spoil_products(monkeypatch, m, first, count):
-    """Halve the unchecked products ``A^-1 b`` with ``len(b) == m``, from
-    the ``first``-th such call (1-based) for ``count`` calls (all after it
-    when None); every other product stays exact."""
+def _spoil_products(monkeypatch, m, first, count, factor=0.5):
+    """Scale by ``factor`` the unchecked products ``A^-1 b`` with
+    ``len(b) == m``, from the ``first``-th such call (1-based) for ``count``
+    calls (all after it when None); every other product stays exact."""
     apply_inverse = ToeplitzSolver.apply_inverse
     calls = 0
 
@@ -109,7 +109,7 @@ def _spoil_products(monkeypatch, m, first, count):
             return x
         calls += 1
         hit = calls >= first and (count is None or calls < first + count)
-        return 0.5 * x if hit else x
+        return factor * x if hit else x
 
     monkeypatch.setattr(ToeplitzSolver, "apply_inverse", spoiled)
 
@@ -139,6 +139,23 @@ class TestBlockMarch:
         got = cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
         assert np.array_equal(got.interior, want)
 
+    # one step makes two solves, which GMRES serves from 2048 intervals on
+    @pytest.mark.parametrize("M,corrected", [(2048, False), (1024, True)])
+    def test_one_step_on_the_krylov_path(self, monkeypatch, M, corrected):
+        methods = []
+
+        def spy(*args, **kwargs):
+            solver = make_solver(*args, **kwargs)
+            methods.append(solver.method)
+            return solver
+
+        problem, time_grid = catalog("ex3", BETA), TimeGrid(1e-3, 1)
+        want = cn_march(problem, M, time_grid, corrected)
+        monkeypatch.setattr(timestepper, "make_solver", spy)
+        got = cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
+        assert methods[-1] == "krylov"
+        assert np.array_equal(got.interior, want)
+
     # the second block's middle step misses the bound on one grid
     @pytest.mark.parametrize("corrected,m", [(False, 15), (True, 15), (True, 31)])
     def test_a_step_that_misses_is_solved_again(self, monkeypatch, corrected, m):
@@ -157,6 +174,15 @@ class TestBlockMarch:
     def test_a_step_that_keeps_missing_raises(self, monkeypatch):
         # the step's solve refines on spoiled products too: 3 steps, then out
         _spoil_products(monkeypatch, 15, K + K // 2, None)
+        with pytest.raises(SolverError, match="after 3 refinements") as info:
+            cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(1.0, 1000))
+        self._assert_no_block(info.tb)
+
+    def test_a_solution_that_is_not_finite_is_solved_again(self, monkeypatch):
+        # a finite right-hand side gives a product that is not finite: the
+        # block's check, not the next step's right-hand side, catches it,
+        # and the checked solve, still fed such products, refuses the step
+        _spoil_products(monkeypatch, 15, K + K // 2, None, factor=np.nan)
         with pytest.raises(SolverError, match="after 3 refinements") as info:
             cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(1.0, 1000))
         self._assert_no_block(info.tb)
