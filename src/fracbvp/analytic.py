@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 #: Distance below which an exponent is treated as an exact integer when
 #: testing for Gamma poles.  Orders arrive as floats (often built as
@@ -33,19 +32,17 @@ POLE_TOL = 1e-9
 _GAMMA_SMALL = 170.0
 
 
-def gamma_value(x: float) -> float:
-    """Gamma(x) for non-pole arguments, exact for small integers."""
-    if abs(x) <= _GAMMA_SMALL:
-        return math.gamma(x)
-    return gammasgn(x) * math.exp(gammaln(x))
+def _gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) off its poles: negative on (-1, 0), (-3, -2), ..."""
+    return -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
 
 
 def gamma_ratio(p: float, q: float) -> float:
     """Gamma(p)/Gamma(q) with overflow-safe evaluation for large arguments."""
     if abs(p) <= _GAMMA_SMALL and abs(q) <= _GAMMA_SMALL:
         return math.gamma(p) / math.gamma(q)
-    sign = gammasgn(p) * gammasgn(q)
-    return sign * math.exp(gammaln(p) - gammaln(q))
+    sign = _gamma_sign(p) * _gamma_sign(q)
+    return sign * math.exp(math.lgamma(p) - math.lgamma(q))
 
 
 def _near_int(x: float) -> int | None:
@@ -230,7 +227,7 @@ def right_derivative(ps: PowerSum, beta: float) -> PowerSum:
 def riesz_symmetric_constant(beta: float) -> float:
     """Riesz derivative of ``(x-a)**(beta/2) * (b-x)**(beta/2)``: the
     constant ``-Gamma(beta + 1)``, independent of the interval."""
-    return -gamma_value(beta + 1.0)
+    return -math.gamma(beta + 1.0)
 
 
 def _is_symmetric_singular(t: PowerTerm, beta: float) -> bool:

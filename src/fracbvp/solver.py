@@ -11,12 +11,11 @@ with zero Dirichlet data is Toeplitz:
 :func:`make_solver` picks the solve path by expected cost, from the grid
 size and the number of solves the caller will make: a direct solve in
 general, matrix-free restarted GMRES with a Strang circulant
-preconditioner for a few solves on a fine grid (where the O(M^2) direct
-set-up costs more than the solves), and an explicit inverse for many
-solves on a coarse grid (a Crank-Nicolson march).
-The direct solve never forms the matrix: one Levinson call gives the
-first and last columns of ``A^-1``, and the Gohberg-Semencul formula
-(Gohberg & Semencul 1972)
+preconditioner for a few solves on a fine grid, and an explicit inverse
+for many solves on a coarse grid (a Crank-Nicolson march).
+The direct solve never forms the matrix: two GMRES solves (one when ``A``
+is symmetric) give the first and last columns of ``A^-1``, and the
+Gohberg-Semencul formula (Gohberg & Semencul 1972)
 
     A^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)],
 
@@ -24,10 +23,9 @@ with ``x = A^-1 e_1``, ``y = A^-1 e_m``, ``L``/``U`` lower/upper
 triangular Toeplitz, ``J`` the reversal and ``Z`` the down shift, applies
 it with FFTs in O(M log M) per right-hand side.  The explicit inverse is
 the same formula summed into a dense matrix (Trench 1964) and applied by
-one matrix-vector product.  Every path accepts a
-solution on one rule, a normwise backward error (Rigal & Gaches 1967;
-Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 7) in the
-infinity norm:
+one matrix-vector product.  Every path accepts a solution on one rule, a
+normwise backward error (Rigal & Gaches 1967; Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 7) in the infinity norm:
 
     ||A x - b|| <= BACKWARD_ERROR_BOUND * (||A|| ||x|| + ||b||),
 
@@ -39,9 +37,9 @@ cycle and each block of a Crank-Nicolson march
 The bound sits above what FFT rounding reaches for every system size, so
 the same rule holds at M = 16 and at M = 65536.  The Gohberg-Semencul
 product alone, explicit or not, can miss it on systems near beta = 1 (up
-to about 1e6 eps at beta = 1.001, theta in {0, 1}); a direct solve that
-misses is refined on its own residual, ``x <- x - A^-1 (A x - b)``; one
-step brought every system measured below 2 eps.
+to 1e5 eps at beta = 1.001, alpha = 0, theta in {0, 1}); a direct solve
+that misses is refined on its own residual, ``x <- x - A^-1 (A x - b)``;
+one step brought every system measured below the bound.
 """
 
 from __future__ import annotations
@@ -52,8 +50,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .grids import Grid, GridFunction
 from .operators import (embedding_size, embedding_spectrum, fcd_toeplitz,
@@ -63,27 +59,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec
 
 # The cost rule of :func:`make_solver`.  The timings that set it are in
-# BENCH_9.json, written by scripts/solver_costs.py (one BLAS thread, WSGD,
+# BENCH_11.json, written by scripts/solver_costs.py (one BLAS thread, WSGD,
 # beta in {1.1, 1.5, 1.8}).
 
+#: Most solves that GMRES serves.  For the non-symmetric systems timed the
+#: Gohberg-Semencul set-up is two GMRES solves, and with its two products
+#: it cost more than two GMRES solves in 50 of 54 cells (M = 16 ... 4096),
+#: the other four less by at most 0.34 ms.
+KRYLOV_MAX_SOLVES = 2
+
 #: Largest interval count at which many solves use the explicit inverse:
-#: a solve costs 22-43 us up to M = 256 against 86-111 us for the
-#: Gohberg-Semencul product, but 211-236 us against 132-143 us at M = 512.
+#: a solve costs 13-44 us up to M = 256 against 46-123 us for the
+#: Gohberg-Semencul product, but 197-233 us against 91-113 us at M = 512.
 EXPLICIT_LIMIT = 256
 
 #: Fewest solves that pay for forming the explicit inverse: at M = 256 it
-#: adds 1.4-1.6 ms to the set-up, 20-32 of the 50-70 us per-solve savings.
+#: adds 0.7-1.5 ms to the set-up, 10-43 of the 35-80 us per-solve savings.
 EXPLICIT_MIN_SOLVES = 32
-
-#: Smallest interval count at which a few solves use GMRES: at M = 2048
-#: the direct set-up costs 15-21 ms against 3.2-3.7 ms per GMRES solve; at
-#: M = 1024 it costs 5.3-5.8 ms against 1.4-3.0 ms, too close to switch.
-KRYLOV_FROM = 2048
-
-#: Most solves that GMRES serves from ``KRYLOV_FROM`` intervals on: the
-#: direct set-up at M = 2048 is worth 4-6 GMRES solves, so the two of a
-#: correction leave a margin.
-KRYLOV_MAX_SOLVES = 2
 
 #: Largest normwise backward error accepted from any solve (1024 eps).
 BACKWARD_ERROR_BOUND = 2.0 ** -42
@@ -91,6 +83,10 @@ BACKWARD_ERROR_BOUND = 2.0 ** -42
 #: Default cap on the inner GMRES iterations of one solve.
 DEFAULT_MAXITER = 2000
 _GMRES_RESTART = 60
+
+#: Where a GMRES cycle stops, as a share of the backward-error scale; a
+#: stop at the bound moved level-15 reference rows by up to 1.3e-5.
+_CYCLE_GOAL = 2.0 ** -51
 
 #: Cap on the refinement steps of one direct solve.
 _MAX_REFINEMENTS = 3
@@ -192,7 +188,7 @@ class ToeplitzSolver:
     """Repeated solves against one fixed Toeplitz system.
 
     ``method`` is ``'dense'`` (direct: the Gohberg-Semencul generators of
-    ``A^-1`` from one Levinson call, held for reuse, with up to
+    ``A^-1``, computed by GMRES and held for reuse, with up to
     ``_MAX_REFINEMENTS`` refinement steps per solve) or ``'krylov'``
     (matrix-free preconditioned GMRES, capped at ``maxiter`` inner
     iterations).  With ``explicit=True`` the direct path sums the
@@ -209,12 +205,6 @@ class ToeplitzSolver:
     row, with one product (a matrix-matrix product on the explicit
     representation, a row-batched FFT product otherwise).  A solution
     that misses the bound goes back through :meth:`solve`.
-
-    The direct path needs every leading principal minor of ``A`` to be
-    nonsingular (Levinson's recursion runs through them) and raises
-    :class:`SolverError` when one is singular.  Every scheme matrix here
-    qualifies: WSGD with theta in {0, 1} gives an M-matrix, theta = 1/2
-    and FCD a symmetric positive definite one.
     """
 
     def __init__(self, col: np.ndarray, row: np.ndarray, method: str = "dense",
@@ -224,7 +214,6 @@ class ToeplitzSolver:
         self.m = len(self.col)
         self.method = method
         self.maxiter = maxiter
-        self.last_iterations = self.last_refinements = 0
         # row i of a Toeplitz matrix sums col[0..i] and row[1..m-1-i]
         lower = np.cumsum(np.abs(self.col))
         upper = np.concatenate(([0.0], np.cumsum(np.abs(self.row[1:]))))
@@ -232,31 +221,27 @@ class ToeplitzSolver:
         self._L = embedding_size(self.m)
         self._spectrum = embedding_spectrum(self.col, self.row)
         self._matrix = self._inverse = None
+        if method not in ("dense", "krylov"):
+            raise ValueError(f"unknown method {method!r}")
+        lam = strang_circulant_eigenvalues(self.col, self.row)
+        # beta = 2, alpha = 0 gives one eigenvalue 0: the smallest nonzero
+        # |lambda| stands in for it
+        zero = lam == 0.0
+        lam[zero] = np.min(np.abs(lam[~zero]))
+        self._lam = lam
         if method == "dense":
             self._setup_direct(explicit)
-        elif method == "krylov":
-            lam = strang_circulant_eigenvalues(self.col, self.row)
-            if np.min(np.abs(lam)) == 0.0:
-                raise SolverError("Strang preconditioner is singular")
-            self._lam = lam
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        self.last_iterations = self.last_refinements = 0
 
     def _setup_direct(self, explicit: bool) -> None:
         m, L = self.m, self._L
-        ends = np.zeros((m, 2))
-        ends[0, 0] = ends[-1, 1] = 1.0
+        e = np.zeros(m)
+        e[0] = 1.0
+        x = self._gmres(e)
         # symmetric A: A^-1 is persymmetric too, A^-1 e_m = J A^-1 e_1
-        symmetric = np.array_equal(self.col, self.row)
-        try:
-            xy = scipy.linalg.solve_toeplitz((self.col, self.row),
-                                             ends[:, :1] if symmetric else ends)
-        except np.linalg.LinAlgError as err:
-            raise SolverError(f"direct Toeplitz solve impossible: {err}") from err
-        x, y = xy[:, 0], xy[::-1, 0] if symmetric else xy[:, 1]
-        if x[0] == 0.0 or not np.all(np.isfinite(xy)):
-            raise SolverError("direct Toeplitz solve impossible: (A^-1)_00 is 0 "
-                              "or the end columns of A^-1 are not finite")
+        y = x[::-1] if np.array_equal(self.col, self.row) else self._gmres(e[::-1])
+        if x[0] == 0.0:
+            raise SolverError("Gohberg-Semencul formula impossible: (A^-1)_00 is 0")
         shift_y = np.concatenate(([0.0], y[:-1]))
         shift_rev_x = np.concatenate(([0.0], x[:0:-1]))
         if explicit:
@@ -267,7 +252,10 @@ class ToeplitzSolver:
             for i in range(1, m):
                 inverse[i, 1:] += inverse[i - 1, :-1]
             self._inverse = inverse
-            self._matrix = scipy.linalg.toeplitz(self.col, self.row)
+            index = np.arange(m)
+            # entry (i, j) of A is col[i - j] for i >= j and row[j - i] above
+            self._matrix = np.concatenate((self.row[:0:-1], self.col))[
+                m - 1 + index[:, None] - index]
             return
         # (U(v) b)_i = sum_j v_j b_{i+j} is a correlation: with zero
         # padding to L >= 2m - 1 it is irfft(conj(rfft(v)) * rfft(b))[:m]
@@ -323,9 +311,8 @@ class ToeplitzSolver:
         return float(eta) if eta.ndim == 0 else eta
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.method == "krylov":
-            return self._solve_krylov(np.asarray(rhs, dtype=float))
-        return self._solve_direct(np.asarray_chkfinite(rhs, dtype=float))
+        rhs = np.asarray_chkfinite(rhs, dtype=float)
+        return self._gmres(rhs) if self.method == "krylov" else self._solve_direct(rhs)
 
     def _solve_direct(self, rhs: np.ndarray) -> np.ndarray:
         self.last_iterations = self.last_refinements = 0
@@ -343,41 +330,59 @@ class ToeplitzSolver:
             self.last_refinements += 1
         return x
 
-    def _solve_krylov(self, rhs: np.ndarray) -> np.ndarray:
-        # One restart cycle per gmres call, so that the backward error of
-        # the true residual is the stopping test.  scipy's inner test is on
-        # the preconditioned residual, which can stop short of the true
-        # one: a cycle that misses tightens the inner target by the miss.
-        # The start, the circulant solve P b, gives the first target the
-        # scale of x.
-        m = self.m
-        A = scipy.sparse.linalg.LinearOperator((m, m), matvec=self.matvec)
-        P = scipy.sparse.linalg.LinearOperator((m, m), matvec=self._precondition)
+    def _gmres(self, rhs: np.ndarray) -> np.ndarray:
+        """Restarted GMRES (Saad & Schultz 1986), right-preconditioned by
+        the Strang circulant ``P`` and started at ``P^-1 b``.
+
+        A cycle orthonormalises the Krylov basis ``V`` of ``A P^-1`` by
+        classical Gram-Schmidt applied twice, reduces the Hessenberg matrix
+        with Givens rotations and sets ``x += P^-1 V y``.  Its rotated
+        right-hand side tracks the residual's 2-norm, a bound on the
+        infinity norm: a cycle runs until that is ``_CYCLE_GOAL`` times
+        ``||A|| ||x|| + ||b||``, then the computed residual is checked.
+        """
         self.last_iterations = 0
-
-        def _count(_):
-            self.last_iterations += 1
-
-        x = self._precondition(rhs)
         fnorm = float(np.max(np.abs(rhs)))
-        eta = self.backward_error(x, rhs)
-        scale = 1.0
-        while not eta <= BACKWARD_ERROR_BOUND:
+        x = self._precondition(rhs)
+        while True:
+            r = rhs - self.matvec(x)
+            eta = self._backward_error(r, x, rhs)
+            if eta <= BACKWARD_ERROR_BOUND:
+                return x
             if self.last_iterations >= self.maxiter:
                 raise KrylovError(
                     f"GMRES stopped after {self.last_iterations} iterations at "
                     f"backward error {eta:.3e} (bound {BACKWARD_ERROR_BOUND:.3e})",
-                    residual=float(np.max(np.abs(self.matvec(x) - rhs))),
+                    residual=float(np.max(np.abs(r))),
                     iterations=self.last_iterations)
-            target = BACKWARD_ERROR_BOUND * (
-                self.norm_inf * float(np.max(np.abs(x))) + fnorm)
-            x, _ = scipy.sparse.linalg.gmres(
-                A, rhs, x0=x, rtol=0.0, atol=scale * target,
-                restart=min(_GMRES_RESTART, self.maxiter - self.last_iterations),
-                maxiter=1, M=P, callback=_count, callback_type="pr_norm")
-            eta = self.backward_error(x, rhs)
-            scale *= 0.5 * BACKWARD_ERROR_BOUND / eta
-        return x
+            goal = _CYCLE_GOAL * (self.norm_inf * float(np.max(np.abs(x))) + fnorm)
+            n = min(_GMRES_RESTART, self.maxiter - self.last_iterations)
+            V = np.empty((n + 1, self.m))
+            R = np.zeros((n, n))
+            cs, sn, g = np.empty(n), np.empty(n), np.zeros(n + 1)
+            g[0] = np.linalg.norm(r)
+            V[0] = r / g[0]
+            k = 0
+            while k < n and abs(g[k]) > goal:
+                w = self.matvec(self._precondition(V[k]))
+                for _ in range(2):
+                    h = V[:k + 1] @ w
+                    w -= h @ V[:k + 1]
+                    R[:k + 1, k] += h
+                hn = float(np.linalg.norm(w))
+                V[k + 1] = w / (hn or 1.0)
+                for i in range(k):
+                    R[i, k], R[i + 1, k] = (cs[i] * R[i, k] + sn[i] * R[i + 1, k],
+                                            cs[i] * R[i + 1, k] - sn[i] * R[i, k])
+                rho = math.hypot(R[k, k], hn)
+                if rho == 0.0:
+                    raise SolverError("GMRES broke down: the matrix is singular")
+                cs[k], sn[k] = R[k, k] / rho, hn / rho
+                R[k, k] = rho
+                g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+                k += 1
+                self.last_iterations += 1
+            x = x + self._precondition(np.linalg.solve(R[:k, :k], g[:k]) @ V[:k])
 
 
 def make_solver(params: FracParams, grid: Grid, scheme: SchemeKind,
@@ -386,11 +391,9 @@ def make_solver(params: FracParams, grid: Grid, scheme: SchemeKind,
 
     The path is the one of least expected cost for that many solves:
 
+    * GMRES for at most ``KRYLOV_MAX_SOLVES`` solves;
     * an explicit inverse for at least ``EXPLICIT_MIN_SOLVES`` solves up
       to ``EXPLICIT_LIMIT`` intervals (a Crank-Nicolson march);
-    * GMRES for at most ``KRYLOV_MAX_SOLVES`` solves from ``KRYLOV_FROM``
-      intervals on, unless the Strang preconditioner is singular
-      (beta = 2, alpha = 0);
     * the Gohberg-Semencul product otherwise.
 
     The explicit inverse is a representation of the direct path, so its
@@ -399,11 +402,8 @@ def make_solver(params: FracParams, grid: Grid, scheme: SchemeKind,
     if solves < 1:
         raise ValueError(f"need at least one solve, got solves={solves}")
     col, row = scheme_toeplitz(params, grid, scheme, frac_scale)
-    if grid.M >= KRYLOV_FROM and solves <= KRYLOV_MAX_SOLVES:
-        try:
-            return ToeplitzSolver(col, row, method="krylov")
-        except SolverError:  # the Strang preconditioner is singular
-            pass
+    if solves <= KRYLOV_MAX_SOLVES:
+        return ToeplitzSolver(col, row, method="krylov")
     explicit = grid.M <= EXPLICIT_LIMIT and solves >= EXPLICIT_MIN_SOLVES
     return ToeplitzSolver(col, row, method="dense", explicit=explicit)
 

@@ -70,6 +70,10 @@ class StudyConfig:
             raise ConfigError("grids need at least 4 intervals")
         if self.corrected and any(m % 2 for m in Ms):
             raise ConfigError("corrected studies need even interval counts")
+        if self.tau is not None and not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ConfigError(f"time step must be finite and positive, got {self.tau!r}")
+        if self.steps is not None and self.steps < 1:
+            raise ConfigError(f"need at least one time step, got {self.steps}")
 
 
 # -- reference solutions -------------------------------------------------

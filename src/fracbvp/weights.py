@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def _require_fractional_order(beta: float) -> None:
@@ -87,14 +86,14 @@ def wsgd_weights(beta: float, n: int) -> np.ndarray:
 def centered_weights_half(beta: float, n: int) -> np.ndarray:
     """Nonnegative-index half ``w~_0 .. w~_n`` of the centered weights.
 
-    ``w~_0 = -Gamma(beta+1)/Gamma(beta/2+1)**2`` is evaluated through
-    log-Gamma to avoid overflow; subsequent entries follow the recursion
+    ``w~_0 = -Gamma(beta+1)/Gamma(beta/2+1)**2`` (no overflow for
+    ``beta <= 2``); subsequent entries follow the recursion
     ``w~_k = (1 - (beta+1)/(beta/2+k)) * w~_{k-1}``.
     """
     _require_fractional_order(beta)
     if n < 0:
         raise ValueError("half-width must be nonnegative")
-    w0 = -math.exp(gammaln(beta + 1.0) - 2.0 * gammaln(0.5 * beta + 1.0))
+    w0 = -math.gamma(beta + 1.0) / math.gamma(0.5 * beta + 1.0) ** 2
     w = np.empty(n + 1)
     w[0] = w0
     if n >= 1:

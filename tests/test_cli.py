@@ -1,7 +1,10 @@
 """The command-line interface in-process: exit codes, reports, reference cache."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -170,6 +173,17 @@ def test_removed_options_are_config_errors(tmp_path, argv):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("option", [["--tau", "0"], ["--tau", "-1"], ["--tau", "inf"],
+                                    ["--tau", "nan"], ["--steps", "0"],
+                                    ["--steps", "-3"]])
+def test_invalid_time_step_is_a_config_error(tmp_path, capsys, option):
+    out = tmp_path / "t.csv"
+    argv = ["timestudy", "--grids", "16", *option, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "time step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["study"],  # no --example
     ["study", "--example", "ex3"],
@@ -217,3 +231,38 @@ def test_readme_commands_succeed(tmp_path, monkeypatch, fresh_cache):
     for argv in commands:
         assert argv[0] == "fracbvp"
         assert cli.main(argv[1:]) == cli.EXIT_OK, argv
+
+
+# Runs the CLI with every import of scipy failing, lazy ones included, and
+# prints the exit codes and the solve paths taken.
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from fracbvp import cli
+from fracbvp.solver import ToeplitzSolver
+
+paths, init = set(), ToeplitzSolver.__init__
+
+def spy(solver, *args, **kwargs):
+    init(solver, *args, **kwargs)
+    paths.add(f"{solver.method}/{solver.explicit}")
+
+ToeplitzSolver.__init__ = spy
+out = sys.argv[1]
+runs = [["solve", "--example", "ex2-case1", "--grids", "64"],
+        ["study", "--example", "ex1-case1", "--correct", "--grids", "1024", "2048"],
+        ["timestudy", "--grids", "16", "512", "--steps", "40"]]
+codes = [cli.main([*argv, "--out", f"{out}/{i}.csv"]) for i, argv in enumerate(runs)]
+print(json.dumps({"codes": codes, "paths": sorted(paths)}))
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [cli.EXIT_OK] * 3
+    # GMRES, the Gohberg-Semencul product and the explicit inverse all ran
+    assert result["paths"] == ["dense/False", "dense/True", "krylov/False"]

@@ -14,7 +14,6 @@ from fracbvp.solver import (
     BACKWARD_ERROR_BOUND,
     EXPLICIT_LIMIT,
     EXPLICIT_MIN_SOLVES,
-    KRYLOV_FROM,
     KRYLOV_MAX_SOLVES,
     FracParams,
     KrylovError,
@@ -24,6 +23,7 @@ from fracbvp.solver import (
     make_solver,
     scheme_toeplitz,
     solve_bvp,
+    strang_circulant_eigenvalues,
 )
 from fracbvp.weights import grunwald_coeffs, wsgd_lambdas
 from oracles import assemble
@@ -164,10 +164,8 @@ class TestSolve:
         assert exc.value.residual > 0.0
         assert exc.value.iterations > 0
 
-    # beta stops short of 2: at beta=2, alpha=0 the Strang circulant has
-    # the eigenvalue 0, so the Krylov path cannot be set up there
     @settings(max_examples=25, deadline=None)
-    @given(beta=st.floats(1.001, 1.99),
+    @given(beta=st.floats(1.001, 2.0),
            alpha=st.sampled_from([0.0, 1.0]),
            scheme_theta=st.sampled_from([(SchemeKind.WSGD, 0.0),
                                          (SchemeKind.WSGD, 0.5),
@@ -178,7 +176,7 @@ class TestSolve:
     @example(beta=1.99, alpha=0.0, scheme_theta=(SchemeKind.WSGD, 1.0),
              M=4096, seed=0)
     # the Gohberg-Semencul product alone misses the bound here (about
-    # 1e6 eps); the direct solve must refine
+    # 1e4 eps); the direct solve must refine
     @example(beta=1.001, alpha=0.0, scheme_theta=(SchemeKind.WSGD, 1.0),
              M=33, seed=0)
     def test_dense_and_krylov_meet_one_bound(self, beta, alpha, scheme_theta,
@@ -217,18 +215,19 @@ class TestSolve:
                                                       (SchemeKind.WSGD, 1.0, 2)])
     def test_symmetric_setup_solves_one_column(self, monkeypatch, scheme, theta,
                                                columns):
-        shapes = []
-        levinson = scipy.linalg.solve_toeplitz
+        ends = []
+        gmres = ToeplitzSolver._gmres
 
-        def spy(c_or_cr, b, *args, **kwargs):
-            shapes.append(np.shape(b))
-            return levinson(c_or_cr, b, *args, **kwargs)
+        def spy(solver, b):
+            ends.append(int(np.flatnonzero(b)[0]))
+            return gmres(solver, b)
 
-        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", spy)
+        monkeypatch.setattr(ToeplitzSolver, "_gmres", spy)
         params, grid = FracParams(1.0, 1.5, theta), Grid(0.0, 1.0, 64)
         f = np.random.default_rng(0).standard_normal(63)
         u = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme)).solve(f)
-        assert shapes == [(63, columns)]
+        # the set-up solves for A^-1 e_1, and for A^-1 e_m unless symmetric
+        assert ends == [0, 62][:columns]
         np.testing.assert_allclose(assemble(params, grid, scheme) @ u, f,
                                    atol=1e-12 * np.max(np.abs(f)))
 
@@ -240,28 +239,54 @@ class TestSolve:
         with pytest.raises(ValueError, match="infs or NaNs"):
             ToeplitzSolver(col, row).solve(f)
 
-    def test_direct_refuses_singular_leading_minor(self):
-        # nonsingular, but its 1x1 leading minor is 0, so Levinson cannot run
+    @pytest.mark.parametrize("method", ["dense", "krylov"])
+    def test_solves_with_singular_leading_minor(self, method):
+        # nonsingular, but its 1x1 leading minor is 0: no recursion through
+        # the leading minors could solve it
         col, row = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 4.0, 5.0, 6.0])
-        assert abs(np.linalg.det(scipy.linalg.toeplitz(col, row))) > 1.0
-        with pytest.raises(SolverError, match="principal minor"):
-            ToeplitzSolver(col, row)
+        A = scipy.linalg.toeplitz(col, row)
+        assert abs(np.linalg.det(A)) > 1.0
+        f = np.array([1.0, -2.0, 0.5, 3.0])
+        solver = ToeplitzSolver(col, row, method=method)
+        u = solver.solve(f)
+        assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
+        np.testing.assert_allclose(u, np.linalg.solve(A, f), rtol=1e-12)
 
-    def test_auto_solves_directly_where_strang_is_singular(self):
+    @pytest.mark.parametrize("method,explicit", [("dense", True), ("dense", False),
+                                                 ("krylov", False)])
+    def test_singular_matrix_is_a_solver_error(self, method, explicit):
+        col = row = np.array([1.0, 1.0])
+        with pytest.raises(SolverError, match="(?i)singular"):
+            ToeplitzSolver(col, row, method=method,
+                           explicit=explicit).solve(np.array([1.0, 0.0]))
+
+    def test_krylov_solves_where_strang_is_singular(self):
         # beta=2, alpha=0: the Strang circulant has the eigenvalue 0 at
-        # M=16384, so GMRES cannot be preconditioned; make_solver solves
-        # directly
+        # M=16384; the preconditioner stands in the smallest nonzero one
         u = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0),))
         params = FracParams(0.0, 2.0, 1.0)
         prob = manufactured("smooth", params, u)
         grid = Grid(0.0, 1.0, 16384)
-        with pytest.raises(SolverError, match="Strang preconditioner is singular"):
-            ToeplitzSolver(*scheme_toeplitz(params, grid, SchemeKind.WSGD),
-                           method="krylov")
+        lam = strang_circulant_eigenvalues(
+            *scheme_toeplitz(params, grid, SchemeKind.WSGD))
+        assert np.min(np.abs(lam)) == 0.0
         solver = make_solver(params, grid, SchemeKind.WSGD)
-        assert solver.method == "dense"
+        assert solver.method == "krylov"
         got = solver.solve(prob.rhs(grid.interior_nodes()))
         assert np.max(np.abs(got - u(grid.interior_nodes()))) < 1e-8
+
+    def test_refines_perturbed_generators(self):
+        # generators 1e-9 off miss the bound; each refinement shrinks the
+        # error by that factor, so one is enough
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
+                                   SchemeKind.WSGD)
+        f = np.random.default_rng(0).standard_normal(63)
+        solver = ToeplitzSolver(col, row)
+        solver._lower *= 1.0 + 1e-9
+        assert solver.backward_error(solver.apply_inverse(f), f) > BACKWARD_ERROR_BOUND
+        u = solver.solve(f)
+        assert solver.last_refinements == 1
+        assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
 
     def test_unknown_method(self):
         col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
@@ -274,9 +299,9 @@ class TestSolve:
         (EXPLICIT_LIMIT, EXPLICIT_MIN_SOLVES, "dense", True),
         (EXPLICIT_LIMIT, EXPLICIT_MIN_SOLVES - 1, "dense", False),
         (EXPLICIT_LIMIT + 2, EXPLICIT_MIN_SOLVES, "dense", False),
-        (KRYLOV_FROM, KRYLOV_MAX_SOLVES, "krylov", False),
-        (KRYLOV_FROM - 2, KRYLOV_MAX_SOLVES, "dense", False),
-        (KRYLOV_FROM, KRYLOV_MAX_SOLVES + 1, "dense", False),
+        (2048, KRYLOV_MAX_SOLVES, "krylov", False),
+        (16, KRYLOV_MAX_SOLVES, "krylov", False),
+        (2048, KRYLOV_MAX_SOLVES + 1, "dense", False),
     ])
     def test_make_solver_picks_path_by_cost(self, M, solves, method, explicit):
         solver = make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, M),
@@ -318,7 +343,7 @@ class TestExplicitInverse:
             ToeplitzSolver(col, row, explicit=True).solve(f)
 
     def test_refines_near_beta_one(self):
-        # the explicit product misses the bound by about 1e6 eps here, as
+        # the explicit product misses the bound by about 1e4 eps here, as
         # the Gohberg-Semencul product does: the generators are the cause
         col, row = scheme_toeplitz(FracParams(0.0, 1.001, 1.0), Grid(0.0, 1.0, 33),
                                    SchemeKind.WSGD)

@@ -139,7 +139,7 @@ class TestBlockMarch:
         got = cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
         assert np.array_equal(got.interior, want)
 
-    # one step makes two solves, which GMRES serves from 2048 intervals on
+    # one step makes two solves, which GMRES serves on every grid
     @pytest.mark.parametrize("M,corrected", [(2048, False), (1024, True)])
     def test_one_step_on_the_krylov_path(self, monkeypatch, M, corrected):
         methods = []
