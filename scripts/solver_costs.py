@@ -117,7 +117,6 @@ def path_costs(M: int, beta: float, system: str, path: str) -> dict:
             "setup_s": setup,
             "solve_s": _best(lambda: solver.solve(b), 5 * repeats),
             "iterations": solver.last_iterations,
-            "refinements": solver.last_refinements,
             "backward_error": solver.backward_error(x, b)}
 
 

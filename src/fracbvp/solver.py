@@ -30,16 +30,19 @@ Stability of Numerical Algorithms*, ch. 7) in the infinity norm:
     ||A x - b|| <= BACKWARD_ERROR_BOUND * (||A|| ||x|| + ||b||),
 
 computed by :meth:`ToeplitzSolver.backward_error` for one solution or
-for a block of them, one per row: a direct solve, each GMRES restart
-cycle and each block of a Crank-Nicolson march
+for a block of them, one per row: each GMRES restart cycle of a solve,
+on every path, and each block of a Crank-Nicolson march
 (:mod:`fracbvp.timestepper`) are accepted through it.
 
 The bound sits above what FFT rounding reaches for every system size, so
 the same rule holds at M = 16 and at M = 65536.  The Gohberg-Semencul
 product alone, explicit or not, can miss it on systems near beta = 1 (up
-to 1e5 eps at beta = 1.001, alpha = 0, theta in {0, 1}); a direct solve
-that misses is refined on its own residual, ``x <- x - A^-1 (A x - b)``;
-one step brought every system measured below the bound.
+to 1e5 eps at beta = 1.001, alpha = 0, theta in {0, 1}).  So every solve
+is one restarted GMRES loop, right-preconditioned by the best inverse the
+path holds: the Strang circulant, or on the direct path ``A^-1`` itself.
+GMRES so preconditioned is an iterative refinement (Carson & Higham
+2017): a product that meets the bound is returned after one residual, and
+one iteration brought every system measured below it.
 """
 
 from __future__ import annotations
@@ -80,16 +83,13 @@ EXPLICIT_MIN_SOLVES = 32
 #: Largest normwise backward error accepted from any solve (1024 eps).
 BACKWARD_ERROR_BOUND = 2.0 ** -42
 
-#: Default cap on the inner GMRES iterations of one solve.
-DEFAULT_MAXITER = 2000
+#: Cap on the inner GMRES iterations of one solve.
+MAXITER = 2000
 _GMRES_RESTART = 60
 
 #: Where a GMRES cycle stops, as a share of the backward-error scale; a
 #: stop at the bound moved level-15 reference rows by up to 1.3e-5.
 _CYCLE_GOAL = 2.0 ** -51
-
-#: Cap on the refinement steps of one direct solve.
-_MAX_REFINEMENTS = 3
 
 #: Most values one block product transforms at once: a larger batch's
 #: temporaries (2 MB for 32 rows at M = 2048) fall out of cache and are
@@ -127,7 +127,7 @@ class SolverError(RuntimeError):
 
 
 class KrylovError(SolverError):
-    """GMRES did not reach the backward-error bound within the iteration cap."""
+    """GMRES, on any solve path, did not meet the bound in ``MAXITER`` iterations."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -188,15 +188,14 @@ class ToeplitzSolver:
     """Repeated solves against one fixed Toeplitz system.
 
     ``method`` is ``'dense'`` (direct: the Gohberg-Semencul generators of
-    ``A^-1``, computed by GMRES and held for reuse, with up to
-    ``_MAX_REFINEMENTS`` refinement steps per solve) or ``'krylov'``
-    (matrix-free preconditioned GMRES, capped at ``maxiter`` inner
-    iterations).  With ``explicit=True`` the direct path sums the
+    ``A^-1``, computed by GMRES and held for reuse) or ``'krylov'``
+    (matrix-free).  With ``explicit=True`` the direct path sums the
     generators into ``A^-1`` and also holds ``A``, both dense, so that a
-    solve and its residual are one matrix-vector product each.  Every
-    solve must meet ``BACKWARD_ERROR_BOUND``; the last solve's GMRES
-    iteration count is kept in ``last_iterations`` and its refinement
-    count in ``last_refinements``.
+    product with either is one matrix-vector product.  Every solve is one
+    GMRES loop, capped at ``MAXITER`` iterations, that must meet
+    ``BACKWARD_ERROR_BOUND``; the paths differ only in its preconditioner,
+    ``A^-1`` on the direct path and the Strang circulant otherwise.  The
+    last solve's GMRES iteration count is kept in ``last_iterations``.
 
     A caller that makes many solves can take them apart:
     :meth:`apply_inverse` gives ``A^-1 b`` without a check (a checked
@@ -208,19 +207,18 @@ class ToeplitzSolver:
     """
 
     def __init__(self, col: np.ndarray, row: np.ndarray, method: str = "dense",
-                 maxiter: int = DEFAULT_MAXITER, explicit: bool = False):
+                 explicit: bool = False):
         self.col = np.asarray(col, dtype=float)
         self.row = np.asarray(row, dtype=float)
         self.m = len(self.col)
         self.method = method
-        self.maxiter = maxiter
         # row i of a Toeplitz matrix sums col[0..i] and row[1..m-1-i]
         lower = np.cumsum(np.abs(self.col))
         upper = np.concatenate(([0.0], np.cumsum(np.abs(self.row[1:]))))
         self.norm_inf = float(np.max(lower + upper[::-1]))
         self._L = embedding_size(self.m)
         self._spectrum = embedding_spectrum(self.col, self.row)
-        self._matrix = self._inverse = None
+        self._matrix = self._inverse = self._lower = None
         if method not in ("dense", "krylov"):
             raise ValueError(f"unknown method {method!r}")
         lam = strang_circulant_eigenvalues(self.col, self.row)
@@ -231,7 +229,7 @@ class ToeplitzSolver:
         self._lam = lam
         if method == "dense":
             self._setup_direct(explicit)
-        self.last_iterations = self.last_refinements = 0
+        self.last_iterations = 0
 
     def _setup_direct(self, explicit: bool) -> None:
         m, L = self.m, self._L
@@ -268,17 +266,10 @@ class ToeplitzSolver:
         return self._inverse is not None
 
     def apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        """``A^-1 b`` for a vector ``b``: on the direct path, explicit or by
-        the Gohberg-Semencul product, with no check; on the Krylov path,
-        which has no representation of ``A^-1``, a checked :meth:`solve`."""
-        if self._inverse is not None:
-            return self._inverse.dot(b)
-        if self.method == "krylov":
-            return self.solve(b)
-        m, L = self.m, self._L
-        u = np.fft.irfft(self._upper * np.fft.rfft(b, n=L), n=L)
-        z = np.fft.rfft(u[:, :m], n=L) * self._lower
-        return np.fft.irfft(z[0] - z[1], n=L)[:m]
+        """``A^-1 b`` for a vector ``b``: on the direct path the
+        preconditioner, with no check; on the Krylov path, which has no
+        representation of ``A^-1``, a checked :meth:`solve`."""
+        return self.solve(b) if self.method == "krylov" else self._precondition(b)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A x`` for a vector, or ``A`` times each row of a block."""
@@ -288,7 +279,17 @@ class ToeplitzSolver:
         return np.fft.irfft(self._spectrum * np.fft.rfft(x, n=L), n=L)[..., :self.m]
 
     def _precondition(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(x) / self._lam, n=self.m)
+        """``P^-1 x``: once the direct set-up has built it, ``A^-1 x``,
+        explicit or by the Gohberg-Semencul product; until then, and on
+        the Krylov path, the Strang circulant's inverse."""
+        if self._inverse is not None:
+            return self._inverse.dot(x)
+        if self._lower is None:
+            return np.fft.irfft(np.fft.rfft(x) / self._lam, n=self.m)
+        m, L = self.m, self._L
+        u = np.fft.irfft(self._upper * np.fft.rfft(x, n=L), n=L)
+        z = np.fft.rfft(u[:, :m], n=L) * self._lower
+        return np.fft.irfft(z[0] - z[1], n=L)[:m]
 
     def backward_error(self, x: np.ndarray, rhs: np.ndarray):
         """Normwise backward error ``||Ax - b|| / (||A|| ||x|| + ||b||)``,
@@ -311,28 +312,11 @@ class ToeplitzSolver:
         return float(eta) if eta.ndim == 0 else eta
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray_chkfinite(rhs, dtype=float)
-        return self._gmres(rhs) if self.method == "krylov" else self._solve_direct(rhs)
-
-    def _solve_direct(self, rhs: np.ndarray) -> np.ndarray:
-        self.last_iterations = self.last_refinements = 0
-        x = self.apply_inverse(rhs)
-        residual = self.matvec(x) - rhs
-        while not ((eta := self._backward_error(residual, x, rhs))
-                   <= BACKWARD_ERROR_BOUND):
-            if self.last_refinements == _MAX_REFINEMENTS:
-                raise SolverError(
-                    f"direct solve backward error {eta:.3e} exceeds the bound "
-                    f"{BACKWARD_ERROR_BOUND:.3e} after {_MAX_REFINEMENTS} "
-                    f"refinements")
-            x = x - self.apply_inverse(residual)
-            residual = self.matvec(x) - rhs
-            self.last_refinements += 1
-        return x
+        return self._gmres(np.asarray_chkfinite(rhs, dtype=float))
 
     def _gmres(self, rhs: np.ndarray) -> np.ndarray:
         """Restarted GMRES (Saad & Schultz 1986), right-preconditioned by
-        the Strang circulant ``P`` and started at ``P^-1 b``.
+        ``P`` (see :meth:`_precondition`) and started at ``P^-1 b``.
 
         A cycle orthonormalises the Krylov basis ``V`` of ``A P^-1`` by
         classical Gram-Schmidt applied twice, reduces the Hessenberg matrix
@@ -340,6 +324,7 @@ class ToeplitzSolver:
         right-hand side tracks the residual's 2-norm, a bound on the
         infinity norm: a cycle runs until that is ``_CYCLE_GOAL`` times
         ``||A|| ||x|| + ||b||``, then the computed residual is checked.
+        An iterate that is not finite ends the solve.
         """
         self.last_iterations = 0
         fnorm = float(np.max(np.abs(rhs)))
@@ -349,14 +334,16 @@ class ToeplitzSolver:
             eta = self._backward_error(r, x, rhs)
             if eta <= BACKWARD_ERROR_BOUND:
                 return x
-            if self.last_iterations >= self.maxiter:
+            if not math.isfinite(eta):
+                raise SolverError(f"GMRES iterate is not finite (backward error {eta})")
+            if self.last_iterations >= MAXITER:
                 raise KrylovError(
                     f"GMRES stopped after {self.last_iterations} iterations at "
                     f"backward error {eta:.3e} (bound {BACKWARD_ERROR_BOUND:.3e})",
                     residual=float(np.max(np.abs(r))),
                     iterations=self.last_iterations)
             goal = _CYCLE_GOAL * (self.norm_inf * float(np.max(np.abs(x))) + fnorm)
-            n = min(_GMRES_RESTART, self.maxiter - self.last_iterations)
+            n = min(_GMRES_RESTART, MAXITER - self.last_iterations)
             V = np.empty((n + 1, self.m))
             R = np.zeros((n, n))
             cs, sn, g = np.empty(n), np.empty(n), np.zeros(n + 1)

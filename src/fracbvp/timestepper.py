@@ -16,9 +16,9 @@ right-hand side and the solution as rows of the block.  After the block,
 :meth:`~fracbvp.solver.ToeplitzSolver.backward_error` checks every row
 with one product on the bound every solve meets.  When a row misses it,
 the block is marched again from its start state one
-:meth:`~fracbvp.solver.ToeplitzSolver.solve` at a time, which refines,
-or raises :class:`~fracbvp.solver.SolverError` at the step that still
-misses.  A right-hand side that is not finite ends the block early: if
+:meth:`~fracbvp.solver.ToeplitzSolver.solve` at a time, which iterates
+to the bound or raises :class:`~fracbvp.solver.SolverError` at its
+step.  A right-hand side that is not finite ends the block early: if
 every step before it holds, the march raises ``ValueError`` there, as
 :meth:`solve` would; if one does not, as when a finite right-hand side
 gave a solution that is not finite, the block is marched again.
@@ -167,8 +167,8 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
                 eta_max = max(eta_max, *(float(eta.max()) for eta in etas))
                 state = u
                 continue
-            # a solve missed the bound: march the block again one checked,
-            # refined solve at a time, from the same start state
+            # a solve missed the bound: march the block again one checked
+            # solve at a time, from the same start state
             refinements += missed
             u = state
             for row in range(k):

@@ -266,3 +266,17 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert result["codes"] == [cli.EXIT_OK] * 3
     # GMRES, the Gohberg-Semencul product and the explicit inverse all ran
     assert result["paths"] == ["dense/False", "dense/True", "krylov/False"]
+
+
+@pytest.mark.parametrize("alpha", ["1e307", "1.7e308"])
+def test_overflowing_solve_fails_in_seconds(tmp_path, alpha):
+    # the Strang product of this right-hand side overflows, so the first
+    # GMRES iterate is not finite; in a subprocess with a timeout, so that
+    # a solve that cycles on it fails here instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["solve", "--example", "ex1-case1", "--alpha", alpha, "--grids", "64",
+            "--out", str(tmp_path / "u.csv")]
+    done = subprocess.run([sys.executable, "-m", "fracbvp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == cli.EXIT_SOLVER, done.stderr
+    assert "solver failure: GMRES iterate is not finite" in done.stderr

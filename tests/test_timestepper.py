@@ -95,23 +95,27 @@ class TestSolvePath:
                               corrected=True)
 
 
-def _spoil_products(monkeypatch, m, first, count, factor=0.5):
-    """Scale by ``factor`` the unchecked products ``A^-1 b`` with
-    ``len(b) == m``, from the ``first``-th such call (1-based) for ``count``
-    calls (all after it when None); every other product stays exact."""
-    apply_inverse = ToeplitzSolver.apply_inverse
+def _spoil_products(monkeypatch, m, first, count, factor=0.5,
+                    method="apply_inverse"):
+    """Scale by ``factor`` the products ``A^-1 b`` with ``len(b) == m`` of
+    an explicit inverse, from the ``first``-th such call (1-based) for
+    ``count`` calls (all after it when None); every other product stays
+    exact.  ``method`` is the one spoiled: ``apply_inverse``, the march's
+    unchecked product, or ``_precondition``, which the checked solve uses
+    as well."""
+    product = getattr(ToeplitzSolver, method)
     calls = 0
 
     def spoiled(self, b):
         nonlocal calls
-        x = apply_inverse(self, b)
-        if len(b) != m:
+        x = product(self, b)
+        if len(b) != m or not self.explicit:
             return x
         calls += 1
         hit = calls >= first and (count is None or calls < first + count)
         return factor * x if hit else x
 
-    monkeypatch.setattr(ToeplitzSolver, "apply_inverse", spoiled)
+    monkeypatch.setattr(ToeplitzSolver, method, spoiled)
 
 
 def _held_arrays(value):
@@ -171,19 +175,27 @@ class TestBlockMarch:
         assert diag["refinements"] == 1
         assert 0.0 < diag["backward_error_max"] <= BACKWARD_ERROR_BOUND
 
-    def test_a_step_that_keeps_missing_raises(self, monkeypatch):
-        # the step's solve refines on spoiled products too: 3 steps, then out
-        _spoil_products(monkeypatch, 15, K + K // 2, None)
-        with pytest.raises(SolverError, match="after 3 refinements") as info:
-            cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(1.0, 1000))
-        self._assert_no_block(info.tb)
+    def test_steps_that_keep_missing_are_all_solved_again(self, monkeypatch):
+        # every unchecked product from the second block's middle step on is
+        # spoiled; the checked solves, which precondition with the exact
+        # inverse, still march every step as the per-step march does
+        problem, time_grid = catalog("ex3", BETA), TimeGrid(1.0, 1000)
+        want = cn_march(problem, 16, time_grid, False)
+        step = K + K // 2
+        _spoil_products(monkeypatch, 15, step, None)
+        diag = {}
+        got = cn_wsgd_solve(problem, 16, time_grid, diagnostics=diag)
+        assert np.array_equal(got.interior, want)
+        assert diag["refinements"] == time_grid.N - step + 1
 
     def test_a_solution_that_is_not_finite_is_solved_again(self, monkeypatch):
         # a finite right-hand side gives a product that is not finite: the
         # block's check, not the next step's right-hand side, catches it,
-        # and the checked solve, still fed such products, refuses the step
-        _spoil_products(monkeypatch, 15, K + K // 2, None, factor=np.nan)
-        with pytest.raises(SolverError, match="after 3 refinements") as info:
+        # and the checked solve, whose preconditioner gives such products
+        # too, refuses the step
+        _spoil_products(monkeypatch, 15, K + K // 2, None, factor=np.nan,
+                        method="_precondition")
+        with pytest.raises(SolverError, match="not finite") as info:
             cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(1.0, 1000))
         self._assert_no_block(info.tb)
 
