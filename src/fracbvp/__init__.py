@@ -10,7 +10,6 @@ from .analytic import (
     left_derivative,
     left_rl_derivative_power,
     right_derivative,
-    right_rl_derivative_power,
 )
 from .catalog import (
     CATALOG_NAMES,

@@ -11,7 +11,9 @@ The key scalar identity is the derivative of a pure power,
     D_left**beta (x - a)**xi = Gamma(xi+1)/Gamma(xi+1-beta) * (x-a)**(xi-beta),
 
 which degenerates to the zero function when ``xi + 1 - beta`` hits a pole
-of the Gamma function (a non-positive integer).  The symmetric product
+of the Gamma function (a non-positive integer).  The right-sided
+derivative is the mirror image, under ``x -> a + b - x``
+(:meth:`PowerSum.reflected`), of the left-sided one.  The symmetric product
 ``(x-a)**(beta/2) * (b-x)**(beta/2)`` is handled through its constant
 two-sided derivative.
 """
@@ -80,12 +82,6 @@ class PowerSum:
         return cls(a, b, tuple(PowerTerm(c, xi, 0.0) for c, xi in pairs))
 
     @classmethod
-    def right_anchored(cls, pairs: Iterable[tuple[float, float]],
-                       a: float = 0.0, b: float = 1.0) -> "PowerSum":
-        """Sum of ``c * (b - x)**eta`` terms from ``(c, eta)`` pairs."""
-        return cls(a, b, tuple(PowerTerm(c, 0.0, eta) for c, eta in pairs))
-
-    @classmethod
     def constant(cls, value: float, a: float = 0.0, b: float = 1.0) -> "PowerSum":
         return cls(a, b, (PowerTerm(value, 0.0, 0.0),))
 
@@ -120,6 +116,11 @@ class PowerSum:
         return PowerSum(self.a, self.b,
                         tuple(t for t in self.terms if t.coef != 0.0))
 
+    def reflected(self) -> "PowerSum":
+        """The mirror image ``x -> a + b - x``: each term's exponents swap."""
+        return PowerSum(self.a, self.b, tuple(
+            PowerTerm(t.coef, t.right, t.left) for t in self.terms))
+
     # -- queries -------------------------------------------------------
 
     def __call__(self, x):
@@ -135,48 +136,32 @@ class PowerSum:
         return out
 
 
-def _reanchor(ps: PowerSum, orientation: str) -> PowerSum:
-    """Rewrite every term with pure ``orientation`` anchoring.
+def _reanchor(ps: PowerSum, endpoint: str) -> PowerSum:
+    """Rewrite every term as a pure power of ``x - a``.
 
-    A term can change sides only when the exponent on the side being
-    eliminated is a nonnegative integer (binomial expansion); otherwise a
-    ``ValueError`` is raised.
+    A term can change sides only when its ``(b - x)`` exponent is a
+    nonnegative integer (binomial expansion); otherwise a ``ValueError``
+    naming ``endpoint``, the side the caller anchors to, is raised.
     """
     width = ps.b - ps.a
     terms: list[PowerTerm] = []
     for t in ps.terms:
-        keep, drop = (t.left, t.right) if orientation == "left" else (t.right, t.left)
-        if drop == 0.0:
-            terms.append(PowerTerm(t.coef, keep, 0.0) if orientation == "left"
-                         else PowerTerm(t.coef, 0.0, keep))
+        if t.right == 0.0:
+            terms.append(PowerTerm(t.coef, t.left, 0.0))
             continue
-        q = _near_int(drop)
+        q = _near_int(t.right)
         if q is None or q < 0:
             raise ValueError(
-                f"term with exponents ({t.left}, {t.right}) cannot be "
-                f"re-anchored to the {orientation} endpoint")
-        # (b-x)**q = ((b-a) - (x-a))**q and mirror for (x-a)**q
+                f"a term whose exponent at the other endpoint is {t.right} "
+                f"cannot be re-anchored to the {endpoint} endpoint")
+        # (b-x)**q = ((b-a) - (x-a))**q
         for j in range(q + 1):
             c = t.coef * math.comb(q, j) * width ** (q - j) * (-1) ** j
-            if orientation == "left":
-                terms.append(PowerTerm(c, keep + j, 0.0))
-            else:
-                terms.append(PowerTerm(c, 0.0, keep + j))
+            terms.append(PowerTerm(c, t.left + j, 0.0))
     return PowerSum(ps.a, ps.b, tuple(terms)).drop_zeros()
 
 
 # -- fractional derivatives of powers ----------------------------------
-
-
-def power_derivative_factor(beta: float, xi: float) -> float:
-    """Scalar factor ``Gamma(xi+1)/Gamma(xi+1-beta)``; 0.0 on a Gamma pole."""
-    if xi <= -1.0:
-        raise ValueError(f"exponent must exceed -1, got {xi!r}")
-    d = xi + 1.0 - beta
-    k = _near_int(d)
-    if k is not None and k <= 0:
-        return 0.0
-    return gamma_ratio(xi + 1.0, d)
 
 
 def left_rl_derivative_power(beta: float, xi: float,
@@ -187,19 +172,14 @@ def left_rl_derivative_power(beta: float, xi: float,
     :class:`PowerSum`, or the zero sum when the Gamma pole annihilates
     the term (e.g. ``xi = beta - 1``).
     """
-    fac = power_derivative_factor(beta, xi)
+    if xi <= -1.0:
+        raise ValueError(f"exponent must exceed -1, got {xi!r}")
+    d = xi + 1.0 - beta
+    k = _near_int(d)
+    fac = 0.0 if k is not None and k <= 0 else gamma_ratio(xi + 1.0, d)
     if fac == 0.0:
         return PowerSum.zero(a, b)
     return PowerSum(a, b, (PowerTerm(fac, xi - beta, 0.0),))
-
-
-def right_rl_derivative_power(beta: float, eta: float,
-                              b: float = 1.0, a: float = 0.0) -> PowerSum:
-    """Right-sided derivative of order ``beta`` of ``(b - x)**eta``."""
-    fac = power_derivative_factor(beta, eta)
-    if fac == 0.0:
-        return PowerSum.zero(a, b)
-    return PowerSum(a, b, (PowerTerm(fac, 0.0, eta - beta),))
 
 
 def left_derivative(ps: PowerSum, beta: float) -> PowerSum:
@@ -216,12 +196,10 @@ def left_derivative(ps: PowerSum, beta: float) -> PowerSum:
 
 
 def right_derivative(ps: PowerSum, beta: float) -> PowerSum:
-    """Right-sided derivative of a power sum, term by term."""
-    anchored = _reanchor(ps, "right")
-    out = PowerSum.zero(ps.a, ps.b)
-    for t in anchored.terms:
-        out = out + t.coef * right_rl_derivative_power(beta, t.right, ps.b, ps.a)
-    return out.drop_zeros()
+    """Right-sided derivative of a power sum: the mirror image of the
+    left-sided derivative of the sum's mirror image."""
+    anchored = _reanchor(ps.reflected(), "right")
+    return left_derivative(anchored, beta).reflected()
 
 
 def riesz_symmetric_constant(beta: float) -> float:

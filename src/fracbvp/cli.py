@@ -72,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     tstudy = sub.add_parser("timestudy", help="time-dependent spatial-rate study")
     _add_common(tstudy, choices=["ex3"], default="ex3")
     tstudy.add_argument("--grids", type=int, nargs="+", default=[16, 32, 64, 128])
-    tstudy.add_argument("--tau", type=float, default=1e-3, help="time step")
-    tstudy.add_argument("--steps", type=int, default=None,
-                        help="step count (overrides --tau)")
+    tstudy.add_argument("--tau", type=float, default=StudyConfig.tau,
+                        help="time step (default %(default)s)")
     return ap
 
 
@@ -128,7 +127,7 @@ def _cmd_study(args) -> int:
         run = run_study
         fields = dict(scheme=SchemeKind(args.scheme), ref_level=args.ref_level)
     else:
-        run, fields = run_time_study, dict(tau=args.tau, steps=args.steps)
+        run, fields = run_time_study, dict(tau=args.tau)
     reports = []
     for problem in _problems(args):
         reports += run(StudyConfig(problem, corrected=args.correct,

@@ -93,5 +93,5 @@ def fcd_toeplitz(grid: Grid, beta: float) -> tuple[np.ndarray, np.ndarray]:
     t = weight_table(beta, grid.M)
     scale = grid.h ** (-beta)
     m = grid.M - 1
-    col = t.wc_at(np.arange(m)) * scale
+    col = t.wc[:m] * scale
     return col, col.copy()

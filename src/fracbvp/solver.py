@@ -312,7 +312,11 @@ class ToeplitzSolver:
         return float(eta) if eta.ndim == 0 else eta
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._gmres(np.asarray_chkfinite(rhs, dtype=float))
+        # solved for rhs scaled below 1 by a power of two, exact but for
+        # underflow, and scaled back: FFT sums of a huge rhs overflow
+        rhs = np.asarray_chkfinite(rhs, dtype=float)
+        e = math.frexp(float(np.max(np.abs(rhs))))[1]
+        return np.ldexp(self._gmres(np.ldexp(rhs, -e)), e)
 
     def _gmres(self, rhs: np.ndarray) -> np.ndarray:
         """Restarted GMRES (Saad & Schultz 1986), right-preconditioned by

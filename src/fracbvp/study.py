@@ -24,6 +24,10 @@ largest backward error its march steps reached, ``backward_error_max``,
 and how many step solves missed the bound and were solved again,
 ``refinements``.
 
+Both runners check their own configuration and hand a solve per grid
+to one row loop, which times and measures it and writes the metadata
+keys that every report shares.
+
 References are cached in memory only, keyed by the problem, scheme and
 level values; nothing is written to disk.
 """
@@ -34,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,8 +63,7 @@ class StudyConfig:
     corrected: bool = False
     M_list: Sequence[int] = (64, 128, 256, 512)
     ref_level: int = 15
-    tau: Optional[float] = None
-    steps: Optional[int] = None
+    tau: float = 1e-3
 
     def __post_init__(self):
         Ms = list(self.M_list)
@@ -70,10 +73,8 @@ class StudyConfig:
             raise ConfigError("grids need at least 4 intervals")
         if self.corrected and any(m % 2 for m in Ms):
             raise ConfigError("corrected studies need even interval counts")
-        if self.tau is not None and not (math.isfinite(self.tau) and self.tau > 0.0):
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ConfigError(f"time step must be finite and positive, got {self.tau!r}")
-        if self.steps is not None and self.steps < 1:
-            raise ConfigError(f"need at least one time step, got {self.steps}")
 
 
 # -- reference solutions -------------------------------------------------
@@ -122,6 +123,28 @@ def _restrict_errors(field: GridFunction, exact, reference: GridFunction | None)
     return GridFunction(field.grid, field.values - target)
 
 
+def _report(config: StudyConfig, solve, exact, reference: GridFunction | None,
+            meta: dict) -> list[ConvergenceReport]:
+    """Report of ``solve(M)`` on each grid, timed in wall seconds and
+    measured against ``exact`` or ``reference``; the metadata are the
+    shared keys and ``meta``, which a solve may update."""
+    rows = []
+    for M in config.M_list:
+        t0 = time.perf_counter()
+        u = solve(M)
+        seconds = time.perf_counter() - t0
+        err = _restrict_errors(u, exact, reference)
+        rows.append((M, err.max_norm(), err.l2_norm(), seconds))
+    shared = {
+        "problem": config.problem.name,
+        "beta": config.problem.params.beta,
+        "theta": config.problem.params.theta,
+        "corrected": config.corrected,
+        "backward_error_bound": BACKWARD_ERROR_BOUND,
+    }
+    return [ConvergenceReport.from_rows(rows, shared | meta)]
+
+
 def run_study(config: StudyConfig) -> list[ConvergenceReport]:
     """Run the configured stationary study; returns its one report."""
     problem = config.problem
@@ -138,43 +161,31 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
                 f"reference level {config.ref_level} must exceed the largest "
                 f"grid exponent {max_exp} by at least 2")
         reference = reference_solution(problem, config.scheme, config.ref_level)
-    rows = []
-    guards = 0
-    for M in config.M_list:
-        t0 = time.perf_counter()
-        if config.corrected:
-            sol = correct(problem, problem.singular, M, config.scheme)
-            seconds = time.perf_counter() - t0
-            guards += sol.guard_activations
-            err = _restrict_errors(sol.corrected_fine, problem.exact, reference)
-        else:
-            u = solve_bvp(problem, M, config.scheme)
-            seconds = time.perf_counter() - t0
-            err = _restrict_errors(u, problem.exact, reference)
-        rows.append((M, err.max_norm(), err.l2_norm(), seconds))
-    p = problem.params
     meta = {
-        "problem": problem.name,
-        "beta": p.beta,
-        "theta": p.theta,
-        "alpha": p.alpha,
+        "alpha": problem.params.alpha,
         "scheme": config.scheme.value,
-        "corrected": config.corrected,
         "error_grid": "2M" if config.corrected else "M",
         "reference": "exact" if problem.exact is not None
                      else f"level-{config.ref_level}",
-        "backward_error_bound": BACKWARD_ERROR_BOUND,
-        "guard_activations": guards,
+        "guard_activations": 0,
     }
-    return [ConvergenceReport.from_rows(rows, meta)]
+
+    def solve(M):
+        if not config.corrected:
+            return solve_bvp(problem, M, config.scheme)
+        sol = correct(problem, problem.singular, M, config.scheme)
+        meta["guard_activations"] += sol.guard_activations
+        return sol.corrected_fine
+
+    return _report(config, solve, problem.exact, reference, meta)
 
 
 def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
     """Final-time errors and spatial rates of the Crank-Nicolson march;
     returns its one report.
 
-    Needs the problem's exact solution.  The time step must be small
-    enough that the spatial error dominates (the tables use tau = 1e-3).
+    Needs the problem's exact solution.  The march takes round(T / tau)
+    steps; the default tau = 1e-3 of the tables lets the spatial error dominate.
     """
     problem = config.problem
     if not isinstance(problem, TimeDependentProblem):
@@ -183,41 +194,28 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
         raise ConfigError(
             f"problem {problem.name!r} has no exact solution to measure against")
     T = problem.final_time
-    if config.steps is not None:
-        N = config.steps
-    else:
-        tau = config.tau if config.tau is not None else 1e-3
-        N = max(1, round(T / tau))
-    tg = TimeGrid(T=T, N=N)
-    rows = []
-    guards = refinements = 0
-    eta_max = 0.0
-    for M in config.M_list:
-        diag: dict = {}
-        t0 = time.perf_counter()
-        u = cn_wsgd_solve(problem, M, tg, corrected=config.corrected,
-                          diagnostics=diag)
-        seconds = time.perf_counter() - t0
-        guards += diag["guard_activations"]
-        refinements += diag["refinements"]
-        eta_max = max(eta_max, diag["backward_error_max"])
-        err = _restrict_errors(u, lambda x: problem.exact(x, T), None)
-        rows.append((M, err.max_norm(), err.l2_norm(), seconds))
+    tg = TimeGrid(T=T, N=max(1, round(T / config.tau)))
     meta = {
-        "problem": problem.name,
-        "beta": problem.params.beta,
-        "theta": problem.params.theta,
         "scheme": "cn-wsgd",
-        "corrected": config.corrected,
         "tau": tg.tau,
         "steps": tg.N,
         "final_time": T,
-        "backward_error_bound": BACKWARD_ERROR_BOUND,
-        "backward_error_max": eta_max,
-        "refinements": refinements,
-        "guard_activations": guards,
+        "backward_error_max": 0.0,
+        "refinements": 0,
+        "guard_activations": 0,
     }
-    return [ConvergenceReport.from_rows(rows, meta)]
+
+    def solve(M):
+        diag: dict = {}
+        u = cn_wsgd_solve(problem, M, tg, corrected=config.corrected,
+                          diagnostics=diag)
+        meta["guard_activations"] += diag["guard_activations"]
+        meta["refinements"] += diag["refinements"]
+        meta["backward_error_max"] = max(meta["backward_error_max"],
+                                         diag["backward_error_max"])
+        return u
+
+    return _report(config, solve, lambda x: problem.exact(x, T), None, meta)
 
 
 def emit_reports(reports: Sequence[ConvergenceReport], fmt: str,

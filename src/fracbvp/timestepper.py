@@ -10,18 +10,19 @@ makes ``N + 1`` solves, so on a coarse grid it gets an explicit inverse,
 applied by one matrix-vector product per step, and on a finer grid, for
 two steps or more, the Gohberg-Semencul generators.
 
-The march advances in blocks of ``BLOCK_STEPS`` steps.  A step applies
-``A^-1`` to its right-hand side with no check of its own and keeps the
-right-hand side and the solution as rows of the block.  After the block,
+The march advances in blocks of ``BLOCK_STEPS`` steps, taken by one step
+routine that keeps each step's right-hand side and solution as rows of
+the block.  It runs unchecked, with ``A^-1`` applied by
+:meth:`~fracbvp.solver.ToeplitzSolver.apply_inverse`, and then
 :meth:`~fracbvp.solver.ToeplitzSolver.backward_error` checks every row
 with one product on the bound every solve meets.  When a row misses it,
-the block is marched again from its start state one
-:meth:`~fracbvp.solver.ToeplitzSolver.solve` at a time, which iterates
-to the bound or raises :class:`~fracbvp.solver.SolverError` at its
-step.  A right-hand side that is not finite ends the block early: if
-every step before it holds, the march raises ``ValueError`` there, as
-:meth:`solve` would; if one does not, as when a finite right-hand side
-gave a solution that is not finite, the block is marched again.
+the routine runs again from the block's start state, checked: each
+:meth:`~fracbvp.solver.ToeplitzSolver.solve` iterates to the bound or
+raises :class:`~fracbvp.solver.SolverError` at its step.  A right-hand
+side that is not finite ends the block early: if every step before it
+holds, the march raises ``ValueError`` there, as :meth:`solve` would; if
+one does not, as when a finite right-hand side gave a solution that is
+not finite, the block is marched again.
 
 The corrected variant marches the coarse and fine grids together, applies
 the two-grid correction of :class:`~fracbvp.correction.TwoGridCorrector`
@@ -125,60 +126,49 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
               for solver, x in zip(solvers, nodes)),
             *(sing.us(x) for x in nodes))
 
-    apply = [solver.apply_inverse for solver in solvers]
-    # per grid, two k x m blocks: the right-hand side and the unchecked
-    # solution of each step of the block, as rows; allocated once, since
-    # buffers freed at every block's end fault their pages in again
+    unchecked = [solver.apply_inverse for solver in solvers]
+    checked = [solver.solve for solver in solvers]
+    # per grid, two k x m blocks: the right-hand side and the solution of
+    # each step of the block, as rows; allocated once, since buffers freed
+    # at every block's end fault their pages in again
     blocks = [np.empty((2, BLOCK_STEPS, len(x))) for x in nodes]
     eta_max, refinements = 0.0, 0
 
-    def advance(u, solutions):
-        """States after a step from the states ``u`` and the step's solutions."""
-        new = [2.0 * w - v for w, v in zip(solutions, u)]
-        return list(corrector.correct(*new)[:2]) if corrected else new
-
-    def fill(u, row, t):
-        """Solve the block's step ``row`` from the states ``u``, unchecked;
-        False when a right-hand side is not finite."""
-        for g, block in enumerate(blocks):
-            b = u[g] + half_tau * problem.rhs(nodes[g], t)
-            if not np.isfinite(b).all():
-                return False
-            block[0, row] = b
-            block[1, row] = apply[g](b)
-        return True
+    def march(u, n, k, solve):
+        """States and steps done after steps ``n+1 .. n+k`` from ``u``, each
+        solved by ``solve[g]`` into the blocks' rows; stops at a non-finite rhs."""
+        for row in range(k):
+            t = time_grid.half_node(n + row + 1)
+            for g, x in enumerate(nodes):
+                b = u[g] + half_tau * problem.rhs(x, t)
+                if not np.isfinite(b).all():
+                    return u, row
+                blocks[g][0, row] = b
+                blocks[g][1, row] = solve[g](b)
+            u = [2.0 * blocks[g][1, row] - v for g, v in enumerate(u)]
+            if corrected:
+                u = list(corrector.correct(*u)[:2])
+        return u, k
 
     try:
         for n in range(0, N, BLOCK_STEPS):
             k = min(BLOCK_STEPS, N - n)
-            u, done = state, 0
-            while done < k and fill(u, done, time_grid.half_node(n + done + 1)):
-                u = advance(u, [block[1, done] for block in blocks])
-                done += 1
-            etas = [solver.backward_error(block[1, :done], block[0, :done])
-                    for solver, block in zip(solvers, blocks)] if done else []
-            missed = sum(int(np.count_nonzero(~(eta <= BACKWARD_ERROR_BOUND)))
-                         for eta in etas)
-            if not missed:
-                if done < k:
-                    # every step before it holds: the march stops here, as
-                    # the step's checked solve would
-                    raise ValueError("array must not contain infs or NaNs")
-                eta_max = max(eta_max, *(float(eta.max()) for eta in etas))
-                state = u
-                continue
-            # a solve missed the bound: march the block again one checked
-            # solve at a time, from the same start state
-            refinements += missed
-            u = state
-            for row in range(k):
-                t = time_grid.half_node(n + row + 1)
-                solutions = []
-                for solver, x, v in zip(solvers, nodes, u):
-                    b = v + half_tau * problem.rhs(x, t)
-                    solutions.append(solver.solve(b))
-                    eta_max = max(eta_max, solver.backward_error(solutions[-1], b))
-                u = advance(u, solutions)
+            # when a solve misses the bound, march the block again from the
+            # same start state, checked
+            for solve in (unchecked, checked):
+                u, done = march(state, n, k, solve)
+                etas = [solver.backward_error(blocks[g][1, :done], blocks[g][0, :done])
+                        for g, solver in enumerate(solvers)] if done else []
+                missed = sum(int(np.count_nonzero(~(eta <= BACKWARD_ERROR_BOUND)))
+                             for eta in etas)
+                if not missed or solve is checked:
+                    break
+                refinements += missed
+            if done < k:
+                # every step before it holds: the march stops here, as the
+                # step's checked solve would
+                raise ValueError("array must not contain infs or NaNs")
+            eta_max = max(eta_max, *(float(eta.max()) for eta in etas))
             state = u
     finally:
         # an exception's traceback keeps this frame: hold no block in it

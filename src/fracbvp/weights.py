@@ -10,7 +10,9 @@ Three families are provided:
   Fourier series of ``|2 sin(z/2)|**beta``.
 
 All sequences obey simple one-term recursions, which are preferred over
-per-index Gamma-function ratios for both speed and accuracy.
+per-index Gamma-function ratios for both speed and accuracy.  The cached
+:func:`weight_table` holds what the grid operators read: the WSGD weights
+and the nonnegative half of the centered ones.
 """
 
 from __future__ import annotations
@@ -117,40 +119,22 @@ def centered_weights(beta: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Immutable bundle of the three weight families for one order.
+    """The weights the grid operators read for one order.
 
-    ``g`` and ``w`` hold indices ``0..n``; ``wc`` is the symmetric sequence
-    ``w~_{-n} .. w~_n``.  Arrays are read-only so a table can be shared
-    freely across threads.
+    ``w`` holds the WSGD weights ``w_0 .. w_n`` and ``wc`` the centered
+    half ``w~_0 .. w~_n`` (the sequence is even).  Arrays are read-only so
+    a table can be shared freely across threads.
     """
 
-    beta: float
-    g: np.ndarray
     w: np.ndarray
     wc: np.ndarray
-    lambda1: float
-    lambda0: float
-    lambda_neg1: float
-
-    @property
-    def n(self) -> int:
-        return len(self.g) - 1
-
-    def wc_at(self, k: int | np.ndarray) -> np.ndarray:
-        """Centered weight(s) by signed index ``k`` with ``|k| <= n``."""
-        return self.wc[np.asarray(k) + self.n]
 
 
 @lru_cache(maxsize=64)
 def weight_table(beta: float, n: int) -> WeightTable:
     """Build (or fetch from cache) the weight table for ``(beta, n)``."""
-    lam1, lam0, lam_neg1 = wsgd_lambdas(beta)
-    g = grunwald_coeffs(beta, n)
     w = wsgd_weights(beta, n)
-    wc = centered_weights(beta, max(n, 1))
-    for arr in (g, w, wc):
+    wc = centered_weights_half(beta, n)
+    for arr in (w, wc):
         arr.setflags(write=False)
-    return WeightTable(
-        beta=beta, g=g, w=w, wc=wc,
-        lambda1=lam1, lambda0=lam0, lambda_neg1=lam_neg1,
-    )
+    return WeightTable(w=w, wc=wc)

@@ -89,7 +89,8 @@ def apply_fcd(v: GridFunction, beta: float) -> GridFunction:
     y = toeplitz_matvec(col, row, v.interior)
     scale = grid.h ** (-beta)
     j = np.arange(1, grid.M)
-    y += scale * (t.wc_at(j) * v.values[0] + t.wc_at(grid.M - j) * v.values[-1])
+    # the boundary weights are w~_j and w~_{j-M}, which equals w~_{M-j}
+    y += scale * (t.wc[j] * v.values[0] + t.wc[grid.M - j] * v.values[-1])
     return GridFunction.from_interior(grid, y)
 
 

@@ -12,7 +12,7 @@ from fracbvp.analytic import (
     elliptic_rhs,
     left_derivative,
     left_rl_derivative_power,
-    right_rl_derivative_power,
+    right_derivative,
     riesz_symmetric_constant,
 )
 from fracbvp.catalog import (
@@ -48,11 +48,16 @@ class TestPowerDerivatives:
 
     @pytest.mark.parametrize("beta", (1.2, 1.5, 1.9))
     def test_right_mirrors(self, beta):
-        assert right_rl_derivative_power(beta, beta - 1.0).terms == ()
+        def right_power(beta, eta):
+            # right-sided derivative of the one-term sum (1 - x)**eta
+            return right_derivative(
+                PowerSum.left_anchored([(1.0, eta)]).reflected(), beta)
+
+        assert right_power(beta, beta - 1.0).terms == ()
         np.testing.assert_allclose(
-            right_rl_derivative_power(beta, beta)(XS), spgamma(beta + 1.0),
-            rtol=1e-14)
-        d = right_rl_derivative_power(1.5, 2.0)
+            right_power(beta, beta)(XS), spgamma(beta + 1.0), rtol=1e-14)
+        d = right_power(1.5, 2.0)
+        assert d.terms == (PowerTerm(math.gamma(3.0) / math.gamma(1.5), 0.0, 0.5),)
         oracle = spgamma(3.0) / spgamma(1.5) * (1.0 - XS) ** 0.5
         np.testing.assert_allclose(d(XS), oracle, rtol=1e-14)
 
@@ -85,7 +90,9 @@ class TestPowerDerivatives:
 class TestPowerSumAlgebra:
     def test_add_scale_negate(self):
         p = PowerSum.left_anchored([(2.0, 1.0)])
-        q = PowerSum.right_anchored([(1.0, 2.0)])
+        q = PowerSum.left_anchored([(1.0, 2.0)]).reflected()
+        assert q.terms == (PowerTerm(1.0, 0.0, 2.0),)
+        assert q.reflected() == PowerSum.left_anchored([(1.0, 2.0)])
         np.testing.assert_allclose((p + q)(XS), 2 * XS + (1 - XS) ** 2, rtol=1e-15)
         np.testing.assert_allclose((3.0 * p)(XS), 6 * XS, rtol=1e-15)
         np.testing.assert_allclose((p - p)(XS), 0.0, atol=0)
@@ -97,9 +104,11 @@ class TestPowerSumAlgebra:
             p + q
 
     def test_mixed_orientation_cannot_take_fractional_side(self):
-        mixed = PowerSum(0.0, 1.0, (PowerTerm(1.0, 0.7, 0.7),))
-        with pytest.raises(ValueError):
+        mixed = PowerSum(0.0, 1.0, (PowerTerm(1.0, 0.7, 0.3),))
+        with pytest.raises(ValueError, match="is 0.3 cannot .* the left endpoint"):
             left_derivative(mixed, 1.5)
+        with pytest.raises(ValueError, match="is 0.7 cannot .* the right endpoint"):
+            right_derivative(mixed, 1.5)
 
 
 class TestEllipticRhs:

@@ -103,7 +103,7 @@ class TestAgainstDenseOracle:
         out = apply_fcd(v, 1.5)
         np.testing.assert_allclose(
             out.interior,
-            2.0 * scale * t.wc_at(grid.M - np.arange(1, grid.M)), rtol=1e-13)
+            2.0 * scale * t.wc[grid.M - np.arange(1, grid.M)], rtol=1e-13)
 
 
 class TestAdjointness:

@@ -5,9 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fracbvp import study
 from fracbvp.catalog import catalog
+from fracbvp.correction import correct
 from fracbvp.grids import Grid, GridFunction
 from fracbvp.report import ConvergenceReport
+from fracbvp.solver import SchemeKind
 from fracbvp.study import (
     ConfigError,
     StudyConfig,
@@ -78,14 +81,6 @@ def test_emit_reports_refuses_two_reports_at_one_order(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_time_study_steps_override_tau():
-    config = StudyConfig(problem=catalog("ex3", 1.5), M_list=(8, 16), tau=0.5, steps=4)
-    (report,) = run_time_study(config)
-    assert report.metadata["steps"] == 4
-    assert report.metadata["tau"] == 0.25
-    assert [row.M for row in report.rows] == [8, 16]
-
-
 def test_time_study_needs_an_exact_solution():
     config = StudyConfig(problem=replace(catalog("ex3", 1.5), exact=None), M_list=(8,))
     with pytest.raises(ConfigError, match="exact solution"):
@@ -103,3 +98,62 @@ def test_stationary_catalog_specs_are_cache_keys(name):
     # the reference cache is keyed by value: a rebuilt spec must find it
     assert catalog(name, 1.5) == catalog(name, 1.5)
     assert hash(catalog(name, 1.5)) == hash(catalog(name, 1.5))
+
+
+BOUND = 2.0 ** -42
+
+
+@pytest.mark.parametrize("name,reference", [("ex1-case1", "exact"),
+                                            ("ex2-case2", "level-8")])
+@pytest.mark.parametrize("corrected", [False, True])
+def test_study_report_metadata(fresh_cache, name, reference, corrected):
+    config = StudyConfig(problem=catalog(name, 1.5), corrected=corrected,
+                         M_list=(16, 32), ref_level=8)
+    (report,) = run_study(config)
+    theta = 1.0 if name == "ex1-case1" else 0.5
+    assert report.metadata == {
+        "problem": name, "beta": 1.5, "theta": theta, "alpha": 1.0,
+        "scheme": "wsgd", "corrected": corrected,
+        "error_grid": "2M" if corrected else "M", "reference": reference,
+        "backward_error_bound": BOUND, "guard_activations": 0}
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+def test_time_study_report_metadata(corrected):
+    config = StudyConfig(problem=catalog("ex3", 1.5), corrected=corrected,
+                         M_list=(8, 16), tau=0.05)
+    (report,) = run_time_study(config)
+    meta = dict(report.metadata)
+    # the largest backward error of a step is a rounding residue
+    assert 0.0 < meta.pop("backward_error_max") <= BOUND
+    assert meta == {
+        "problem": "ex3", "beta": 1.5, "theta": 1.0, "scheme": "cn-wsgd",
+        "corrected": corrected, "tau": 0.05, "steps": 20, "final_time": 1.0,
+        "backward_error_bound": BOUND, "refinements": 0,
+        "guard_activations": 0}
+
+
+def test_reports_sum_counts_over_the_grids(monkeypatch):
+    # guard activations and refinements add up over the rows, and the
+    # largest backward error is the largest of any grid
+    problem = catalog("ex1-case1", 1.5)
+    solution = correct(problem, problem.singular, 16, SchemeKind.WSGD)
+    monkeypatch.setattr(study, "correct",
+                        lambda *args: replace(solution, guard_activations=2))
+    (report,) = run_study(StudyConfig(problem=problem, corrected=True,
+                                      M_list=(16,)))
+    assert report.metadata["guard_activations"] == 2
+    field = GridFunction.zeros(Grid(0.0, 1.0, 8))
+    runs = iter([(1, 3e-16, 4), (2, 1e-16, 0)])
+
+    def march(problem, M, time_grid, corrected, diagnostics):
+        refinements, eta, guards = next(runs)
+        diagnostics.update(refinements=refinements, backward_error_max=eta,
+                           guard_activations=guards)
+        return field
+
+    monkeypatch.setattr(study, "cn_wsgd_solve", march)
+    (report,) = run_time_study(StudyConfig(problem=catalog("ex3", 1.5),
+                                           M_list=(8, 16), tau=0.5))
+    assert (report.metadata["refinements"], report.metadata["backward_error_max"],
+            report.metadata["guard_activations"]) == (3, 3e-16, 4)

@@ -64,7 +64,7 @@ class TestFrozenRows:
     def test_final_time_errors(self, M, corrected):
         # the benchmark's gate: |e - e0| <= 1e-6 |e0| + eps * M**beta
         (report,) = run_time_study(StudyConfig(problem=catalog("ex3", BETA),
-                                               M_list=[M], steps=1000,
+                                               M_list=[M], tau=1e-3,
                                                corrected=corrected))
         (row,) = report.rows
         assert row.M == M
@@ -249,7 +249,7 @@ class TestBlockMarch:
         assert 0.0 < diag["backward_error_max"] <= BACKWARD_ERROR_BOUND
         _spoil_products(monkeypatch, 15, 50, 1)
         (report,) = run_time_study(StudyConfig(problem=problem, M_list=[16, 32],
-                                               steps=100))
+                                               tau=0.01))
         assert report.metadata["refinements"] == 1
         assert 0.0 < report.metadata["backward_error_max"] <= BACKWARD_ERROR_BOUND
 

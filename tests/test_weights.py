@@ -154,19 +154,19 @@ class TestSignPatterns:
 
 class TestWeightTable:
     def test_fields_and_invariants(self):
+        # what the operators read: w_0 .. w_n and the centered half
         t = weight_table(1.5, 32)
-        assert t.n == 32
-        assert t.g[0] == 1.0 and t.g[1] == -1.5
-        assert abs(t.lambda1 + t.lambda0 + t.lambda_neg1 - 1.0) < 1e-15
-        np.testing.assert_array_equal(t.wc, t.wc[::-1])
-        assert t.wc_at(0) == t.wc[t.n]
-        assert t.wc_at(-3) == t.wc_at(3)
+        np.testing.assert_array_equal(t.w, wsgd_weights(1.5, 32))
+        np.testing.assert_array_equal(t.wc, centered_weights_half(1.5, 32))
+        np.testing.assert_array_equal(t.wc, centered_weights(1.5, 32)[32:])
+        assert len(t.w) == len(t.wc) == 33
 
     def test_immutable_and_cached(self):
         t = weight_table(1.7, 16)
         assert weight_table(1.7, 16) is t
-        with pytest.raises(ValueError):
-            t.w[0] = 0.0
+        for arr in (t.w, t.wc):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 @settings(max_examples=60, deadline=None)
