@@ -12,14 +12,18 @@ path of :func:`fracbvp.solver.make_solver` -- the explicit inverse, the
 Gohberg-Semencul product and GMRES -- on the stationary WSGD system
 (alpha = 1, theta = 1) and on the Crank-Nicolson matrix of the ``ex3``
 march (tau = 1e-3).  The explicit inverse holds two dense M x M arrays, so
-it is timed up to M = 1024 only.
+it is timed up to M = 1024 only.  GMRES is also timed at M = 2**13 ...
+2**16 (not with ``--quick``), the sizes of the level-14 and level-15
+reference solves and one beyond; with ``--baseline DIR`` its solve at
+those sizes is also timed on DIR, alternating with this checkout over
+``ROUNDS`` rounds.
 
 Then whole ``ex3`` marches (beta = 1.5, 1000 steps) through
 :func:`fracbvp.timestepper.cn_wsgd_solve`: uncorrected at M = 2**4 ...
 2**11, corrected up to 2**9 (up to 2**7 and 2**6 with ``--quick``).  A
 round times every march ``MARCH_REPEATS`` times in a fresh interpreter
 and keeps the least wall and CPU seconds of each; with ``--baseline DIR``
-the script runs ``MARCH_ROUNDS`` rounds on this checkout and on DIR,
+the script runs ``ROUNDS`` rounds on this checkout and on DIR,
 alternating which runs first, and records the median and quartiles over
 the rounds and how many rounds the change won.  Other processes on the machine lengthen the
 wall time; the CPU time leaves out the time they hold the processor.
@@ -59,13 +63,15 @@ from fracbvp.solver import (FracParams, SchemeKind, ToeplitzSolver,  # noqa: E40
 BETAS = (1.1, 1.5, 1.8)
 TAU = 1e-3
 EXPLICIT_TIMED_UP_TO = 1024
+KRYLOV_SIZES = [2 ** k for k in range(13, 17)]
 PATHS = {"explicit": dict(method="dense", explicit=True),
          "gohberg-semencul": dict(method="dense"),
          "gmres": dict(method="krylov")}
 SYSTEMS = {"stationary": 1.0, "crank-nicolson": 0.5 * TAU}
 WORKLOADS = ("dense", "reference")
 MARCH_REPEATS = 3
-MARCH_ROUNDS = 10
+KRYLOV_REPEATS = 7
+ROUNDS = 10
 
 # Times the marches given as JSON [[M, corrected], ...] with fracbvp from
 # the src/ directory given first; prints
@@ -90,6 +96,30 @@ for M, corrected in json.loads(sys.argv[2]):
         wall = min(wall, time.perf_counter() - t0)
         cpu = min(cpu, time.process_time() - c0)
     result[f"{M}/{corrected}"] = [wall, cpu, raised]
+print(json.dumps(result))
+"""
+# Times Krylov solves of the stationary system given as JSON [[M, beta], ...]
+# with fracbvp from the src/ directory given first; prints
+# {"M/beta": [least seconds per solve, GMRES iterations]}.
+KRYLOV_CODE = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from fracbvp.grids import Grid
+from fracbvp.solver import (FracParams, SchemeKind, ToeplitzSolver,
+                            scheme_toeplitz)
+result = {}
+for M, beta in json.loads(sys.argv[2]):
+    col, row = scheme_toeplitz(FracParams(1.0, beta, 1.0), Grid(0.0, 1.0, M),
+                               SchemeKind.WSGD)
+    b = np.random.default_rng(M).standard_normal(M - 1)
+    solver = ToeplitzSolver(col, row, method="krylov")
+    best = float("inf")
+    for _ in range(int(sys.argv[3])):
+        t0 = time.perf_counter()
+        solver.solve(b)
+        best = min(best, time.perf_counter() - t0)
+    result[f"{M}/{beta}"] = [best, solver.last_iterations]
 print(json.dumps(result))
 """
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s", "ok_frac")
@@ -120,21 +150,44 @@ def path_costs(M: int, beta: float, system: str, path: str) -> dict:
             "backward_error": solver.backward_error(x, b)}
 
 
-def _time_marches(checkout: Path, runs: list) -> dict:
-    out = subprocess.run([sys.executable, "-c", MARCH_CODE, str(checkout / "src"),
-                          json.dumps(runs), str(MARCH_REPEATS)],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+def _rounds(code: str, runs: list, repeats: int, baseline: Path | None) -> dict:
+    """What ``code`` prints for ``runs`` in a fresh interpreter, per side
+    (this checkout, and the baseline if given) and round, alternating
+    which side runs first."""
+    sides = {"change": ROOT} | ({"baseline": baseline} if baseline else {})
+    rounds: dict = {side: [] for side in sides}
+    for i in range(ROUNDS if baseline else 1):
+        for side in sorted(sides, reverse=i % 2 == 1):
+            out = subprocess.run([sys.executable, "-c", code, str(sides[side] / "src"),
+                                  json.dumps(runs), str(repeats)],
+                                 check=True, capture_output=True, text=True).stdout
+            rounds[side].append(json.loads(out))
+    return rounds
+
+
+def krylov_solves(baseline: Path) -> list:
+    """Least seconds per GMRES solve and iterations at ``KRYLOV_SIZES`` over
+    the rounds, on this checkout and the baseline."""
+    runs = [[M, beta] for M in KRYLOV_SIZES for beta in BETAS]
+    rounds = _rounds(KRYLOV_CODE, runs, KRYLOV_REPEATS, baseline)
+    entries = []
+    for M, beta in runs:
+        key = f"{M}/{beta}"
+        entry = {"M": M, "beta": beta, "system": "stationary"}
+        for side, results in rounds.items():
+            entry[side] = {"solve_s": _summary([r[key][0] for r in results]),
+                           "iterations": results[0][key][1]}
+        entry["change_wins"] = sum(
+            c[key][0] < b[key][0]
+            for b, c in zip(rounds["baseline"], rounds["change"]))
+        entries.append(entry)
+    return entries
 
 
 def marches(runs: list, baseline: Path | None) -> list:
     """Wall and CPU seconds of each whole march over the rounds, on this
     checkout and the baseline."""
-    sides = {"change": ROOT} | ({"baseline": baseline} if baseline else {})
-    rounds: dict = {side: [] for side in sides}
-    for i in range(MARCH_ROUNDS if baseline else 1):
-        for side in sorted(sides, reverse=i % 2 == 1):
-            rounds[side].append(_time_marches(sides[side], runs))
+    rounds = _rounds(MARCH_CODE, runs, MARCH_REPEATS, baseline)
     entries = []
     for M, corrected in runs:
         key = f"{M}/{corrected}"
@@ -202,6 +255,9 @@ def main(argv=None) -> int:
               for M in sizes for beta in BETAS for system in SYSTEMS
               for path in PATHS
               if path != "explicit" or M <= EXPLICIT_TIMED_UP_TO]
+    if not args.quick:
+        solves += [path_costs(M, beta, system, "gmres") for M in KRYLOV_SIZES
+                   for beta in BETAS for system in SYSTEMS]
     march_runs = ([[M, False] for M in sizes if M <= 2048]
                   + [[M, True] for M in sizes if M <= (64 if args.quick else 512)])
     baseline = args.baseline.resolve() if args.baseline is not None else None
@@ -214,6 +270,7 @@ def main(argv=None) -> int:
         "march": marches(march_runs, baseline),
     }
     if baseline is not None:
+        doc["krylov"] = krylov_solves(baseline)
         doc["end_to_end"] = end_to_end(baseline, args.pairs, args.seconds)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     missing = sorted(set(PATHS) - {entry["path"] for entry in solves})

@@ -36,7 +36,6 @@ from .study import StudyConfig, reference_solution, run_study, run_time_study
 from .timestepper import TimeGrid, cn_wsgd_solve
 from .weights import (
     WeightTable,
-    centered_weights,
     grunwald_coeffs,
     weight_table,
     wsgd_weights,

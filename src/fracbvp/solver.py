@@ -43,6 +43,17 @@ path holds: the Strang circulant, or on the direct path ``A^-1`` itself.
 GMRES so preconditioned is an iterative refinement (Carson & Higham
 2017): a product that meets the bound is returned after one residual, and
 one iteration brought every system measured below it.
+
+The Strang circulant ``C`` copies the central diagonals of ``A`` (Chan &
+Ng 1996; Lei & Sun 2013).  On ``M = 2**k`` intervals, the grids of a
+reference and the default study grids, its order is ``N = M``, one more
+than the ``m = M - 1`` unknowns, so that its FFTs run at a power of two
+rather than at ``m`` (prime for ``M = 8192``).  The preconditioner is then
+``C^-1 [x; 0]`` cut to ``m`` entries: the leading ``m x m`` block of
+``C^-1``.  By the Schur complement that block is the inverse of ``C``'s
+own ``m x m`` section less a rank-one term, so the preconditioned
+spectrum keeps its cluster.  Any other ``m`` keeps ``N = m``
+(:func:`strang_order`).
 """
 
 from __future__ import annotations
@@ -62,22 +73,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec
 
 # The cost rule of :func:`make_solver`.  The timings that set it are in
-# BENCH_11.json, written by scripts/solver_costs.py (one BLAS thread, WSGD,
+# BENCH_14.json, written by scripts/solver_costs.py (one BLAS thread, WSGD,
 # beta in {1.1, 1.5, 1.8}).
 
 #: Most solves that GMRES serves.  For the non-symmetric systems timed the
 #: Gohberg-Semencul set-up is two GMRES solves, and with its two products
-#: it cost more than two GMRES solves in 50 of 54 cells (M = 16 ... 4096),
-#: the other four less by at most 0.34 ms.
+#: it cost more than two GMRES solves in all 54 cells (M = 16 ... 4096);
+#: with three products it cost less than three GMRES solves in 43 of them.
 KRYLOV_MAX_SOLVES = 2
 
 #: Largest interval count at which many solves use the explicit inverse:
-#: a solve costs 13-44 us up to M = 256 against 46-123 us for the
-#: Gohberg-Semencul product, but 197-233 us against 91-113 us at M = 512.
+#: a solve costs 20-41 us up to M = 256 against 53-88 us for the
+#: Gohberg-Semencul product, but 218-268 us against 95-153 us at M = 512.
 EXPLICIT_LIMIT = 256
 
 #: Fewest solves that pay for forming the explicit inverse: at M = 256 it
-#: adds 0.7-1.5 ms to the set-up, 10-43 of the 35-80 us per-solve savings.
+#: adds 1.0-1.2 ms to the set-up, 26-33 of the 33-38 us per-solve savings.
 EXPLICIT_MIN_SOLVES = 32
 
 #: Largest normwise backward error accepted from any solve (1024 eps).
@@ -168,19 +179,27 @@ def scheme_toeplitz(params: FracParams, grid: Grid, scheme: SchemeKind,
 # -- Toeplitz linear solver ---------------------------------------------
 
 
+def strang_order(m: int) -> int:
+    """Order ``N`` of the Strang circulant of an ``m x m`` Toeplitz matrix:
+    ``m + 1`` when that is a power of two of at least 4 (the interior
+    system of ``M = 2**k`` intervals), so that its FFTs run at a power of
+    two, and ``m`` otherwise."""
+    return m + 1 if m >= 3 and m & (m + 1) == 0 else m
+
+
 def strang_circulant_eigenvalues(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Half spectrum (rfft; the rest are conjugates) of the Strang circulant
     built from a real Toeplitz matrix.
 
-    The circulant copies the central diagonals: ``c_k = t_k`` for
-    ``k <= m/2`` and ``c_k = t_{k-m}`` for ``k > m/2``.
+    The circulant of order ``N = strang_order(m)`` copies the central
+    diagonals: ``c_k = t_k`` for ``k <= N/2`` and ``c_k = t_{k-N}`` for
+    ``k > N/2``, all of them diagonals of the ``m x m`` matrix.
     """
-    m = len(col)
-    s = np.zeros(m)
-    half = m // 2
+    n = strang_order(len(col))
+    s = np.empty(n)
+    half = n // 2
     s[:half + 1] = col[:half + 1]
-    k = np.arange(half + 1, m)
-    s[k] = row[m - k]
+    s[half + 1:] = row[n - half - 1:0:-1]
     return np.fft.rfft(s)
 
 
@@ -281,11 +300,14 @@ class ToeplitzSolver:
     def _precondition(self, x: np.ndarray) -> np.ndarray:
         """``P^-1 x``: once the direct set-up has built it, ``A^-1 x``,
         explicit or by the Gohberg-Semencul product; until then, and on
-        the Krylov path, the Strang circulant's inverse."""
+        the Krylov path, the leading block of the Strang circulant's
+        inverse."""
         if self._inverse is not None:
             return self._inverse.dot(x)
         if self._lower is None:
-            return np.fft.irfft(np.fft.rfft(x) / self._lam, n=self.m)
+            # the leading m x m block of C^-1: C^-1 [x; 0] cut to m entries
+            n = strang_order(self.m)
+            return np.fft.irfft(np.fft.rfft(x, n=n) / self._lam, n=n)[:self.m]
         m, L = self.m, self._L
         u = np.fft.irfft(self._upper * np.fft.rfft(x, n=L), n=L)
         z = np.fft.rfft(u[:, :m], n=L) * self._lower

@@ -54,6 +54,12 @@ class ConfigError(ValueError):
     """Invalid study configuration."""
 
 
+#: Most steps a time study marches: 1000 times the steps of the default
+#: tau, about 20 s of marching on M = 16 at some 20 us a step.  A smaller
+#: time step is refused as a mistake; its march could run for days.
+MAX_STEPS = 10 ** 6
+
+
 @dataclass
 class StudyConfig:
     """One convergence study of one problem (stationary or time-dependent)."""
@@ -185,7 +191,8 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
     returns its one report.
 
     Needs the problem's exact solution.  The march takes round(T / tau)
-    steps; the default tau = 1e-3 of the tables lets the spatial error dominate.
+    steps, at most ``MAX_STEPS``; the default tau = 1e-3 of the tables lets
+    the spatial error dominate.
     """
     problem = config.problem
     if not isinstance(problem, TimeDependentProblem):
@@ -194,7 +201,11 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
         raise ConfigError(
             f"problem {problem.name!r} has no exact solution to measure against")
     T = problem.final_time
-    tg = TimeGrid(T=T, N=max(1, round(T / config.tau)))
+    steps = T / config.tau
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"time step {config.tau!r} takes {steps:.3g} steps to "
+                          f"T = {T}, more than MAX_STEPS = {MAX_STEPS}")
+    tg = TimeGrid(T=T, N=max(1, round(steps)))
     meta = {
         "scheme": "cn-wsgd",
         "tau": tg.tau,
@@ -239,6 +250,7 @@ def emit_reports(reports: Sequence[ConvergenceReport], fmt: str,
 
 __all__ = [
     "ConfigError",
+    "MAX_STEPS",
     "StudyConfig",
     "reference_solution",
     "run_study",

@@ -6,8 +6,8 @@ Three families are provided:
   ``(1 - z)**beta``,
 * ``wsgd_weights`` -- the second-order weighted-shifted combination
   ``w_k`` built from three shifted Grunwald stencils,
-* ``centered_weights`` -- the symmetric coefficients ``w~_k`` of the
-  Fourier series of ``|2 sin(z/2)|**beta``.
+* ``centered_weights_half`` -- the coefficients ``w~_k``, ``k >= 0``, of
+  the Fourier series of ``|2 sin(z/2)|**beta`` (the sequence is even).
 
 All sequences obey simple one-term recursions, which are preferred over
 per-index Gamma-function ratios for both speed and accuracy.  The cached
@@ -102,19 +102,6 @@ def centered_weights_half(beta: float, n: int) -> np.ndarray:
         k = np.arange(1, n + 1, dtype=float)
         w[1:] = w0 * np.cumprod(1.0 - (beta + 1.0) / (0.5 * beta + k))
     return w
-
-
-def centered_weights(beta: float, n: int) -> np.ndarray:
-    """Symmetric centered weights ``w~_{-n} .. w~_n`` (length ``2n + 1``).
-
-    These are the Fourier coefficients of ``|2 sin(z/2)|**beta``; the
-    sequence is even, with a single negative entry at index 0 for
-    ``1 < beta < 2``.
-    """
-    if n < 1:
-        raise ValueError("half-width must be at least 1")
-    half = centered_weights_half(beta, n)
-    return np.concatenate([half[:0:-1], half])
 
 
 @dataclass(frozen=True)

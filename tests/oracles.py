@@ -10,7 +10,7 @@ from fracbvp.grids import Grid, GridFunction
 from fracbvp.operators import fcd_toeplitz, left_wsgd_toeplitz, toeplitz_matvec
 from fracbvp.correction import TwoGridCorrector
 from fracbvp.solver import FracParams, SchemeKind, make_solver, scheme_toeplitz
-from fracbvp.weights import weight_table
+from fracbvp.weights import centered_weights_half, weight_table
 
 
 def toeplitz_matvec_naive(first_column: np.ndarray, first_row: np.ndarray,
@@ -35,6 +35,31 @@ def toeplitz_matvec_naive(first_column: np.ndarray, first_row: np.ndarray,
         parts += [row[j - i] * x[j] for j in range(i + 1, m)]
         out[i] = math.fsum(parts)
     return out
+
+
+def centered_weights(beta: float, n: int) -> np.ndarray:
+    """Symmetric centered weights ``w~_{-n} .. w~_n`` (length ``2n + 1``),
+    the Fourier coefficients of ``|2 sin(z/2)|**beta``, mirrored from the
+    nonnegative half the operators read."""
+    if n < 1:
+        raise ValueError("half-width must be at least 1")
+    half = centered_weights_half(beta, n)
+    return np.concatenate([half[:0:-1], half])
+
+
+def strang_preconditioner(col: np.ndarray, row: np.ndarray, order: int) -> np.ndarray:
+    """Dense ``R C^-1 E``, the leading ``m x m`` block of the inverse of the
+    Strang circulant ``C`` of order ``N = order`` (``m`` or ``m + 1``) of a
+    Toeplitz matrix with first column ``col`` and first row ``row``.
+
+    ``C`` has first column ``c_k = t_k`` for ``k <= N/2`` and ``t_{k-N}``
+    above, with ``t_k = col[k]`` and ``t_{-k} = row[k]``; ``E`` embeds
+    ``m`` entries in ``N`` with zeros and ``R`` keeps the first ``m``.
+    """
+    m = len(col)
+    t = {k: col[k] for k in range(m)} | {-k: row[k] for k in range(1, m)}
+    c = [t[k] if k <= order // 2 else t[k - order] for k in range(order)]
+    return np.linalg.inv(scipy.linalg.circulant(c))[:m, :m]
 
 
 def left_wsgd_matrix(grid: Grid, beta: float) -> np.ndarray:

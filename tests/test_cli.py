@@ -186,6 +186,29 @@ def test_invalid_time_step_is_a_config_error(tmp_path, capsys, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tau", ["1e-300", "5e-324", "9.99e-7"])
+def test_too_many_time_steps_is_a_config_error(tmp_path, tau):
+    # the march would never end: in a subprocess with a timeout, so that a
+    # march that starts fails here instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "t.csv"
+    argv = ["timestudy", "--grids", "16", "--tau", tau, "--out", str(out)]
+    done = subprocess.run([sys.executable, "-m", "fracbvp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == cli.EXIT_CONFIG, done.stderr
+    assert f"more than MAX_STEPS = {study.MAX_STEPS}" in done.stderr
+    assert not out.exists()
+
+
+def test_most_time_steps_are_marched(monkeypatch, tmp_path):
+    # the cap itself is allowed
+    monkeypatch.setattr(study, "MAX_STEPS", 40)
+    argv = ["timestudy", "--grids", "16", "--tau", "0.025",
+            "--out", str(tmp_path / "t.json"), "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert parse_report_json(tmp_path / "t.json").metadata["steps"] == 40
+
+
 @pytest.mark.parametrize("argv", [
     ["study"],  # no --example
     ["study", "--example", "ex3"],

@@ -25,9 +25,10 @@ from fracbvp.solver import (
     scheme_toeplitz,
     solve_bvp,
     strang_circulant_eigenvalues,
+    strang_order,
 )
 from fracbvp.weights import grunwald_coeffs, wsgd_lambdas
-from oracles import assemble
+from oracles import assemble, strang_preconditioner
 
 
 class TestFracParams:
@@ -338,6 +339,50 @@ class TestSolve:
         with pytest.raises(ValueError, match="at least one solve"):
             make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
                         SchemeKind.WSGD, solves=0)
+
+
+class TestStrangPreconditioner:
+    # the order is m + 1 = M when that is a power of two, m otherwise
+    @pytest.mark.parametrize("m,order", [(1, 1), (2, 2), (3, 4), (4, 4), (7, 8),
+                                         (16, 16), (1023, 1024), (1024, 1024)])
+    def test_order(self, m, order):
+        assert strang_order(m) == order
+
+    @pytest.mark.parametrize("M", [16, 1024])
+    def test_eigenvalue_count(self, M):
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, M),
+                                   SchemeKind.WSGD)
+        assert len(strang_circulant_eigenvalues(col, row)) == M // 2 + 1
+
+    @pytest.mark.parametrize("M,order", [(16, 16), (1024, 1024), (17, 16)])
+    @pytest.mark.parametrize("scheme,theta", [(SchemeKind.WSGD, 0.0),
+                                              (SchemeKind.WSGD, 0.5),
+                                              (SchemeKind.WSGD, 1.0),
+                                              (SchemeKind.FCD, 0.5)])
+    def test_precondition_against_dense_oracle(self, scheme, theta, M, order):
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, theta), Grid(0.0, 1.0, M),
+                                   scheme)
+        x = np.random.default_rng(M).standard_normal(M - 1)
+        want = strang_preconditioner(col, row, order) @ x
+        got = ToeplitzSolver(col, row, method="krylov")._precondition(x)
+        # the circulant at M = 1024 has condition number 3e4
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    # the level-15 reference solves the problem and its singular term on
+    # M = 2**14 and 2**15 (2**13 and 2**14 for a level-14 reference)
+    @pytest.mark.parametrize("M", [2 ** 13, 2 ** 14, 2 ** 15])
+    @pytest.mark.parametrize("example,most", [("ex1-case2", 7), ("ex2-case2", 8)])
+    def test_reference_sizes_take_few_iterations(self, example, most, M):
+        spec = catalog(example, 1.5)
+        grid = Grid(*spec.domain, M)
+        x = grid.interior_nodes()
+        solver = make_solver(spec.params, grid, SchemeKind.WSGD)
+        assert solver.method == "krylov"
+        for f in (spec.rhs(x), spec.singular.fs(x)):
+            f = np.asarray(f, dtype=float)
+            u = solver.solve(f)
+            assert solver.last_iterations <= most
+            assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
 
 
 class TestExplicitInverse:

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from scipy.special import gamma as spgamma
 
 from fracbvp.weights import (
-    centered_weights,
     centered_weights_half,
     grunwald_coeffs,
     weight_table,
     wsgd_lambdas,
     wsgd_weights,
 )
+from oracles import centered_weights
 
 BETAS = (1.1, 1.5, 1.9)
 
