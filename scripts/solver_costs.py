@@ -25,13 +25,20 @@ round times every march ``MARCH_REPEATS`` times in a fresh interpreter
 and keeps the least wall and CPU seconds of each; with ``--baseline DIR``
 the script runs ``ROUNDS`` rounds on this checkout and on DIR,
 alternating which runs first, and records the median and quartiles over
-the rounds and how many rounds the change won.  Other processes on the machine lengthen the
-wall time; the CPU time leaves out the time they hold the processor.
+the rounds.  Other processes on the machine lengthen the wall time; the
+CPU time leaves out the time they hold the processor.
 
 With ``--baseline DIR`` (another checkout of this repository, say the
 parent commit) it also runs ``perfbench/run.py`` on both checkouts for
 each workload, ``--pairs`` times, alternating which runs first, and
-records the median and quartiles of every end-to-end metric.
+records the median and quartiles of every end-to-end metric of
+``BENCHMARK.json``.
+
+Every cell and metric timed on both checkouts gets a ``compare`` entry:
+the pairs (rounds) the change won, their number, and ``resolved``, true
+when the change won at least 9 in 10 pairs and its median is better than
+the baseline's by more than the baseline's interquartile range.  A
+difference that is not resolved is not told apart from noise.
 
 Exits 1 when a path has no entry.
 """
@@ -122,7 +129,9 @@ for M, beta in json.loads(sys.argv[2]):
     result[f"{M}/{beta}"] = [best, solver.last_iterations]
 print(json.dumps(result))
 """
-METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s", "ok_frac")
+#: End-to-end metric -> "lower" or "higher", whichever is better.
+METRICS = {metric["name"]: metric["better"] for metric in
+           json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def _best(fn, repeats: int) -> float:
@@ -174,12 +183,12 @@ def krylov_solves(baseline: Path) -> list:
     for M, beta in runs:
         key = f"{M}/{beta}"
         entry = {"M": M, "beta": beta, "system": "stationary"}
+        times = {side: [r[key][0] for r in results]
+                 for side, results in rounds.items()}
         for side, results in rounds.items():
-            entry[side] = {"solve_s": _summary([r[key][0] for r in results]),
+            entry[side] = {"solve_s": _summary(times[side]),
                            "iterations": results[0][key][1]}
-        entry["change_wins"] = sum(
-            c[key][0] < b[key][0]
-            for b, c in zip(rounds["baseline"], rounds["change"]))
+        entry["compare"] = {"solve_s": _compare(times["baseline"], times["change"])}
         entries.append(entry)
     return entries
 
@@ -192,15 +201,16 @@ def marches(runs: list, baseline: Path | None) -> list:
     for M, corrected in runs:
         key = f"{M}/{corrected}"
         entry = {"M": M, "beta": 1.5, "steps": 1000, "corrected": corrected}
+        times = {side: {name: [r[key][j] for r in results]
+                        for j, name in enumerate(("wall_s", "cpu_s"))}
+                 for side, results in rounds.items()}
         for side, results in rounds.items():
-            entry[side] = {"raises": results[0][key][2]}
-            for j, name in enumerate(("wall_s", "cpu_s")):
-                times = [r[key][j] for r in results]
-                entry[side][name] = _summary(times) if len(times) > 1 else times[0]
+            entry[side] = {"raises": results[0][key][2]} | {
+                name: _summary(t) if len(t) > 1 else t[0]
+                for name, t in times[side].items()}
         if baseline:
-            entry["change_wins"] = sum(
-                c[key][0] < b[key][0]
-                for b, c in zip(rounds["baseline"], rounds["change"]))
+            entry["compare"] = {name: _compare(times["baseline"][name], t)
+                                for name, t in times["change"].items()}
         entries.append(entry)
     return entries
 
@@ -220,6 +230,19 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def _compare(baseline: list[float], change: list[float],
+             better: str = "lower") -> dict:
+    """Pairs the change wins over the baseline, and whether its difference
+    is resolved: won in at least 9 of 10 pairs, with the change's median
+    better than the baseline's by more than the baseline's IQR."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * c < sign * b for b, c in zip(baseline, change))
+    q1, median, q3 = statistics.quantiles(baseline, n=4, method="inclusive")
+    gain = sign * (median - statistics.median(change))
+    return {"wins": wins, "pairs": len(baseline),
+            "resolved": wins >= 0.9 * len(baseline) and gain > q3 - q1}
+
+
 def end_to_end(baseline: Path, pairs: int, seconds: float) -> dict:
     sides = {"baseline": baseline, "change": ROOT}
     result = {}
@@ -229,13 +252,15 @@ def end_to_end(baseline: Path, pairs: int, seconds: float) -> dict:
             order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
             for side in order:
                 runs[side].append(_perfbench(sides[side], workload, i, seconds))
-        wins = sum(c["wall_s"] < b["wall_s"]
-                   for b, c in zip(runs["baseline"], runs["change"]))
+        values = {side: {name: [r[name] for r in rs] for name in METRICS}
+                  for side, rs in runs.items()}
         result[workload] = {
-            side: {name: _summary([r[name] for r in rs]) for name in METRICS}
-            | {"correct": all(r["correct"] for r in rs)}
-            for side, rs in runs.items()} | {"wall_s_change_wins": wins,
-                                              "pairs": pairs}
+            side: {name: _summary(v) for name, v in values[side].items()}
+            | {"correct": all(r["correct"] for r in runs[side])}
+            for side in sides}
+        result[workload]["compare"] = {
+            name: _compare(values["baseline"][name], values["change"][name], better)
+            for name, better in METRICS.items()}
     return result
 
 

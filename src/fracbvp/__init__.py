@@ -21,7 +21,7 @@ from .catalog import (
     singular_term,
     with_overrides,
 )
-from .correction import CorrectedSolution, correct, correct_iterated
+from .correction import CorrectedSolution, correct
 from .grids import Grid, GridFunction
 from .operators import toeplitz_matvec
 from .report import ConvergenceReport, emit_pointwise_error, emit_report, parse_report_json

@@ -1,6 +1,8 @@
 """Command-line interface: solve, study and timestudy subcommands.
 
-Exit codes: 0 on success, 2 on solver failure, 3 on configuration errors.
+Exit codes: 0 on success, 2 on solver failure, 3 on configuration errors,
+an output path that cannot be written and grids too large for the memory
+included.
 """
 
 from __future__ import annotations
@@ -149,6 +151,11 @@ def main(argv=None) -> int:
         return _cmd_study(args)
     except (ConfigError, KeyError, ValueError) as err:
         print(f"fracbvp: configuration error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (OSError, MemoryError) as err:
+        # an output path that cannot be written, or grids too large to hold
+        print(f"fracbvp: configuration error: {type(err).__name__}: {err}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as err:
         print(f"fracbvp: solver failure: {err}", file=sys.stderr)

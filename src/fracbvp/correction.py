@@ -8,9 +8,15 @@ the pointwise strength be estimated as
     xi_h(x_j) = (u_{h/2}(x_j) - u_h(x_j)) / (us_{h/2}(x_j) - us_h(x_j)),
 
 after which ``u_h + xi_h * (us - us_h)`` recovers second-order accuracy.
-:class:`TwoGridCorrector` holds this step for one singular term; the
-stationary correction here and the Crank-Nicolson march of
-:mod:`fracbvp.timestepper` both apply it.
+
+:class:`TwoGridCorrector` is the one correction routine.
+:meth:`TwoGridCorrector.build` checks the grid pair (M, 2M) and makes the
+singular solves with the caller's two solvers, from the image ``fs`` of
+``us`` under their operator; :meth:`TwoGridCorrector.correct` corrects a
+pair of solves.  The stationary :func:`correct`, which serves the study
+rows and the reference, builds it from the singular term's ``fs``; the
+Crank-Nicolson march of :mod:`fracbvp.timestepper` builds it from the
+image under its per-step operator and corrects after every step.
 
 The ratio recovers xi only in the few nodes next to the singular end,
 where the singular gap ``us - us_h`` has order below 2 and dominates the
@@ -24,12 +30,12 @@ term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .grids import Grid, GridFunction
-from .solver import SchemeKind, SolverError, make_solver
+from .solver import SchemeKind, SolverError, ToeplitzSolver, make_solver
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec, SingularTermSpec
@@ -41,12 +47,11 @@ class CorrectedSolution:
 
     ``corrected_coarse`` lives on the coarse grid, ``corrected_fine`` on
     the fine grid (the two agree identically at coarse nodes wherever the
-    guard did not fire).  ``xi`` is the pointwise two-grid ratio (or, with
-    several singular terms, the leading term's fitted scalar); it measures
-    the singular strength only next to the singular end, and for theta in
-    {0, 1} tends to an O(1) function of x elsewhere.  ``guard_activations``
-    counts interior nodes whose denominator fell below the guard and
-    inherited a neighbour's strength.
+    guard did not fire).  ``xi`` is the pointwise two-grid ratio; it
+    measures the singular strength only next to the singular end, and for
+    theta in {0, 1} tends to an O(1) function of x elsewhere.
+    ``guard_activations`` counts interior nodes whose denominator fell
+    below the guard and inherited a neighbour's strength.
     """
 
     coarse: GridFunction
@@ -62,11 +67,11 @@ class TwoGridCorrector:
 
     Built from the singular problem's interior solves ``us_c`` (coarse,
     M-1 nodes) and ``us_f`` (fine, 2M-1 nodes) and the term's exact values
-    ``exact_c``/``exact_f`` at the same nodes.  A pair of solves ``u_c``,
-    ``u_f`` of the full problem is corrected by ``xi * (us - us_h)`` on
-    each grid: coarse nodes of the fine grid take the coarse strength,
-    midpoints the strength of their right neighbour (the last midpoint the
-    last strength).
+    ``exact_c``/``exact_f`` at the same nodes; :meth:`build` makes those
+    solves.  A pair of solves ``u_c``, ``u_f`` of the full problem is
+    corrected by ``xi * (us - us_h)`` on each grid: coarse nodes of the
+    fine grid take the coarse strength, midpoints the strength of their
+    right neighbour (the last midpoint the last strength).
 
     The strength's denominator ``us_f - us_c`` at the coarse nodes is fixed
     by the singular solves, so its guard is resolved here, once: a
@@ -106,92 +111,63 @@ class TwoGridCorrector:
             self._pick = pick
             self._den_pick = self.den[pick]
 
-    def strength(self, u_c: np.ndarray, u_f: np.ndarray) -> np.ndarray:
-        """Guarded pointwise strength at the coarse interior nodes."""
+    @classmethod
+    def build(cls, solvers: Sequence[ToeplitzSolver], nodes: Sequence[np.ndarray],
+              us: Callable, fs: Callable) -> "TwoGridCorrector":
+        """Corrector of the singular term ``us`` on a grid pair (M, 2M).
+
+        ``solvers`` and ``nodes`` are the coarse and the fine grid's solver
+        and interior nodes, and ``fs`` is the image of ``us`` under the
+        solvers' operator: the singular solves are those of ``fs``.  Raises
+        ``ValueError`` unless M is even and at least 8.
+        """
+        M = len(nodes[0]) + 1
+        if M < 8 or M % 2:
+            raise ValueError(f"correction needs an even interval count >= 8, got {M}")
+        return cls(*(solver.solve(np.asarray(fs(x), dtype=float))
+                     for solver, x in zip(solvers, nodes)),
+                   *(us(x) for x in nodes))
+
+    def correct(self, u_c: np.ndarray, u_f: np.ndarray):
+        """Corrected coarse and fine fields and the guarded pointwise
+        strength ``xi`` at the coarse interior nodes."""
         num = u_f[1::2] - u_c
         if self._pick is None:
-            return num / self.den
-        return num[self._pick] / self._den_pick
-
-    def correction(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coarse and fine corrections ``xi * (us - us_h)`` for coarse-node
-        strengths ``xi``."""
+            xi = num / self.den
+        else:
+            xi = num[self._pick] / self._den_pick
         gap_f = self.gap_f
         corr_f = np.empty_like(gap_f)
         corr_f[1::2] = xi * gap_f[1::2]
         corr_f[:-1:2] = xi * gap_f[:-1:2]
         corr_f[-1] = xi[-1] * gap_f[-1]
-        return xi * self.gap_c, corr_f
-
-    def correct(self, u_c: np.ndarray, u_f: np.ndarray):
-        """Corrected coarse and fine fields, the strength and the guard count."""
-        xi = self.strength(u_c, u_f)
-        corr_c, corr_f = self.correction(xi)
-        return u_c + corr_c, u_f + corr_f, xi, self.guard_activations
+        return u_c + xi * self.gap_c, u_f + corr_f, xi
 
 
 def correct(problem: "ProblemSpec", singular: "SingularTermSpec", M: int,
             scheme: SchemeKind) -> CorrectedSolution:
     """Two-grid singular correction of the stationary solve on M intervals.
 
-    Solves the problem and the singular problem on grids M and 2M, forms
-    the strength field and returns both corrected fields.
+    Solves the problem on grids M and 2M, builds the corrector from the
+    singular solves on both and returns the pair, the strength field and
+    both corrected fields.
     """
-    return _run_correction(problem, [singular], M, scheme)
-
-
-def correct_iterated(problem: "ProblemSpec",
-                     singular_terms: Sequence["SingularTermSpec"], M: int,
-                     scheme: SchemeKind) -> CorrectedSolution:
-    """Correction with a hierarchy of singular terms, applied in order.
-
-    With several terms the scalar strengths of all terms are fitted
-    simultaneously by least squares against the two-grid residual (the
-    pointwise ratio of the leading term would absorb the residual
-    entirely, and later terms' far smaller denominators would amplify
-    what remains into noise).  A single-term list keeps the pointwise
-    ratio and reproduces :func:`correct` exactly.
-    """
-    if not singular_terms:
-        raise ValueError("need at least one singular term")
-    return _run_correction(problem, list(singular_terms), M, scheme)
-
-
-def _run_correction(problem, terms, M, scheme) -> CorrectedSolution:
-    if M < 8 or M % 2:
-        raise ValueError(f"correction needs an even interval count >= 8, got {M}")
     a, b = problem.domain
-    grid_c = Grid(a, b, M)
-    grid_f = grid_c.refined()
-    xc, xf = grid_c.interior_nodes(), grid_f.interior_nodes()
-    # one solve of the problem and one per singular term on each grid
-    solves = 1 + len(terms)
-    solver_c = make_solver(problem.params, grid_c, scheme, solves=solves)
-    solver_f = make_solver(problem.params, grid_f, scheme, solves=solves)
-
-    def pair(rhs_ps):
-        return (solver_c.solve(np.asarray(rhs_ps(xc), dtype=float)),
-                solver_f.solve(np.asarray(rhs_ps(xf), dtype=float)))
-
-    u_c, u_f = pair(problem.rhs)
-    correctors = [TwoGridCorrector(*pair(term.fs), term.us(xc), term.us(xf))
-                  for term in terms]
-    guards = 0
-    if len(terms) == 1:
-        strengths = [correctors[0].strength(u_c, u_f)]
-        guards = correctors[0].guard_activations
-    else:
-        dens = np.column_stack([c.den for c in correctors])
-        fitted, *_ = np.linalg.lstsq(dens, u_f[1::2] - u_c, rcond=None)
-        strengths = [np.full(M - 1, s) for s in fitted]
-
-    corrections = [c.correction(s) for c, s in zip(correctors, strengths)]
-    corr_c = sum(c for c, _ in corrections)
-    corr_f = sum(f for _, f in corrections)
+    grids = [Grid(a, b, M)]
+    grids.append(grids[0].refined())
+    nodes = [grid.interior_nodes() for grid in grids]
+    # the problem's solve and the singular solve on each grid; the problem's
+    # come first, so that no corrector array is held through them
+    solvers = [make_solver(problem.params, grid, scheme, solves=2) for grid in grids]
+    u_c, u_f = (solver.solve(np.asarray(problem.rhs(x), dtype=float))
+                for solver, x in zip(solvers, nodes))
+    corrector = TwoGridCorrector.build(solvers, nodes, singular.us, singular.fs)
+    field_c, field_f, xi = corrector.correct(u_c, u_f)
+    grid_c, grid_f = grids
     return CorrectedSolution(
         coarse=GridFunction.from_interior(grid_c, u_c),
         fine=GridFunction.from_interior(grid_f, u_f),
-        xi=GridFunction.from_interior(grid_c, strengths[0]),
-        corrected_coarse=GridFunction.from_interior(grid_c, u_c + corr_c),
-        corrected_fine=GridFunction.from_interior(grid_f, u_f + corr_f),
-        guard_activations=guards)
+        xi=GridFunction.from_interior(grid_c, xi),
+        corrected_coarse=GridFunction.from_interior(grid_c, field_c),
+        corrected_fine=GridFunction.from_interior(grid_f, field_f),
+        guard_activations=corrector.guard_activations)

@@ -8,6 +8,8 @@ harness reproduces):
 * a corrected row ``M`` solves the pair ``(M, 2M)`` and reports the error
   of the corrected *fine-grid* field on grid ``2M`` (its midpoint values
   carry the dominant corrected error, so this is the honest metric);
+* a time-study row ``M`` reports the error of the final-time field on
+  grid ``M``, the corrected coarse field when corrected;
 * when the problem has no exact solution, errors are measured against a
   reference solution on a power-of-two grid ``2**ref_level`` restricted
   by exact index selection, which requires the study grids to nest.
@@ -16,6 +18,7 @@ The reference itself is the corrected solve at the reference level when
 a singular term is available (its own error is then orders of magnitude
 below the rows being measured, and reported errors are insensitive to
 the reference level); without one it falls back to the plain solve.
+Reports record the grid their errors are on as ``error_grid``.
 
 Every linear solve, the reference's included, is accepted on the one
 normwise backward-error bound of :mod:`fracbvp.solver`; reports record
@@ -208,6 +211,7 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
     tg = TimeGrid(T=T, N=max(1, round(steps)))
     meta = {
         "scheme": "cn-wsgd",
+        "error_grid": "M",
         "tau": tg.tau,
         "steps": tg.N,
         "final_time": T,

@@ -6,9 +6,9 @@ half node.  With ``A = I - tau/2 D`` the explicit operator is ``2I - A``, so
 a step is one solve, ``A v = u^{n-1} + (tau/2) f^{n-1/2}``, ``u^n = 2v - u^{n-1}``.
 The implicit matrix is time-independent, so one solver set-up serves the
 whole march.  The march tells :func:`~fracbvp.solver.make_solver` that it
-makes ``N + 1`` solves, so on a coarse grid it gets an explicit inverse,
-applied by one matrix-vector product per step, and on a finer grid, for
-two steps or more, the Gohberg-Semencul generators.
+makes ``N`` solves, ``N + 1`` when corrected, so on a coarse grid it gets
+an explicit inverse, applied by one matrix-vector product per step, and on
+a finer grid, for two steps or more, the Gohberg-Semencul generators.
 
 The march advances in blocks of ``BLOCK_STEPS`` steps, taken by one step
 routine that keeps each step's right-hand side and solution as rows of
@@ -24,13 +24,15 @@ holds, the march raises ``ValueError`` there, as :meth:`solve` would; if
 one does not, as when a finite right-hand side gave a solution that is
 not finite, the block is marched again.
 
-The corrected variant marches the coarse and fine grids together, applies
-the two-grid correction of :class:`~fracbvp.correction.TwoGridCorrector`
-after every step and carries the corrected fields into the next step.
-The corrector is built once from the singular solves against the per-step
-operator ``I - tau/2 D``: its exact singular right-hand side is
-``us - (tau/2) * D us``, available in closed form from the singular term's
-stationary image.
+The corrected variant marches the coarse and fine grids (M, 2M) together
+and corrects every step with the one correction routine of the
+stationary solve, :class:`~fracbvp.correction.TwoGridCorrector`,
+carrying the corrected fields into the next step.
+:meth:`~fracbvp.correction.TwoGridCorrector.build` makes the singular
+solves once, with the march's own solvers: the singular term's image
+under the per-step operator ``I - tau/2 D`` is ``us - (tau/2) * D us``,
+available in closed form from its stationary image.  As for the
+stationary solve, the pair must be even and at least 8 intervals.
 
 As in the stationary correction, the per-step ratio recovers the
 singular strength only in the few nodes next to the singular end x=a;
@@ -98,8 +100,6 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         raise ValueError("time stepping covers the one-sided case theta = 1 only")
     if corrected and problem.singular is None:
         raise ValueError("corrected time stepping needs the problem's singular term")
-    if corrected and M % 2:
-        raise ValueError("corrected time stepping needs an even interval count")
     N = time_grid.N
     half_tau = 0.5 * time_grid.tau
     grids = [Grid(*problem.domain, M)]
@@ -107,24 +107,21 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         grids.append(grids[0].refined())
     stepping = FracParams(alpha=1.0, beta=problem.params.beta,
                           theta=problem.params.theta)
-    # a solve per step, and one singular solve when corrected
+    # a solve per step, and the corrector's singular solve when corrected
     solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau,
-                           solves=N + 1) for grid in grids]
+                           solves=N + 1 if corrected else N) for grid in grids]
     nodes = [grid.interior_nodes() for grid in grids]
     state = [np.asarray(problem.initial(x), dtype=float) for x in nodes]
 
     corrector = None
     if corrected:
         sing = problem.singular
-        # singular problem under the per-step operator I - tau/2 D:
-        # rhs = us - (tau/2) D us = (1 - tau/2*alpha0)*us + (tau/2)*(fs_alpha0),
-        # where fs was built as alpha*us - D us for the problem's alpha.
-        alpha0 = problem.params.alpha
-        fs_tau = (1.0 - half_tau * alpha0) * sing.us + half_tau * sing.fs
-        corrector = TwoGridCorrector(
-            *(solver.solve(np.asarray(fs_tau(x), dtype=float))
-              for solver, x in zip(solvers, nodes)),
-            *(sing.us(x) for x in nodes))
+        # image of us under I - tau/2 D: us - (tau/2) D us, which is
+        # (1 - tau/2*alpha0)*us + (tau/2)*fs, as fs = alpha0*us - D us for
+        # the problem's alpha0
+        fs_tau = ((1.0 - half_tau * problem.params.alpha) * sing.us
+                  + half_tau * sing.fs)
+        corrector = TwoGridCorrector.build(solvers, nodes, sing.us, fs_tau)
 
     unchecked = [solver.apply_inverse for solver in solvers]
     checked = [solver.solve for solver in solvers]

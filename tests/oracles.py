@@ -132,18 +132,16 @@ def cn_march(problem, M: int, time_grid, corrected: bool = False) -> np.ndarray:
     if corrected:
         grids.append(grids[0].refined())
     stepping = FracParams(1.0, problem.params.beta, problem.params.theta)
+    solves = time_grid.N + 1 if corrected else time_grid.N
     solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau,
-                           solves=time_grid.N + 1) for grid in grids]
+                           solves=solves) for grid in grids]
     nodes = [grid.interior_nodes() for grid in grids]
     u = [np.asarray(problem.initial(x), dtype=float) for x in nodes]
     if corrected:
         sing = problem.singular
         fs_tau = ((1.0 - half_tau * problem.params.alpha) * sing.us
                   + half_tau * sing.fs)
-        corrector = TwoGridCorrector(
-            *(s.solve(np.asarray(fs_tau(x), dtype=float))
-              for s, x in zip(solvers, nodes)),
-            *(sing.us(x) for x in nodes))
+        corrector = TwoGridCorrector.build(solvers, nodes, sing.us, fs_tau)
     for n in range(1, time_grid.N + 1):
         t = time_grid.half_node(n)
         u = [2.0 * s.solve(v + half_tau * problem.rhs(x, t)) - v

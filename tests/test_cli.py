@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -198,6 +199,39 @@ def test_too_many_time_steps_is_a_config_error(tmp_path, tau):
     assert done.returncode == cli.EXIT_CONFIG, done.stderr
     assert f"more than MAX_STEPS = {study.MAX_STEPS}" in done.stderr
     assert not out.exists()
+
+
+def _limit_address_space():
+    # 2 GiB: room for the interpreter and numpy, but not for the 4 GiB of
+    # nodes of a level-30 reference grid
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+
+@pytest.mark.parametrize("argv,error", [
+    # the output's parent directory is a file
+    (["study", "--example", "ex1-case1", "--grids", "16", "32",
+      "--out", "{tmp}/file/x.csv"], "FileExistsError"),
+    (["study", "--example", "ex1-case2", "--grids", "64", "--ref-level", "30",
+      "--out", "{tmp}/s.csv"], "MemoryError"),
+])
+def test_os_and_memory_errors_are_config_errors(tmp_path, argv, error):
+    (tmp_path / "file").touch()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    done = subprocess.run([sys.executable, "-m", "fracbvp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert done.returncode == cli.EXIT_CONFIG, done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("fracbvp: configuration error: ") and error in line
+
+
+@pytest.mark.parametrize("M", ["4", "6"])
+def test_corrected_march_on_fewer_than_eight_intervals(tmp_path, capsys, M):
+    argv = ["timestudy", "--grids", M, "--tau", "0.25", "--correct",
+            "--out", str(tmp_path / "t.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "even interval count >= 8" in capsys.readouterr().err
 
 
 def test_most_time_steps_are_marched(monkeypatch, tmp_path):

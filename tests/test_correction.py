@@ -8,13 +8,8 @@ import pytest
 from fracbvp import correction
 from fracbvp.analytic import PowerSum, PowerTerm
 from fracbvp.catalog import catalog, manufactured, singular_term
-from fracbvp.correction import (
-    TwoGridCorrector,
-    correct,
-    correct_iterated,
-)
+from fracbvp.correction import TwoGridCorrector, correct
 from fracbvp.solver import FracParams, SchemeKind, SolverError, make_solver
-from fracbvp.study import reference_solution
 
 
 def _pure_singular_problem(beta, theta, scale=1.0):
@@ -104,7 +99,7 @@ class TestGuard:
         us_h = np.ones(7)
         us_half = np.array([2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 2.0])  # zero denominator at idx 2
         corrector = self._corrector(us_h, us_half)
-        interior = corrector.strength(num, np.zeros(15))
+        interior = corrector.correct(num, np.zeros(15))[2]
         # numerator = -num, denominator = 1 except idx 2;
         # idx 2 ties between neighbours 1 and 3; 3 is closer to the center
         assert corrector.guard_activations == 1
@@ -121,7 +116,7 @@ class TestGuard:
         us_half[[0, 3, 6]] = us_h[[0, 3, 6]]  # guarded: both ends and the center
         corrector = self._corrector(us_h, us_half)
         u_c, u_f = rng.standard_normal(7), rng.standard_normal(15)
-        xi = corrector.strength(u_c, u_f)
+        xi = corrector.correct(u_c, u_f)[2]
         num, den = u_f[1::2] - u_c, us_half - us_h
         # node 3 ties between 2 and 4, both 1 from the center: the first wins
         for node, source in enumerate([1, 1, 2, 2, 4, 5, 5]):
@@ -141,8 +136,8 @@ class TestTwoGridCorrector:
         exact_c, exact_f = us_c + 10.0, us_f + np.arange(15.0)
         gap_c, gap_f = exact_c - us_c, exact_f - us_f
         corrector = TwoGridCorrector(us_c, us_f, exact_c, exact_f)
-        field_c, field_f, xi, guards = corrector.correct(u_c, u_f)
-        assert guards == 0
+        field_c, field_f, xi = corrector.correct(u_c, u_f)
+        assert corrector.guard_activations == 0
         assert np.array_equal(xi, k)
         assert np.array_equal(field_c, u_c + xi * gap_c)
         # coarse nodes of the fine field take the coarse strength
@@ -154,14 +149,11 @@ class TestTwoGridCorrector:
 
 
 class TestCorrect:
-    def test_validation(self):
+    @pytest.mark.parametrize("M", [4, 6, 7, 63])
+    def test_validation(self, M):
         spec = catalog("ex1-case1", 1.5)
-        with pytest.raises(ValueError):
-            correct(spec, spec.singular, 6, SchemeKind.WSGD)
-        with pytest.raises(ValueError):
-            correct(spec, spec.singular, 63, SchemeKind.WSGD)
-        with pytest.raises(ValueError):
-            correct_iterated(spec, [], 64, SchemeKind.WSGD)
+        with pytest.raises(ValueError, match="even interval count >= 8"):
+            correct(spec, spec.singular, M, SchemeKind.WSGD)
 
     def test_reference_cell_b19(self):
         # frozen: one-sided problem, beta=1.9, pair (512, 1024), fine field
@@ -201,35 +193,3 @@ class TestCorrect:
         correct(spec, spec.singular, 64, SchemeKind.WSGD)
         assert seen == [2, 2]
 
-
-class TestCorrectIterated:
-    def test_single_term_is_exactly_correct(self):
-        spec = catalog("ex1-case2", 1.3)
-        a = correct(spec, spec.singular, 64, SchemeKind.WSGD)
-        b = correct_iterated(spec, [spec.singular], 64, SchemeKind.WSGD)
-        for name in ("coarse", "fine", "xi", "corrected_coarse", "corrected_fine"):
-            np.testing.assert_array_equal(
-                getattr(a, name).values, getattr(b, name).values)
-        assert a.guard_activations == b.guard_activations
-
-    def test_two_terms_improve_rate(self):
-        # hierarchy for the one-sided problem: exponents beta-1, then beta
-        beta = 1.1
-        spec = catalog("ex1-case2", beta)
-        term2 = singular_term(spec.params, rho=beta)
-        ref = reference_solution(spec, SchemeKind.WSGD, 13)
-        Ms = (64, 128, 256, 512)
-
-        def slope(terms):
-            errs = []
-            for M in Ms:
-                sol = correct_iterated(spec, terms, M, SchemeKind.WSGD)
-                f = sol.corrected_fine
-                stride = ref.grid.M // f.grid.M
-                errs.append(np.max(np.abs(f.values - ref.values[::stride])))
-            return -np.polyfit(np.log2(Ms), np.log2(errs), 1)[0], errs
-
-        s1, e1 = slope([spec.singular])
-        s2, e2 = slope([spec.singular, term2])
-        assert s2 > s1
-        assert e2[-1] < e1[-1]

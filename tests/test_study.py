@@ -128,8 +128,8 @@ def test_time_study_report_metadata(corrected):
     assert 0.0 < meta.pop("backward_error_max") <= BOUND
     assert meta == {
         "problem": "ex3", "beta": 1.5, "theta": 1.0, "scheme": "cn-wsgd",
-        "corrected": corrected, "tau": 0.05, "steps": 20, "final_time": 1.0,
-        "backward_error_bound": BOUND, "refinements": 0,
+        "error_grid": "M", "corrected": corrected, "tau": 0.05, "steps": 20,
+        "final_time": 1.0, "backward_error_bound": BOUND, "refinements": 0,
         "guard_activations": 0}
 
 

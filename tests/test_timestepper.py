@@ -74,8 +74,10 @@ class TestFrozenRows:
 
 
 class TestSolvePath:
-    def test_march_declares_its_solves(self, monkeypatch):
+    @pytest.mark.parametrize("corrected,want", [(False, [50]), (True, [51, 51])])
+    def test_march_declares_its_solves(self, monkeypatch, corrected, want):
         # a solve per step on each grid, plus the corrector's singular solve
+        # when corrected
         seen = []
 
         def spy(*args, solves=1, **kwargs):
@@ -83,8 +85,9 @@ class TestSolvePath:
             return make_solver(*args, solves=solves, **kwargs)
 
         monkeypatch.setattr(timestepper, "make_solver", spy)
-        cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(0.05, 50), corrected=True)
-        assert seen == [51, 51]
+        cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(0.05, 50),
+                      corrected=corrected)
+        assert seen == want
 
     def test_march_at_m32_corrected_still_diverges(self):
         # the known failure of the ex3/M32/corrected benchmark operation: the
@@ -261,9 +264,11 @@ class TestRejects:
         with pytest.raises(ValueError, match="theta = 1"):
             cn_wsgd_solve(two_sided, 16, TimeGrid(1.0, 4))
 
-    def test_odd_interval_count_when_corrected(self):
-        with pytest.raises(ValueError, match="even"):
-            cn_wsgd_solve(catalog("ex3", BETA), 15, TimeGrid(1.0, 4), corrected=True)
+    # the corrector's pair check, as for the stationary correction
+    @pytest.mark.parametrize("M", [4, 6, 15])
+    def test_interval_count_when_corrected(self, M):
+        with pytest.raises(ValueError, match="even interval count >= 8"):
+            cn_wsgd_solve(catalog("ex3", BETA), M, TimeGrid(1.0, 4), corrected=True)
 
     def test_missing_singular_term_when_corrected(self):
         problem = replace(catalog("ex3", BETA), singular=None)
