@@ -10,6 +10,7 @@ from .analytic import (
     left_derivative,
     left_rl_derivative_power,
     right_derivative,
+    singular_exponents,
 )
 from .catalog import (
     CATALOG_NAMES,

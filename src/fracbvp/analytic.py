@@ -13,9 +13,14 @@ The key scalar identity is the derivative of a pure power,
 which degenerates to the zero function when ``xi + 1 - beta`` hits a pole
 of the Gamma function (a non-positive integer).  The right-sided
 derivative is the mirror image, under ``x -> a + b - x``
-(:meth:`PowerSum.reflected`), of the left-sided one.  The symmetric product
-``(x-a)**(beta/2) * (b-x)**(beta/2)`` is handled through its constant
-two-sided derivative.
+(:meth:`PowerSum.reflected`), of the left-sided one.
+
+The two-sided operator ``theta*D_left + (1-theta)*D_right`` maps the
+product ``w = (x-a)**gamma * (b-x)**(beta-gamma)`` to a constant when
+``(1-theta) sin(pi gamma) = theta sin(pi (beta-gamma))`` (Ervin, Heuer &
+Roop, Math. Comp. 87, 2018); :func:`singular_exponents` solves for the
+exponents, and :func:`elliptic_rhs` uses the constant for every theta
+strictly between 0 and 1.
 """
 
 from __future__ import annotations
@@ -202,15 +207,22 @@ def right_derivative(ps: PowerSum, beta: float) -> PowerSum:
     return left_derivative(anchored, beta).reflected()
 
 
-def riesz_symmetric_constant(beta: float) -> float:
-    """Riesz derivative of ``(x-a)**(beta/2) * (b-x)**(beta/2)``: the
-    constant ``-Gamma(beta + 1)``, independent of the interval."""
-    return -math.gamma(beta + 1.0)
+def singular_exponents(beta: float, theta: float) -> tuple[float, float]:
+    """Exponents ``(gamma, beta - gamma)`` of the two-sided product ``w``
+    whose image under ``theta*D_left + (1-theta)*D_right`` is a constant.
 
-
-def _is_symmetric_singular(t: PowerTerm, beta: float) -> bool:
-    return (abs(t.left - 0.5 * beta) <= POLE_TOL
-            and abs(t.right - 0.5 * beta) <= POLE_TOL)
+    ``gamma = beta/2 + atan((2 theta - 1) tan(pi beta/2))/pi``, with the
+    ``1/pi`` written as ``(1 - beta/2)/atan(-tan(pi beta/2))`` and theta
+    above 1/2 taken by reflection, so that theta = 1, 1/2 and 0 give
+    exactly ``beta - 1``, ``beta/2`` and ``1``.
+    """
+    if theta > 0.5:
+        right, left = singular_exponents(beta, 1.0 - theta)
+        return left, right
+    t = -math.tan(0.5 * math.pi * beta)
+    gamma = 0.5 * beta + (1.0 - 0.5 * beta) * (math.atan((1.0 - 2.0 * theta) * t)
+                                                / math.atan(t))
+    return gamma, beta - gamma
 
 
 def elliptic_rhs(u: PowerSum, alpha: float, beta: float, theta: float) -> PowerSum:
@@ -221,27 +233,29 @@ def elliptic_rhs(u: PowerSum, alpha: float, beta: float, theta: float) -> PowerS
     * integer-exponent (polynomial) terms, any ``theta``;
     * one-sided fractional terms when only that side's derivative enters
       (``theta = 1`` or ``theta = 0``), or re-anchorable terms;
-    * the symmetric product ``(x-a)**(beta/2) (b-x)**(beta/2)`` for
-      ``theta = 1/2``, via its constant Riesz derivative.
+    * for ``0 < theta < 1``, the product ``(x-a)**gamma (b-x)**(beta-gamma)``
+      with the exponents of :func:`singular_exponents`, whose image is
+      the constant ``Gamma(beta+1) * hypot(cos(pi beta/2),
+      (2 theta - 1) sin(pi beta/2))``.
 
     Raises ``ValueError`` when no closed form is available (for example a
     one-sided fractional power under ``theta`` strictly between 0 and 1).
     """
     rhs = alpha * u
     pending: list[PowerTerm] = []
+    # at theta in {0, 1} the product is re-anchored instead, which keeps
+    # the order of the rhs terms and so its rounding
+    left = right = math.nan
+    if 0.0 < theta < 1.0:
+        left, right = singular_exponents(beta, theta)
     for t in u.drop_zeros().terms:
-        int_l = _near_int(t.left)
-        int_r = _near_int(t.right)
-        if (int_l is not None and int_r is not None
-                and int_l >= 0 and int_r >= 0):
-            pending.append(t)  # polynomial term, both derivatives exist
-            continue
-        if _is_symmetric_singular(t, beta) and abs(theta - 0.5) <= 1e-14:
-            # -(1/2)(D_left + D_right) v = cos(beta pi/2) * Riesz(v)
-            const = math.cos(0.5 * beta * math.pi) * riesz_symmetric_constant(beta)
+        if abs(t.left - left) <= POLE_TOL and abs(t.right - right) <= POLE_TOL:
+            half = 0.5 * beta * math.pi
+            const = math.gamma(beta + 1.0) * math.hypot(
+                math.cos(half), (2.0 * theta - 1.0) * math.sin(half))
             rhs = rhs + PowerSum.constant(t.coef * const, u.a, u.b)
-            continue
-        pending.append(t)
+        else:
+            pending.append(t)
     if pending:
         rest = PowerSum(u.a, u.b, tuple(pending))
         if theta > 0.0:

@@ -5,6 +5,11 @@ closed-form right-hand side (a :class:`~fracbvp.analytic.PowerSum`), an
 optional exact solution and an optional leading singular term.  The five
 named entries cover one-sided and symmetric two-sided derivatives, with
 and without a known exact solution, plus one time-dependent problem.
+
+The singular term is one formula for every theta: the product
+``(x-a)**gamma * (b-x)**(beta-gamma)`` with the exponents of
+:func:`~fracbvp.analytic.singular_exponents`, whose image under the
+two-sided operator is a constant.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analytic import PowerSum, PowerTerm, elliptic_rhs, left_derivative
+from .analytic import (PowerSum, PowerTerm, elliptic_rhs, left_derivative,
+                       singular_exponents)
 from .solver import FracParams
 
 CATALOG_NAMES = ("ex1-case1", "ex1-case2", "ex2-case1", "ex2-case2", "ex3")
@@ -66,48 +72,25 @@ class TimeDependentProblem:
     singular: Optional[SingularTermSpec] = None
 
 
-def singular_term(params: FracParams, a: float = 0.0, b: float = 1.0,
-                  rho: Optional[float] = None) -> SingularTermSpec:
-    """Leading singular term for theta in {0, 1/2, 1}.
-
-    The boundary exponents are ``beta - 1`` on the derivative's anchored
-    side (linear on the other), or ``beta/2`` on both sides in the
-    symmetric case.  ``rho`` overrides the anchored exponent for the
-    one-sided cases; for ``theta = 1/2`` only the ``beta/2`` product has a
-    closed-form image, so overrides are rejected there.
-    """
-    beta, theta = params.beta, params.theta
-    if abs(theta - 1.0) <= 1e-14:
-        rl = beta - 1.0 if rho is None else rho
-        us = PowerSum(a, b, (PowerTerm(1.0, rl, 1.0),))
-        rr = 1.0
-    elif abs(theta) <= 1e-14:
-        rr = beta - 1.0 if rho is None else rho
-        us = PowerSum(a, b, (PowerTerm(1.0, 1.0, rr),))
-        rl = 1.0
-    elif abs(theta - 0.5) <= 1e-14:
-        if rho is not None and abs(rho - 0.5 * beta) > 1e-12:
-            raise ValueError(
-                "the symmetric case only admits the exponent beta/2")
-        rl = rr = 0.5 * beta
-        us = PowerSum(a, b, (PowerTerm(1.0, rl, rr),))
-    else:
-        raise ValueError(
-            f"no closed-form singular term for theta={theta}; supply a "
-            "SingularTermSpec explicitly")
-    fs = elliptic_rhs(us, params.alpha, beta, theta)
+def singular_term(params: FracParams, a: float = 0.0,
+                  b: float = 1.0) -> SingularTermSpec:
+    """Leading singular term ``(x-a)**gamma * (b-x)**(beta-gamma)`` of the
+    problem's operator, with the exponents of
+    :func:`~fracbvp.analytic.singular_exponents`: ``beta - 1`` and ``1``
+    at theta = 1, ``beta/2`` on both sides at theta = 1/2, and ``1`` and
+    ``beta - 1`` at theta = 0."""
+    rl, rr = singular_exponents(params.beta, params.theta)
+    us = PowerSum(a, b, (PowerTerm(1.0, rl, rr),))
+    fs = elliptic_rhs(us, params.alpha, params.beta, params.theta)
     return SingularTermSpec(us=us, fs=fs, rho_left=rl, rho_right=rr)
 
 
-def manufactured(name: str, params: FracParams, exact: PowerSum,
-                 with_singular: bool = True) -> ProblemSpec:
+def manufactured(name: str, params: FracParams, exact: PowerSum) -> ProblemSpec:
     """Problem with a prescribed exact solution; rhs built in closed form."""
     rhs = elliptic_rhs(exact, params.alpha, params.beta, params.theta)
-    sing = None
-    if with_singular:
-        sing = singular_term(params, exact.a, exact.b)
     return ProblemSpec(name=name, params=params, domain=(exact.a, exact.b),
-                       rhs=rhs, exact=exact, singular=sing)
+                       rhs=rhs, exact=exact,
+                       singular=singular_term(params, exact.a, exact.b))
 
 
 def _ex1_profile(beta: float) -> PowerSum:
@@ -182,28 +165,24 @@ def catalog(name: str, beta: float):
 
 
 def with_overrides(spec: ProblemSpec, alpha: Optional[float] = None,
-                   theta: Optional[float] = None,
-                   rho: Optional[float] = None) -> ProblemSpec:
+                   theta: Optional[float] = None) -> ProblemSpec:
     """Rebuild a catalog problem with modified parameters.
 
     When the problem carries an exact solution its rhs is re-derived for
-    the new parameters, so the exact solution stays valid.  The singular
-    term is rebuilt when the new theta admits one (otherwise dropped,
-    leaving an uncorrected problem).
+    the new parameters, so the exact solution stays valid; a ``ValueError``
+    is raised when that rhs has no closed form at the new theta.  The
+    singular term is rebuilt for the new parameters, at any theta.
     """
     params = FracParams(
         alpha=spec.params.alpha if alpha is None else alpha,
         beta=spec.params.beta,
         theta=spec.params.theta if theta is None else theta,
     )
-    if params == spec.params and rho is None:
+    if params == spec.params:
         return spec
     a, b = spec.domain
     rhs = spec.rhs
     if spec.exact is not None:
         rhs = elliptic_rhs(spec.exact, params.alpha, params.beta, params.theta)
-    try:
-        sing = singular_term(params, a, b, rho=rho)
-    except ValueError:
-        sing = None
-    return replace(spec, params=params, rhs=rhs, singular=sing)
+    return replace(spec, params=params, rhs=rhs,
+                   singular=singular_term(params, a, b))

@@ -49,8 +49,6 @@ def _add_stationary(p: argparse.ArgumentParser) -> None:
                    help="override the derivative weight of the catalog problem")
     p.add_argument("--alpha", type=float, default=None,
                    help="override the reaction coefficient")
-    p.add_argument("--singular-exponent", type=float, default=None,
-                   dest="rho", help="override the singular boundary exponent")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +84,7 @@ def _problems(args) -> list:
     problems = [catalog(args.example, beta) for beta in args.beta]
     if args.command == "timestudy":
         return problems
-    return [with_overrides(p, alpha=args.alpha, theta=args.theta, rho=args.rho)
+    return [with_overrides(p, alpha=args.alpha, theta=args.theta)
             for p in problems]
 
 

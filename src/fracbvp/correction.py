@@ -41,6 +41,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec, SingularTermSpec
 
 
+class ConfigError(ValueError):
+    """Invalid configuration of a study or of a corrected grid pair."""
+
+
+def check_pair(M: int) -> None:
+    """Raise :class:`ConfigError` unless the grid pair (M, 2M) can be
+    corrected: M must be even and at least 8."""
+    if M < 8 or M % 2:
+        raise ConfigError(f"correction needs an even interval count >= 8, got {M}")
+
+
 @dataclass
 class CorrectedSolution:
     """Bundle of the raw pair, the strength field and corrected fields.
@@ -119,11 +130,9 @@ class TwoGridCorrector:
         ``solvers`` and ``nodes`` are the coarse and the fine grid's solver
         and interior nodes, and ``fs`` is the image of ``us`` under the
         solvers' operator: the singular solves are those of ``fs``.  Raises
-        ``ValueError`` unless M is even and at least 8.
+        :class:`ConfigError` unless M is even and at least 8.
         """
-        M = len(nodes[0]) + 1
-        if M < 8 or M % 2:
-            raise ValueError(f"correction needs an even interval count >= 8, got {M}")
+        check_pair(len(nodes[0]) + 1)
         return cls(*(solver.solve(np.asarray(fs(x), dtype=float))
                      for solver, x in zip(solvers, nodes)),
                    *(us(x) for x in nodes))

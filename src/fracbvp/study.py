@@ -46,15 +46,11 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import ProblemSpec, TimeDependentProblem
-from .correction import correct
+from .correction import ConfigError, check_pair, correct
 from .grids import Grid, GridFunction
 from .report import ConvergenceReport, emit_pointwise_error, emit_report
 from .solver import BACKWARD_ERROR_BOUND, SchemeKind, solve_bvp
 from .timestepper import TimeGrid, cn_wsgd_solve
-
-
-class ConfigError(ValueError):
-    """Invalid study configuration."""
 
 
 #: Most steps a time study marches: 1000 times the steps of the default
@@ -80,8 +76,9 @@ class StudyConfig:
             raise ConfigError(f"grid list must be strictly increasing, got {Ms}")
         if any(m < 4 for m in Ms):
             raise ConfigError("grids need at least 4 intervals")
-        if self.corrected and any(m % 2 for m in Ms):
-            raise ConfigError("corrected studies need even interval counts")
+        if self.corrected:  # refused here, before the reference is solved
+            for m in Ms:
+                check_pair(m)
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ConfigError(f"time step must be finite and positive, got {self.tau!r}")
 

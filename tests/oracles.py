@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from fracbvp.grids import Grid, GridFunction
 from fracbvp.operators import fcd_toeplitz, left_wsgd_toeplitz, toeplitz_matvec
@@ -149,3 +150,35 @@ def cn_march(problem, M: int, time_grid, corrected: bool = False) -> np.ndarray:
         if corrected:
             u = list(corrector.correct(*u)[:2])
     return u[0]
+
+
+def left_derivative_series(p: float, q: float, beta: float, x: np.ndarray,
+                           terms: int = 400) -> np.ndarray:
+    """Left-sided derivative of order ``beta`` of ``x**p (1-x)**q`` on [0, 1]
+    at ``0 < x < 1``, term by term in the binomial series
+    ``(1-x)**q = sum_k C(q, k) (-x)**k``, summed with ``math.fsum``.
+
+    Independent of :mod:`fracbvp.analytic`: no closed form, no reflection
+    of power sums.  The series converges geometrically away from x = 1.
+    """
+    out = []
+    for xv in np.asarray(x, dtype=float):
+        parts, binom = [], 1.0  # binom = C(q, k) (-1)**k
+        for k in range(terms):
+            e = p + k
+            # D**beta x**e = Gamma(e+1)/Gamma(e+1-beta) x**(e-beta)
+            parts.append(binom * scipy.special.poch(e + 1.0 - beta, beta)
+                         * xv ** (e - beta))
+            binom *= (k - q) / (k + 1)
+        out.append(math.fsum(parts))
+    return np.array(out)
+
+
+def two_sided_derivative_series(p: float, q: float, beta: float, theta: float,
+                                x: np.ndarray) -> np.ndarray:
+    """``theta D_left**beta w + (1-theta) D_right**beta w`` for
+    ``w = x**p (1-x)**q`` on [0, 1]; the right-sided part is the left-sided
+    derivative of the mirror image ``x**q (1-x)**p`` at ``1 - x``."""
+    x = np.asarray(x, dtype=float)
+    return (theta * left_derivative_series(p, q, beta, x)
+            + (1.0 - theta) * left_derivative_series(q, p, beta, 1.0 - x))

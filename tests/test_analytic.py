@@ -13,7 +13,7 @@ from fracbvp.analytic import (
     left_derivative,
     left_rl_derivative_power,
     right_derivative,
-    riesz_symmetric_constant,
+    singular_exponents,
 )
 from fracbvp.catalog import (
     CATALOG_NAMES,
@@ -24,7 +24,7 @@ from fracbvp.catalog import (
 )
 from fracbvp.grids import Grid, GridFunction
 from fracbvp.solver import FracParams
-from oracles import apply_left_wsgd
+from oracles import apply_left_wsgd, two_sided_derivative_series
 
 XS = np.linspace(0.05, 0.95, 11)
 
@@ -133,7 +133,6 @@ class TestEllipticRhs:
         diff = spec.fs(xs) - spec.us(xs)
         target = -math.cos(0.5 * beta * math.pi) * spgamma(beta + 1.0)
         np.testing.assert_allclose(diff, target, rtol=1e-12)
-        assert abs(riesz_symmetric_constant(beta) + spgamma(beta + 1.0)) < 1e-14
 
     def test_no_closed_form_for_intermediate_theta(self):
         u = PowerSum.left_anchored([(1.0, 0.7)])
@@ -145,6 +144,55 @@ class TestEllipticRhs:
         spec = singular_term(FracParams(1.0, beta, 0.0))
         expect = spec.us(XS) + spgamma(beta + 1.0)
         np.testing.assert_allclose(spec.fs(XS), expect, rtol=1e-13)
+
+
+def _two_sided_constant(beta, theta):
+    """-Gamma(beta+1) |theta e^{i pi beta/2} + (1-theta) e^{-i pi beta/2}|,
+    the image of the singular product under the two-sided derivative."""
+    half = 0.5 * math.pi * beta
+    return -spgamma(beta + 1.0) * math.hypot(math.cos(half),
+                                             (2.0 * theta - 1.0) * math.sin(half))
+
+
+class TestSingularTerm:
+    # beta/2 + atan((2 theta - 1) tan(pi beta/2))/pi, unnormalised, misses 1
+    # at theta = 0 by an ulp for beta = 1.357, 1.806 and 1.839
+    @pytest.mark.parametrize("beta", [*np.linspace(1.01, 1.99, 99), 1.001, 1.357,
+                                      1.43, 1.72, 1.806, 1.839, 1.999])
+    def test_exponents_are_exact_at_theta_zero_half_one(self, beta):
+        beta = float(beta)
+        assert singular_exponents(beta, 1.0) == (beta - 1.0, 1.0)
+        assert singular_exponents(beta, 0.5) == (0.5 * beta, 0.5 * beta)
+        assert singular_exponents(beta, 0.0) == (1.0, beta - 1.0)
+
+    @pytest.mark.parametrize("theta", (0.3, 0.5, 0.8))
+    @pytest.mark.parametrize("beta", (1.2, 1.5, 1.8))
+    def test_identity_against_binomial_series(self, beta, theta):
+        # theta D_left w + (1-theta) D_right w is the constant, and it is
+        # the image elliptic_rhs gives the singular term
+        xs = np.linspace(0.3, 0.7, 9)
+        gamma, other = singular_exponents(beta, theta)
+        series = two_sided_derivative_series(gamma, other, beta, theta, xs)
+        np.testing.assert_allclose(series, _two_sided_constant(beta, theta),
+                                   rtol=1e-12)
+        spec = singular_term(FracParams(0.0, beta, theta))
+        assert spec.us.terms == (PowerTerm(1.0, gamma, other),)
+        np.testing.assert_allclose(spec.fs(xs), -series, rtol=1e-12)
+
+    def test_wrong_exponent_is_not_constant(self):
+        xs = np.linspace(0.3, 0.7, 9)
+        for beta in (1.2, 1.5, 1.8):
+            series = two_sided_derivative_series(0.5 * beta, 0.5 * beta, beta, 0.3, xs)
+            assert np.ptp(series) > 1e-2 * np.max(np.abs(series))
+
+    def test_exponents_solve_the_balance(self):
+        # (1-theta) sin(pi gamma) = theta sin(pi (beta-gamma)), gamma in [beta-1, 1]
+        for beta in (1.2, 1.5, 1.8):
+            for theta in np.linspace(0.0, 1.0, 21):
+                gamma, other = singular_exponents(beta, theta)
+                assert other == beta - gamma and beta - 1.0 <= gamma <= 1.0
+                assert abs((1.0 - theta) * math.sin(math.pi * gamma)
+                           - theta * math.sin(math.pi * other)) < 1e-15
 
 
 class TestCatalog:
@@ -211,23 +259,19 @@ class TestCatalog:
         np.testing.assert_allclose(
             mod.singular.fs(XS), 2.0 * mod.singular.us(XS) + spgamma(2.5),
             rtol=1e-13)
-        # theta without a closed-form singular term drops the correction
+        # any theta keeps a singular term, with the derived exponents
         free = with_overrides(spec, theta=0.3)
-        assert free.singular is None
-        # exponent override
-        rho = with_overrides(spec, rho=1.5 - 0.9)
-        assert rho.singular.rho_left == pytest.approx(0.6)
+        sing = free.singular
+        assert (sing.rho_left, sing.rho_right) == singular_exponents(1.5, 0.3)
+        assert sing.rho_right == pytest.approx(0.629, abs=1e-3)
+        np.testing.assert_allclose(sing.fs(XS) - sing.us(XS),
+                                   -_two_sided_constant(1.5, 0.3), rtol=1e-13)
 
     def test_override_with_exact_rebuilds_rhs(self):
         spec = catalog("ex1-case1", 1.5)
         mod = with_overrides(spec, alpha=3.0)
         expect = 3.0 * spec.exact(XS) + (spec.rhs(XS) - spec.exact(XS))
         np.testing.assert_allclose(mod.rhs(XS), expect, rtol=1e-12)
-
-    def test_symmetric_rho_override_rejected(self):
-        spec = catalog("ex2-case2", 1.5)
-        with pytest.raises(ValueError):
-            singular_term(spec.params, rho=0.9)
 
 
 def _termwise(ps, x):

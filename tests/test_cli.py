@@ -127,15 +127,14 @@ def test_solve_without_exact_solution_writes_values(tmp_path):
 
 
 @pytest.mark.parametrize("example,theta,rho_left,rho_right", [
-    ("ex1-case1", "1", "0.7", "1.0"),
-    ("ex1-case2", "0", "1.0", "0.7"),
+    ("ex1-case1", "1", "0.5", "1.0"),
+    ("ex1-case2", "0", "1.0", "0.5"),
 ])
 def test_solve_header_records_the_problem_solved(tmp_path, example, theta,
                                                  rho_left, rho_right):
     out = tmp_path / "u.csv"
     argv = ["solve", "--example", example, "--alpha", "0", "--theta", theta,
-            "--singular-exponent", "0.7", "--grids", "64", "--correct",
-            "--out", str(out)]
+            "--grids", "64", "--correct", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
     header = dict(line[2:].split("=", 1) for line in out.read_text().splitlines()
                   if line.startswith("# "))
@@ -160,6 +159,8 @@ def test_method_option_is_gone(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["study", "--example", "ex1-case1", "--cache-dir", "x"],
+    # the singular exponents are derived from beta and theta
+    ["study", "--example", "ex1-case1", "--singular-exponent", "0.7"],
     # the time-dependent march takes no scheme or problem overrides
     ["timestudy", "--scheme", "fcd"],
     ["timestudy", "--theta", "0.5"],
@@ -227,6 +228,27 @@ def test_os_and_memory_errors_are_config_errors(tmp_path, argv, error):
 
 
 @pytest.mark.parametrize("M", ["4", "6"])
+def test_corrected_study_on_fewer_than_eight_intervals(tmp_path, capsys,
+                                                       fresh_cache, M):
+    # refused before the level-15 reference is built
+    argv = ["study", "--example", "ex1-case2", "--grids", M, "8", "--correct",
+            "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "even interval count >= 8" in capsys.readouterr().err
+    assert not fresh_cache
+
+
+def test_corrected_study_at_general_theta(tmp_path, fresh_cache):
+    out = tmp_path / "s.json"
+    argv = ["study", "--example", "ex2-case2", "--theta", "0.3", "--correct",
+            "--grids", "16", "32", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = parse_report_json(out)
+    assert (report.metadata["theta"], report.metadata["reference"]) == (0.3, "level-15")
+    assert all(np.isfinite(row.err_max) for row in report.rows)
+
+
+@pytest.mark.parametrize("M", ["4", "6"])
 def test_corrected_march_on_fewer_than_eight_intervals(tmp_path, capsys, M):
     argv = ["timestudy", "--grids", M, "--tau", "0.25", "--correct",
             "--out", str(tmp_path / "t.csv")]
@@ -285,7 +307,8 @@ def _readme_commands() -> list[list[str]]:
 
 def test_readme_commands_succeed(tmp_path, monkeypatch, fresh_cache):
     commands = _readme_commands()
-    assert [argv[1] for argv in commands] == ["solve", "study", "timestudy"]
+    assert [argv[1] for argv in commands] == ["solve", "study", "study",
+                                              "timestudy"]
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert argv[0] == "fracbvp"

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from fracbvp import study
-from fracbvp.catalog import catalog
+from fracbvp.analytic import PowerSum, PowerTerm, singular_exponents
+from fracbvp.catalog import catalog, manufactured
 from fracbvp.correction import correct
 from fracbvp.grids import Grid, GridFunction
 from fracbvp.report import ConvergenceReport
-from fracbvp.solver import SchemeKind
+from fracbvp.solver import FracParams, SchemeKind
 from fracbvp.study import (
     ConfigError,
     StudyConfig,
@@ -24,10 +25,12 @@ from fracbvp.study import (
 class TestStudyConfig:
     @pytest.mark.parametrize("kwargs,match", [
         (dict(M_list=(2, 8)), "at least 4 intervals"),
-        (dict(M_list=(64, 128, 255), corrected=True), "even interval counts"),
+        (dict(M_list=(64, 128, 255), corrected=True),
+         "even interval count >= 8, got 255"),
         (dict(M_list=()), "strictly increasing"),
         (dict(M_list=(64, 64)), "strictly increasing"),
         (dict(M_list=(128, 64)), "strictly increasing"),
+        (dict(M_list=(4, 8), corrected=True), "even interval count >= 8, got 4"),
     ])
     def test_rejects(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
@@ -116,6 +119,20 @@ def test_study_report_metadata(fresh_cache, name, reference, corrected):
         "scheme": "wsgd", "corrected": corrected,
         "error_grid": "2M" if corrected else "M", "reference": reference,
         "backward_error_bound": BOUND, "guard_activations": 0}
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.8])
+@pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
+def test_plain_rates_at_general_theta_follow_the_weaker_end(beta, theta):
+    # x^2 (1-x)^2 + w has the closed-form rhs of the derived singular term
+    # w; a wrong constant in that rhs would stall the error at a floor
+    gamma, other = singular_exponents(beta, theta)
+    exact = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0), PowerTerm(1.0, gamma, other)))
+    problem = manufactured("gen", FracParams(1.0, beta, theta), exact)
+    (report,) = run_study(StudyConfig(problem=problem,
+                                      M_list=(64, 128, 256, 512, 1024)))
+    rates = [row.rate for row in report.rows[1:]]
+    assert np.allclose(rates, min(gamma, other), rtol=0.0, atol=0.05), rates
 
 
 @pytest.mark.parametrize("corrected", [False, True])
