@@ -9,14 +9,17 @@ the pointwise strength be estimated as
 
 after which ``u_h + xi_h * (us - us_h)`` recovers second-order accuracy.
 
-:class:`TwoGridCorrector` is the one correction routine.
-:meth:`TwoGridCorrector.build` checks the grid pair (M, 2M) and makes the
-singular solves with the caller's two solvers, from the image ``fs`` of
-``us`` under their operator; :meth:`TwoGridCorrector.correct` corrects a
-pair of solves.  The stationary :func:`correct`, which serves the study
-rows and the reference, builds it from the singular term's ``fs``; the
-Crank-Nicolson march of :mod:`fracbvp.timestepper` builds it from the
-image under its per-step operator and corrects after every step.
+:class:`TwoGridCorrector` is the one correction routine.  It is made from
+the singular solves on a grid pair (M, 2M), and
+:meth:`TwoGridCorrector.correct` corrects a pair of solves.  The
+stationary :func:`correct`, which serves the study rows and the
+reference, solves the problem and the singular term's ``fs`` on each grid
+(:func:`_grid_solves`); a study row hands its fine grid's solves to the
+next row, on (2M, 4M), as that row's coarse ones.  The Crank-Nicolson
+march of :mod:`fracbvp.timestepper` makes it with
+:meth:`TwoGridCorrector.build`, which checks the grid pair and makes the
+singular solves with the march's two solvers, from the image of ``us``
+under its per-step operator, and corrects after every step.
 
 The ratio recovers xi only in the few nodes next to the singular end,
 where the singular gap ``us - us_h`` has order below 2 and dominates the
@@ -53,6 +56,16 @@ def check_pair(M: int) -> None:
 
 
 @dataclass
+class GridSolves:
+    """One grid's interior nodes and its two solves: the problem's, ``u``,
+    and the singular term's, ``us``."""
+
+    nodes: np.ndarray
+    u: np.ndarray
+    us: np.ndarray
+
+
+@dataclass
 class CorrectedSolution:
     """Bundle of the raw pair, the strength field and corrected fields.
 
@@ -62,7 +75,9 @@ class CorrectedSolution:
     measures the singular strength only next to the singular end, and for
     theta in {0, 1} tends to an O(1) function of x elsewhere.
     ``guard_activations`` counts interior nodes whose denominator fell
-    below the guard and inherited a neighbour's strength.
+    below the guard and inherited a neighbour's strength.  ``fine_solves``
+    holds the fine grid's solves, for a correction on the grid pair
+    (2M, 4M) to reuse.
     """
 
     coarse: GridFunction
@@ -71,6 +86,7 @@ class CorrectedSolution:
     corrected_coarse: GridFunction
     corrected_fine: GridFunction
     guard_activations: int
+    fine_solves: GridSolves
 
 
 class TwoGridCorrector:
@@ -102,6 +118,10 @@ class TwoGridCorrector:
         self.den = us_f[1::2] - us_c
         self.gap_c = exact_c - us_c
         self.gap_f = exact_f - us_f
+        # fine node j takes the strength of coarse node j // 2: a coarse
+        # node its own, a midpoint its right neighbour's, the last one the
+        # last strength
+        self._fine = np.minimum(np.arange(len(us_f)) // 2, len(us_c) - 1)
         bad = np.abs(self.den) <= self.GUARD_SCALE * float(np.max(np.abs(us_c)))
         if bad.all():
             raise SolverError(
@@ -145,38 +165,44 @@ class TwoGridCorrector:
             xi = num / self.den
         else:
             xi = num[self._pick] / self._den_pick
-        gap_f = self.gap_f
-        corr_f = np.empty_like(gap_f)
-        corr_f[1::2] = xi * gap_f[1::2]
-        corr_f[:-1:2] = xi * gap_f[:-1:2]
-        corr_f[-1] = xi[-1] * gap_f[-1]
-        return u_c + xi * self.gap_c, u_f + corr_f, xi
+        return u_c + xi * self.gap_c, u_f + xi[self._fine] * self.gap_f, xi
+
+
+def _grid_solves(problem: "ProblemSpec", singular: "SingularTermSpec", grid: Grid,
+                scheme: SchemeKind) -> GridSolves:
+    """The problem's solve and the singular solve on one grid, made with
+    one solver."""
+    nodes = grid.interior_nodes()
+    solver = make_solver(problem.params, grid, scheme, solves=2)
+    return GridSolves(nodes, *(solver.solve(np.asarray(f(nodes), dtype=float))
+                               for f in (problem.rhs, singular.fs)))
 
 
 def correct(problem: "ProblemSpec", singular: "SingularTermSpec", M: int,
-            scheme: SchemeKind) -> CorrectedSolution:
+            scheme: SchemeKind, coarse: GridSolves | None = None) -> CorrectedSolution:
     """Two-grid singular correction of the stationary solve on M intervals.
 
-    Solves the problem on grids M and 2M, builds the corrector from the
-    singular solves on both and returns the pair, the strength field and
-    both corrected fields.
+    Solves the problem and the singular term on grids M and 2M, builds the
+    corrector from the singular solves and returns the pair, the strength
+    field and both corrected fields, with the fine grid's solves.
+    ``coarse``, when given, holds grid M's solves, the ``fine_solves`` of
+    a correction on M/2 intervals; grid M is then not solved again.
+    Raises :class:`ConfigError` unless M is even and at least 8.
     """
-    a, b = problem.domain
-    grids = [Grid(a, b, M)]
-    grids.append(grids[0].refined())
-    nodes = [grid.interior_nodes() for grid in grids]
-    # the problem's solve and the singular solve on each grid; the problem's
-    # come first, so that no corrector array is held through them
-    solvers = [make_solver(problem.params, grid, scheme, solves=2) for grid in grids]
-    u_c, u_f = (solver.solve(np.asarray(problem.rhs(x), dtype=float))
-                for solver, x in zip(solvers, nodes))
-    corrector = TwoGridCorrector.build(solvers, nodes, singular.us, singular.fs)
-    field_c, field_f, xi = corrector.correct(u_c, u_f)
-    grid_c, grid_f = grids
+    check_pair(M)
+    grid_c = Grid(*problem.domain, M)
+    grid_f = grid_c.refined()
+    if coarse is None:
+        coarse = _grid_solves(problem, singular, grid_c, scheme)
+    fine = _grid_solves(problem, singular, grid_f, scheme)
+    corrector = TwoGridCorrector(coarse.us, fine.us, singular.us(coarse.nodes),
+                                 singular.us(fine.nodes))
+    field_c, field_f, xi = corrector.correct(coarse.u, fine.u)
     return CorrectedSolution(
-        coarse=GridFunction.from_interior(grid_c, u_c),
-        fine=GridFunction.from_interior(grid_f, u_f),
+        coarse=GridFunction.from_interior(grid_c, coarse.u),
+        fine=GridFunction.from_interior(grid_f, fine.u),
         xi=GridFunction.from_interior(grid_c, xi),
         corrected_coarse=GridFunction.from_interior(grid_c, field_c),
         corrected_fine=GridFunction.from_interior(grid_f, field_f),
-        guard_activations=corrector.guard_activations)
+        guard_activations=corrector.guard_activations,
+        fine_solves=fine)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,5 +76,14 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
     def l2_norm(self) -> float:
-        """Discrete L2 norm ``sqrt(h * sum v_j**2)``."""
-        return float(np.sqrt(self.grid.h * np.sum(self.values ** 2)))
+        """Discrete L2 norm ``sqrt(h * sum v_j**2)``.
+
+        Values above about 1e154 overflow the squares: the sum is then taken
+        of the values scaled by the max norm, which is scaled back.
+        """
+        with np.errstate(over="ignore"):
+            plain = self.grid.h * np.sum(self.values ** 2)
+        scale = self.max_norm()
+        if math.isfinite(plain) or not math.isfinite(scale):
+            return float(np.sqrt(plain))
+        return scale * float(np.sqrt(self.grid.h * np.sum((self.values / scale) ** 2)))

@@ -284,11 +284,19 @@ class ToeplitzSolver:
         """Whether the direct path holds ``A^-1`` as a dense matrix."""
         return self._inverse is not None
 
-    def apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        """``A^-1 b`` for a vector ``b``: on the direct path the
-        preconditioner, with no check; on the Krylov path, which has no
-        representation of ``A^-1``, a checked :meth:`solve`."""
-        return self.solve(b) if self.method == "krylov" else self._precondition(b)
+    def apply_inverse(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``A^-1 b`` for a vector ``b``, written into ``out`` when given: on
+        the direct path the preconditioner, with no check (the explicit
+        inverse's product goes straight into ``out``); on the Krylov path,
+        which has no representation of ``A^-1``, a checked :meth:`solve`."""
+        if self.method == "krylov":
+            x = self.solve(b)
+        else:
+            x = self._precondition(b, out=out)
+        if out is None or x is out:
+            return x
+        out[...] = x
+        return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A x`` for a vector, or ``A`` times each row of a block."""
@@ -297,13 +305,13 @@ class ToeplitzSolver:
         L = self._L
         return np.fft.irfft(self._spectrum * np.fft.rfft(x, n=L), n=L)[..., :self.m]
 
-    def _precondition(self, x: np.ndarray) -> np.ndarray:
+    def _precondition(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``P^-1 x``: once the direct set-up has built it, ``A^-1 x``,
-        explicit or by the Gohberg-Semencul product; until then, and on
-        the Krylov path, the leading block of the Strang circulant's
-        inverse."""
+        explicit (written into ``out`` when given) or by the
+        Gohberg-Semencul product; until then, and on the Krylov path, the
+        leading block of the Strang circulant's inverse."""
         if self._inverse is not None:
-            return self._inverse.dot(x)
+            return np.dot(self._inverse, x, out=out)
         if self._lower is None:
             # the leading m x m block of C^-1: C^-1 [x; 0] cut to m entries
             n = strang_order(self.m)

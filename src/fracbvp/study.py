@@ -29,7 +29,10 @@ and how many step solves missed the bound and were solved again,
 
 Both runners check their own configuration and hand a solve per grid
 to one row loop, which times and measures it and writes the metadata
-keys that every report shares.
+keys that every report shares.  A corrected row ``M`` that follows the
+row ``M/2`` takes that row's fine-grid solves as its coarse ones, so that
+each grid is solved once; its wall time then leaves out those reused
+solves.  Only the last row's fine-grid solves are kept.
 
 References are cached in memory only, keyed by the problem, scheme and
 level values; nothing is written to disk.
@@ -176,10 +179,16 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
         "guard_activations": 0,
     }
 
+    last = None  # the fine-grid solves of the last corrected row
+
     def solve(M):
+        nonlocal last
         if not config.corrected:
             return solve_bvp(problem, M, config.scheme)
-        sol = correct(problem, problem.singular, M, config.scheme)
+        # row M's coarse grid is the fine grid of a row M/2 just before it
+        coarse = last if last is not None and len(last.nodes) == M - 1 else None
+        sol = correct(problem, problem.singular, M, config.scheme, coarse)
+        last = sol.fine_solves
         meta["guard_activations"] += sol.guard_activations
         return sol.corrected_fine
 

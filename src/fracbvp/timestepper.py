@@ -12,8 +12,12 @@ a finer grid, for two steps or more, the Gohberg-Semencul generators.
 
 The march advances in blocks of ``BLOCK_STEPS`` steps, taken by one step
 routine that keeps each step's right-hand side and solution as rows of
-the block.  It runs unchecked, with ``A^-1`` applied by
-:meth:`~fracbvp.solver.ToeplitzSolver.apply_inverse`, and then
+the block.  A step samples the forcing once per grid, with a float time,
+and writes in place: ``b`` is formed in its row of the right-hand-side
+block, and the product with ``A^-1`` goes straight into its row of the
+solution block, through the ``out`` argument of
+:meth:`~fracbvp.solver.ToeplitzSolver.apply_inverse` (one matrix-vector
+product on the explicit inverse).  The routine runs unchecked, and then
 :meth:`~fracbvp.solver.ToeplitzSolver.backward_error` checks every row
 with one product on the bound every solve meets.  When a row misses it,
 the routine runs again from the block's start state, checked: each
@@ -22,7 +26,8 @@ raises :class:`~fracbvp.solver.SolverError` at its step.  A right-hand
 side that is not finite ends the block early: if every step before it
 holds, the march raises ``ValueError`` there, as :meth:`solve` would; if
 one does not, as when a finite right-hand side gave a solution that is
-not finite, the block is marched again.
+not finite, the block is marched again.  An exception's traceback holds
+no row of a block: the frames it came through are cleared.
 
 The corrected variant marches the coarse and fine grids (M, 2M) together
 and corrects every step with the one correction routine of the
@@ -123,28 +128,33 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
                   + half_tau * sing.fs)
         corrector = TwoGridCorrector.build(solvers, nodes, sing.us, fs_tau)
 
-    unchecked = [solver.apply_inverse for solver in solvers]
-    checked = [solver.solve for solver in solvers]
     # per grid, two k x m blocks: the right-hand side and the solution of
     # each step of the block, as rows; allocated once, since buffers freed
-    # at every block's end fault their pages in again
+    # at every block's end fault their pages in again.  A step writes into
+    # its pair of rows, whose views are made here, once
     blocks = [np.empty((2, BLOCK_STEPS, len(x))) for x in nodes]
+    rows = [list(zip(*block)) for block in blocks]
     eta_max, refinements = 0.0, 0
 
-    def march(u, n, k, solve):
+    def march(u, n, k, checked):
         """States and steps done after steps ``n+1 .. n+k`` from ``u``, each
-        solved by ``solve[g]`` into the blocks' rows; stops at a non-finite rhs."""
+        written into the blocks' rows, the solves checked or not; stops at a
+        non-finite rhs."""
         for row in range(k):
             t = time_grid.half_node(n + row + 1)
-            for g, x in enumerate(nodes):
-                b = u[g] + half_tau * problem.rhs(x, t)
+            stepped = []
+            for x, solver, grid_rows, w in zip(nodes, solvers, rows, u):
+                b, v = grid_rows[row]
+                np.multiply(problem.rhs(x, t), half_tau, out=b)
+                b += w
                 if not np.isfinite(b).all():
                     return u, row
-                blocks[g][0, row] = b
-                blocks[g][1, row] = solve[g](b)
-            u = [2.0 * blocks[g][1, row] - v for g, v in enumerate(u)]
-            if corrected:
-                u = list(corrector.correct(*u)[:2])
+                if checked:
+                    v[...] = solver.solve(b)
+                else:
+                    solver.apply_inverse(b, out=v)
+                stepped.append(2.0 * v - w)
+            u = list(corrector.correct(*stepped)[:2]) if corrected else stepped
         return u, k
 
     try:
@@ -152,13 +162,13 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
             k = min(BLOCK_STEPS, N - n)
             # when a solve misses the bound, march the block again from the
             # same start state, checked
-            for solve in (unchecked, checked):
-                u, done = march(state, n, k, solve)
-                etas = [solver.backward_error(blocks[g][1, :done], blocks[g][0, :done])
-                        for g, solver in enumerate(solvers)] if done else []
+            for checked in (False, True):
+                u, done = march(state, n, k, checked)
+                etas = [solver.backward_error(block[1, :done], block[0, :done])
+                        for solver, block in zip(solvers, blocks)] if done else []
                 missed = sum(int(np.count_nonzero(~(eta <= BACKWARD_ERROR_BOUND)))
                              for eta in etas)
-                if not missed or solve is checked:
+                if not missed or checked:
                     break
                 refinements += missed
             if done < k:
@@ -167,9 +177,17 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
                 raise ValueError("array must not contain infs or NaNs")
             eta_max = max(eta_max, *(float(eta.max()) for eta in etas))
             state = u
+    except BaseException as exc:
+        # the traceback keeps the frames the exception came through, and
+        # they hold rows of the blocks: clear them (the module is imported
+        # here, as no successful march needs it)
+        import traceback
+        traceback.clear_frames(exc.__traceback__)
+        raise
     finally:
-        # an exception's traceback keeps this frame: hold no block in it
+        # and this frame holds no block either
         blocks.clear()
+        rows.clear()
 
     if diagnostics is not None:
         diagnostics["guard_activations"] = (

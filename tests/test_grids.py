@@ -1,0 +1,22 @@
+"""Grids and the norms of grid functions."""
+
+import numpy as np
+
+from fracbvp.grids import Grid, GridFunction
+
+
+def test_l2_norm_of_a_huge_field_is_finite():
+    # the squares of 1e200 overflow; the suite turns the warning into an error
+    grid = Grid(0.0, 1.0, 8)
+    field = GridFunction(grid, np.full(9, 1e200))
+    assert field.l2_norm() == np.float64(1e200) * np.sqrt(grid.h * 9)
+    assert field.max_norm() == 1e200
+
+
+def test_l2_norm_of_a_field_that_is_not_finite():
+    grid = Grid(0.0, 1.0, 8)
+    values = np.zeros(9)
+    values[3] = np.inf
+    assert GridFunction(grid, values).l2_norm() == np.inf
+    values[4] = np.nan
+    assert np.isnan(GridFunction(grid, values).l2_norm())

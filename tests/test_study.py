@@ -11,7 +11,7 @@ from fracbvp.catalog import catalog, manufactured
 from fracbvp.correction import correct
 from fracbvp.grids import Grid, GridFunction
 from fracbvp.report import ConvergenceReport
-from fracbvp.solver import FracParams, SchemeKind
+from fracbvp.solver import FracParams, SchemeKind, ToeplitzSolver
 from fracbvp.study import (
     ConfigError,
     StudyConfig,
@@ -174,3 +174,28 @@ def test_reports_sum_counts_over_the_grids(monkeypatch):
                                            M_list=(8, 16), tau=0.5))
     assert (report.metadata["refinements"], report.metadata["backward_error_max"],
             report.metadata["guard_activations"]) == (3, 3e-16, 4)
+
+
+# the grids each solver set-up is made on: a row's coarse, then fine grid
+@pytest.mark.parametrize("grids,setups", [((16, 32, 64), [16, 32, 64, 128]),
+                                          ((16, 24, 32), [16, 32, 24, 48, 32, 64])])
+def test_corrected_rows_share_grid_solves(monkeypatch, grids, setups):
+    # row M's coarse grid is solved once, as row M/2's fine grid, when that
+    # row comes just before it; the errors are those of separate pairs
+    problem = catalog("ex1-case1", 1.5)
+    want = []
+    for M in grids:
+        sol = correct(problem, problem.singular, M, SchemeKind.WSGD)
+        err = _restrict_errors(sol.corrected_fine, problem.exact, None)
+        want.append((M, err.max_norm(), err.l2_norm()))
+    init, made = ToeplitzSolver.__init__, []
+
+    def spy(self, *args, **kwargs):
+        made.append(len(args[0]) + 1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ToeplitzSolver, "__init__", spy)
+    (report,) = run_study(StudyConfig(problem=problem, corrected=True,
+                                      M_list=grids))
+    assert [(r.M, r.err_max, r.err_l2) for r in report.rows] == want
+    assert made == setups

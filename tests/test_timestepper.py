@@ -89,6 +89,23 @@ class TestSolvePath:
                       corrected=corrected)
         assert seen == want
 
+    # the benchmark's tracer counts one march step per forcing call
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("N", [1, K - 1, K + 1])
+    @pytest.mark.parametrize("M", [16, 300])
+    def test_one_forcing_call_per_grid_and_step(self, M, N, corrected):
+        problem = catalog("ex3", BETA)
+        rhs, times = problem.rhs, []
+
+        def forcing(x, t):
+            times.append(t)
+            return rhs(x, t)
+
+        cn_wsgd_solve(replace(problem, rhs=forcing), M, TimeGrid(N * 1e-3, N),
+                      corrected=corrected)
+        assert len(times) == (2 * N if corrected else N)
+        assert all(type(t) is float for t in times)
+
     def test_march_at_m32_corrected_still_diverges(self):
         # the known failure of the ex3/M32/corrected benchmark operation: the
         # per-step strength overflows and the next solve refuses the field
@@ -102,21 +119,23 @@ def _spoil_products(monkeypatch, m, first, count, factor=0.5,
                     method="apply_inverse"):
     """Scale by ``factor`` the products ``A^-1 b`` with ``len(b) == m`` of
     an explicit inverse, from the ``first``-th such call (1-based) for
-    ``count`` calls (all after it when None); every other product stays
-    exact.  ``method`` is the one spoiled: ``apply_inverse``, the march's
+    ``count`` calls (all after it when None), in place, so that a product
+    written into the march's ``out`` row is spoiled there too; every other
+    product stays exact.  ``method`` is the one spoiled: ``apply_inverse``, the march's
     unchecked product, or ``_precondition``, which the checked solve uses
     as well."""
     product = getattr(ToeplitzSolver, method)
     calls = 0
 
-    def spoiled(self, b):
+    def spoiled(self, b, **out):
         nonlocal calls
-        x = product(self, b)
+        x = product(self, b, **out)
         if len(b) != m or not self.explicit:
             return x
         calls += 1
-        hit = calls >= first and (count is None or calls < first + count)
-        return factor * x if hit else x
+        if calls >= first and (count is None or calls < first + count):
+            x *= factor
+        return x
 
     monkeypatch.setattr(ToeplitzSolver, method, spoiled)
 
