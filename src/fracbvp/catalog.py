@@ -1,12 +1,13 @@
 """Manufactured problems, their singular terms, and the named catalog.
 
 Every stationary problem couples :class:`~fracbvp.solver.FracParams` with a
-closed-form right-hand side (a :class:`~fracbvp.analytic.PowerSum`), an
-optional exact solution and an optional leading singular term.  The five
-named entries cover one-sided and symmetric two-sided derivatives, with
-and without a known exact solution, plus one time-dependent problem.
+closed-form right-hand side (a :class:`~fracbvp.analytic.PowerSum`) and
+an optional exact solution.  The five named entries cover one-sided and
+symmetric two-sided derivatives, with and without a known exact
+solution, plus one time-dependent problem.
 
-The singular term is one formula for every theta: the product
+Every problem's leading singular term is derived from its operator, and
+never stored: one formula for every theta, the product
 ``(x-a)**gamma * (b-x)**(beta-gamma)`` with the exponents of
 :func:`~fracbvp.analytic.singular_exponents`, whose image under the
 two-sided operator is a constant.
@@ -32,8 +33,9 @@ class SingularTermSpec:
     """Leading boundary singular term and its exact right-hand side.
 
     ``us`` is the singular profile ``(x-a)**rho_left * (b-x)**rho_right``
-    (possibly scaled) and ``fs`` the exact image of ``us`` under the
-    problem operator, so the pair feeds the two-grid strength estimate.
+    and ``fs`` the exact image of ``us`` under the problem operator, so the
+    pair feeds the two-grid strength estimate.  :func:`singular_term` makes
+    it from the operator; a problem's ``singular`` attribute derives it.
     """
 
     us: PowerSum
@@ -44,14 +46,22 @@ class SingularTermSpec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A stationary fractional boundary-value problem on [a, b]."""
+    """A stationary fractional boundary-value problem on [a, b].
+
+    ``singular`` is the operator's leading singular term, derived from
+    ``params`` and ``domain`` on first use; a problem made with
+    :func:`dataclasses.replace` derives its own.
+    """
 
     name: str
     params: FracParams
     domain: tuple[float, float]
     rhs: PowerSum
     exact: Optional[PowerSum] = None
-    singular: Optional[SingularTermSpec] = None
+
+    @functools.cached_property
+    def singular(self) -> SingularTermSpec:
+        return singular_term(self.params, *self.domain)
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,8 @@ class TimeDependentProblem:
 
     Only the one-sided case ``theta = 1`` is covered by the time stepper;
     ``params.alpha`` plays no role here (there is no reaction term).
+    ``singular`` is the operator's leading singular term, derived from
+    ``params`` and ``domain`` on first use, as for :class:`ProblemSpec`.
     """
 
     name: str
@@ -69,7 +81,8 @@ class TimeDependentProblem:
     rhs: Callable[[np.ndarray, float], np.ndarray]
     initial: Callable[[np.ndarray], np.ndarray]
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    singular: Optional[SingularTermSpec] = None
+
+    singular = ProblemSpec.singular
 
 
 def singular_term(params: FracParams, a: float = 0.0,
@@ -89,8 +102,7 @@ def manufactured(name: str, params: FracParams, exact: PowerSum) -> ProblemSpec:
     """Problem with a prescribed exact solution; rhs built in closed form."""
     rhs = elliptic_rhs(exact, params.alpha, params.beta, params.theta)
     return ProblemSpec(name=name, params=params, domain=(exact.a, exact.b),
-                       rhs=rhs, exact=exact,
-                       singular=singular_term(params, exact.a, exact.b))
+                       rhs=rhs, exact=exact)
 
 
 def _ex1_profile(beta: float) -> PowerSum:
@@ -106,7 +118,6 @@ def _ex3(beta: float) -> TimeDependentProblem:
     params = FracParams(alpha=0.0, beta=beta, theta=1.0)
     profile = _ex1_profile(beta)
     d_profile = left_derivative(profile, beta)
-    sing = singular_term(params)
     # the forcing 3t^2 p(x) - t^3 Dp(x) is separable and a march samples it
     # on the same nodes every step (two grids when corrected): p and Dp are
     # kept per node values, so an array refilled in place is evaluated anew
@@ -128,7 +139,7 @@ def _ex3(beta: float) -> TimeDependentProblem:
 
     return TimeDependentProblem(
         name="ex3", params=params, domain=(0.0, 1.0), final_time=1.0,
-        rhs=rhs, initial=initial, exact=exact, singular=sing)
+        rhs=rhs, initial=initial, exact=exact)
 
 
 def catalog(name: str, beta: float):
@@ -145,8 +156,7 @@ def catalog(name: str, beta: float):
     if name == "ex1-case2":
         params = FracParams(alpha=1.0, beta=beta, theta=1.0)
         rhs = PowerSum.left_anchored([(1.0, 1.0), (1.0, 0.0)])  # x + 1
-        return ProblemSpec(name=name, params=params, domain=(0.0, 1.0),
-                           rhs=rhs, exact=None, singular=singular_term(params))
+        return ProblemSpec(name=name, params=params, domain=(0.0, 1.0), rhs=rhs)
     if name == "ex2-case1":
         params = FracParams(alpha=1.0, beta=beta, theta=0.5)
         exact = PowerSum(0.0, 1.0, (
@@ -157,8 +167,7 @@ def catalog(name: str, beta: float):
     if name == "ex2-case2":
         params = FracParams(alpha=1.0, beta=beta, theta=0.5)
         rhs = PowerSum.constant(1.0)
-        return ProblemSpec(name=name, params=params, domain=(0.0, 1.0),
-                           rhs=rhs, exact=None, singular=singular_term(params))
+        return ProblemSpec(name=name, params=params, domain=(0.0, 1.0), rhs=rhs)
     if name == "ex3":
         return _ex3(beta)
     raise KeyError(f"unknown problem name {name!r}; choose from {CATALOG_NAMES}")
@@ -170,8 +179,9 @@ def with_overrides(spec: ProblemSpec, alpha: Optional[float] = None,
 
     When the problem carries an exact solution its rhs is re-derived for
     the new parameters, so the exact solution stays valid; a ``ValueError``
-    is raised when that rhs has no closed form at the new theta.  The
-    singular term is rebuilt for the new parameters, at any theta.
+    is raised when that rhs has no closed form at the new theta.  The new
+    problem derives its singular term from the new parameters, at any
+    theta.
     """
     params = FracParams(
         alpha=spec.params.alpha if alpha is None else alpha,
@@ -180,9 +190,7 @@ def with_overrides(spec: ProblemSpec, alpha: Optional[float] = None,
     )
     if params == spec.params:
         return spec
-    a, b = spec.domain
     rhs = spec.rhs
     if spec.exact is not None:
         rhs = elliptic_rhs(spec.exact, params.alpha, params.beta, params.theta)
-    return replace(spec, params=params, rhs=rhs,
-                   singular=singular_term(params, a, b))
+    return replace(spec, params=params, rhs=rhs)

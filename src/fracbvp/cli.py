@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .catalog import CATALOG_NAMES, catalog, with_overrides
 from .correction import correct
-from .report import emit_pointwise_error
+from .report import emit_nodal, emit_pointwise_error
 from .solver import SchemeKind, SolverError, solve_bvp
 from .study import ConfigError, StudyConfig, emit_reports, run_study, run_time_study
 
@@ -38,7 +37,6 @@ def _add_common(p: argparse.ArgumentParser, **example) -> None:
                    help="fractional order(s) in (1, 2)")
     p.add_argument("--correct", action="store_true",
                    help="apply the two-grid singular correction")
-    p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
     p.add_argument("--out", default=None, help="output file path")
 
 
@@ -74,6 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     tstudy.add_argument("--grids", type=int, nargs="+", default=[16, 32, 64, 128])
     tstudy.add_argument("--tau", type=float, default=StudyConfig.tau,
                         help="time step (default %(default)s)")
+    for p in (study, tstudy):
+        p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
     return ap
 
 
@@ -95,27 +95,19 @@ def _cmd_solve(args) -> int:
     M = args.grids[0]
     scheme = SchemeKind(args.scheme)
     if args.correct:
-        if problem.singular is None:
-            raise ConfigError("no singular term available for correction")
-        sol = correct(problem, problem.singular, M, scheme)
-        u = sol.corrected_coarse
+        u = correct(problem, M, scheme).corrected_coarse
     else:
         u = solve_bvp(problem, M, scheme)
-    out = Path(args.out) if args.out else Path(f"{args.example}-M{M}.csv")
+    out = args.out or f"{args.example}-M{M}.csv"
     p = problem.params
     meta = {"problem": problem.name, "alpha": p.alpha, "beta": p.beta,
             "theta": p.theta, "scheme": args.scheme, "corrected": args.correct,
-            "M": M}
-    if problem.singular is not None:
-        meta["rho_left"] = problem.singular.rho_left
-        meta["rho_right"] = problem.singular.rho_right
+            "M": M, "rho_left": problem.singular.rho_left,
+            "rho_right": problem.singular.rho_right}
     if problem.exact is not None:
         emit_pointwise_error(u, problem.exact, out, metadata=meta)
     else:
-        lines = [f"# {k}={v}" for k, v in sorted(meta.items())] + ["x,u"]
-        lines += [f"{x!r},{v!r}" for x, v in zip(u.grid.nodes(), u.values)]
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("\n".join(lines) + "\n")
+        emit_nodal(out, "x,u", u.grid.nodes(), u.values, meta)
     print(out)
     return EXIT_OK
 

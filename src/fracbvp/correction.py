@@ -41,7 +41,7 @@ from .grids import Grid, GridFunction
 from .solver import SchemeKind, SolverError, ToeplitzSolver, make_solver
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .catalog import ProblemSpec, SingularTermSpec
+    from .catalog import ProblemSpec
 
 
 class ConfigError(ValueError):
@@ -168,21 +168,21 @@ class TwoGridCorrector:
         return u_c + xi * self.gap_c, u_f + xi[self._fine] * self.gap_f, xi
 
 
-def _grid_solves(problem: "ProblemSpec", singular: "SingularTermSpec", grid: Grid,
-                scheme: SchemeKind) -> GridSolves:
-    """The problem's solve and the singular solve on one grid, made with
-    one solver."""
+def _grid_solves(problem: "ProblemSpec", grid: Grid,
+                 scheme: SchemeKind) -> GridSolves:
+    """The problem's solve and its singular term's solve on one grid, made
+    with one solver."""
     nodes = grid.interior_nodes()
     solver = make_solver(problem.params, grid, scheme, solves=2)
     return GridSolves(nodes, *(solver.solve(np.asarray(f(nodes), dtype=float))
-                               for f in (problem.rhs, singular.fs)))
+                               for f in (problem.rhs, problem.singular.fs)))
 
 
-def correct(problem: "ProblemSpec", singular: "SingularTermSpec", M: int,
-            scheme: SchemeKind, coarse: GridSolves | None = None) -> CorrectedSolution:
+def correct(problem: "ProblemSpec", M: int, scheme: SchemeKind,
+            coarse: GridSolves | None = None) -> CorrectedSolution:
     """Two-grid singular correction of the stationary solve on M intervals.
 
-    Solves the problem and the singular term on grids M and 2M, builds the
+    Solves the problem and its singular term on grids M and 2M, builds the
     corrector from the singular solves and returns the pair, the strength
     field and both corrected fields, with the fine grid's solves.
     ``coarse``, when given, holds grid M's solves, the ``fine_solves`` of
@@ -193,10 +193,11 @@ def correct(problem: "ProblemSpec", singular: "SingularTermSpec", M: int,
     grid_c = Grid(*problem.domain, M)
     grid_f = grid_c.refined()
     if coarse is None:
-        coarse = _grid_solves(problem, singular, grid_c, scheme)
-    fine = _grid_solves(problem, singular, grid_f, scheme)
-    corrector = TwoGridCorrector(coarse.us, fine.us, singular.us(coarse.nodes),
-                                 singular.us(fine.nodes))
+        coarse = _grid_solves(problem, grid_c, scheme)
+    fine = _grid_solves(problem, grid_f, scheme)
+    us = problem.singular.us
+    corrector = TwoGridCorrector(coarse.us, fine.us, us(coarse.nodes),
+                                 us(fine.nodes))
     field_c, field_f, xi = corrector.correct(coarse.u, fine.u)
     return CorrectedSolution(
         coarse=GridFunction.from_interior(grid_c, coarse.u),

@@ -95,24 +95,21 @@ def parse_report_json(path) -> ConvergenceReport:
     return ConvergenceReport(rows=rows, metadata=doc["metadata"])
 
 
-def emit_pointwise_error(solution: GridFunction, exact_or_reference, path,
-                         metadata: Optional[dict] = None) -> Path:
-    """Write per-node absolute errors as an ``x,abs_error`` CSV file.
-
-    ``exact_or_reference`` is either a callable/PowerSum evaluated at the
-    solution's nodes or a :class:`GridFunction` on the same grid.
-    """
-    x = solution.grid.nodes()
-    if isinstance(exact_or_reference, GridFunction):
-        if exact_or_reference.grid != solution.grid:
-            raise ValueError("reference grid does not match the solution grid")
-        ref = exact_or_reference.values
-    else:
-        ref = np.asarray(exact_or_reference(x), dtype=float)
-    err = np.abs(solution.values - ref)
+def emit_nodal(path, header: str, x, column, metadata: Optional[dict] = None) -> Path:
+    """Write a CSV file of one column of per-node values after the nodes
+    ``x``, under the metadata and the column ``header``; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = _meta_lines(metadata or {}) + ["x,abs_error"]
-    lines += [f"{_fmt(xi)},{_fmt(ei)}" for xi, ei in zip(x, err)]
+    lines = _meta_lines(metadata or {}) + [header]
+    lines += [f"{_fmt(xi)},{_fmt(vi)}" for xi, vi in zip(x, column)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def emit_pointwise_error(solution: GridFunction, exact, path,
+                         metadata: Optional[dict] = None) -> Path:
+    """Write per-node absolute errors as an ``x,abs_error`` CSV file;
+    ``exact`` is evaluated at the solution's nodes."""
+    x = solution.grid.nodes()
+    err = np.abs(solution.values - np.asarray(exact(x), dtype=float))
+    return emit_nodal(path, "x,abs_error", x, err, metadata)

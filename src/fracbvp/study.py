@@ -14,11 +14,11 @@ harness reproduces):
   reference solution on a power-of-two grid ``2**ref_level`` restricted
   by exact index selection, which requires the study grids to nest.
 
-The reference itself is the corrected solve at the reference level when
-a singular term is available (its own error is then orders of magnitude
-below the rows being measured, and reported errors are insensitive to
-the reference level); without one it falls back to the plain solve.
-Reports record the grid their errors are on as ``error_grid``.
+The reference itself is the corrected solve at the reference level, with
+the singular term every problem derives from its operator (its own error
+is then orders of magnitude below the rows being measured, and reported
+errors are insensitive to the reference level).  Reports record the grid
+their errors are on as ``error_grid``.
 
 Every linear solve, the reference's included, is accepted on the one
 normwise backward-error bound of :mod:`fracbvp.solver`; reports record
@@ -94,10 +94,7 @@ _memory_cache: dict[tuple[ProblemSpec, SchemeKind, int], np.ndarray] = {}
 def _solve_reference(problem: ProblemSpec, scheme: SchemeKind,
                      level: int) -> np.ndarray:
     """Nodal reference values on the grid 2**level (with boundaries)."""
-    if problem.singular is not None:
-        sol = correct(problem, problem.singular, 2 ** (level - 1), scheme)
-        return sol.corrected_fine.values
-    return solve_bvp(problem, 2 ** level, scheme).values
+    return correct(problem, 2 ** (level - 1), scheme).corrected_fine.values
 
 
 def reference_solution(problem: ProblemSpec, scheme: SchemeKind,
@@ -159,9 +156,6 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
     problem = config.problem
     if isinstance(problem, TimeDependentProblem):
         raise ConfigError("time-dependent problems run through run_time_study")
-    if config.corrected and problem.singular is None:
-        raise ConfigError(
-            f"problem {problem.name!r} has no singular term to correct")
     reference = None
     if problem.exact is None:
         max_exp = math.ceil(math.log2(max(config.M_list)))
@@ -187,7 +181,7 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
             return solve_bvp(problem, M, config.scheme)
         # row M's coarse grid is the fine grid of a row M/2 just before it
         coarse = last if last is not None and len(last.nodes) == M - 1 else None
-        sol = correct(problem, problem.singular, M, config.scheme, coarse)
+        sol = correct(problem, M, config.scheme, coarse)
         last = sol.fine_solves
         meta["guard_activations"] += sol.guard_activations
         return sol.corrected_fine

@@ -103,8 +103,6 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     """
     if abs(problem.params.theta - 1.0) > 1e-14:
         raise ValueError("time stepping covers the one-sided case theta = 1 only")
-    if corrected and problem.singular is None:
-        raise ValueError("corrected time stepping needs the problem's singular term")
     N = time_grid.N
     half_tau = 0.5 * time_grid.tau
     grids = [Grid(*problem.domain, M)]

@@ -1,6 +1,7 @@
 """Closed-form derivatives of power functions and the problem catalog."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,6 +267,24 @@ class TestCatalog:
         assert sing.rho_right == pytest.approx(0.629, abs=1e-3)
         np.testing.assert_allclose(sing.fs(XS) - sing.us(XS),
                                    -_two_sided_constant(1.5, 0.3), rtol=1e-13)
+
+    @pytest.mark.parametrize("name,params", [
+        ("ex2-case2", FracParams(1.0, 1.5, 0.3)),
+        ("ex3", FracParams(0.0, 1.5, 0.5)),
+    ])
+    def test_singular_term_follows_the_operator(self, name, params):
+        # the term is derived from the problem's own operator, so a problem
+        # with new parameters never carries the old exponents
+        spec = catalog(name, 1.5)
+        assert spec.singular == singular_term(spec.params)
+        changed = [replace(spec, params=params)]
+        if name != "ex3":
+            changed.append(with_overrides(spec, alpha=params.alpha,
+                                          theta=params.theta))
+        for problem in changed:
+            assert problem.singular == singular_term(params)
+            assert ((problem.singular.rho_left, problem.singular.rho_right)
+                    == singular_exponents(1.5, params.theta))
 
     def test_override_with_exact_rebuilds_rhs(self):
         spec = catalog("ex1-case1", 1.5)

@@ -91,7 +91,7 @@ def test_reference_cache_in_memory(monkeypatch, fresh_cache):
 
 
 def test_reference_cache_tells_callable_rhs_apart(fresh_cache):
-    base = replace(catalog("ex1-case2", 1.5), singular=None)
+    base = catalog("ex1-case2", 1.5)
     one = replace(base, rhs=lambda x: np.full_like(x, 1.0))
     two = replace(base, rhs=lambda x: np.full_like(x, 2.0))
     u1 = reference_solution(one, SchemeKind.WSGD, 8).values
@@ -123,7 +123,9 @@ def test_solve_without_exact_solution_writes_values(tmp_path):
     rows = [line for line in out.read_text().splitlines()
             if line and not line.startswith("#")]
     assert rows[0] == "x,u"
-    assert len(rows) == 1 + 65
+    values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    assert values.shape == (65, 2)
+    assert np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("example,theta,rho_left,rho_right", [
@@ -168,6 +170,8 @@ def test_method_option_is_gone(tmp_path):
     ["timestudy", "--singular-exponent", "0.7"],
     # N = round(T / tau) reaches every step count
     ["timestudy", "--steps", "40"],
+    # a solve writes nodal CSV only
+    ["solve", "--example", "ex1-case1", "--format", "json"],
 ])
 def test_removed_options_are_config_errors(tmp_path, argv):
     argv = [*argv, "--grids", "16", "--out", str(tmp_path / "r.csv")]

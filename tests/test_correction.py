@@ -17,14 +17,14 @@ def _pure_singular_problem(beta, theta, scale=1.0):
     sing = singular_term(params)
     return replace(
         manufactured("pure-singular", params, scale * sing.us),
-        rhs=scale * sing.fs, singular=sing), sing
+        rhs=scale * sing.fs), sing
 
 
 class TestXiStrength:
     def test_identical_solves_give_unit_strength(self):
         # f = f^s: the problem and singular solves coincide bit for bit
         prob, sing = _pure_singular_problem(1.5, 1.0)
-        sol = correct(prob, sing, 64, SchemeKind.WSGD)
+        sol = correct(prob, 64, SchemeKind.WSGD)
         np.testing.assert_array_equal(sol.xi.interior, 1.0)
         np.testing.assert_array_equal(sol.coarse.values,
                                       sol.corrected_coarse.values
@@ -33,14 +33,14 @@ class TestXiStrength:
 
     def test_pure_singular_corrected_to_exact(self):
         prob, sing = _pure_singular_problem(1.5, 1.0)
-        sol = correct(prob, sing, 64, SchemeKind.WSGD)
+        sol = correct(prob, 64, SchemeKind.WSGD)
         exact = sing.us(sol.corrected_coarse.grid.nodes())
         assert np.max(np.abs(sol.corrected_coarse.values - exact)) < 1e-13
 
     def test_linearity_in_rhs_scale(self):
         for c in (-2.0, 0.5, 10.0):
             prob, sing = _pure_singular_problem(1.4, 1.0, scale=c)
-            sol = correct(prob, sing, 32 * 2, SchemeKind.WSGD)
+            sol = correct(prob, 32 * 2, SchemeKind.WSGD)
             xi = sol.xi.interior
             assert abs(np.median(xi) - c) <= 1e-8 * abs(c)
             exact = c * sing.us(sol.corrected_coarse.grid.nodes())
@@ -54,7 +54,7 @@ class TestXiStrength:
         sing = singular_term(params)
         u = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0),)) + 3.0 * sing.us
         prob = manufactured("strength-three", params, u)
-        sol = correct(prob, sing, 64, SchemeKind.FCD)
+        sol = correct(prob, 64, SchemeKind.FCD)
         med = float(np.median(sol.xi.interior))
         assert abs(med - 3.0) <= 0.15
 
@@ -73,7 +73,7 @@ class TestXiStrength:
             node = 0 if sing.rho_left < sing.rho_right else -1
             strengths = []
             for M in (64, 128, 256):
-                sol = correct(prob, sing, M, SchemeKind.WSGD)
+                sol = correct(prob, M, SchemeKind.WSGD)
                 strengths.append(abs(sol.xi.interior[node]))
             assert strengths[0] > 2.0 * strengths[1], (theta, strengths)
             assert strengths[1] > 2.0 * strengths[2], (theta, strengths)
@@ -153,19 +153,19 @@ class TestCorrect:
     def test_validation(self, M):
         spec = catalog("ex1-case1", 1.5)
         with pytest.raises(ValueError, match="even interval count >= 8"):
-            correct(spec, spec.singular, M, SchemeKind.WSGD)
+            correct(spec, M, SchemeKind.WSGD)
 
     def test_reference_cell_b19(self):
         # frozen: one-sided problem, beta=1.9, pair (512, 1024), fine field
         spec = catalog("ex1-case1", 1.9)
-        sol = correct(spec, spec.singular, 512, SchemeKind.WSGD)
+        sol = correct(spec, 512, SchemeKind.WSGD)
         f = sol.corrected_fine
         err = np.max(np.abs(f.values - spec.exact(f.grid.nodes())))
         assert err == pytest.approx(1.27e-7, rel=0.02)
 
     def test_fine_and_coarse_fields_consistent(self):
         spec = catalog("ex1-case1", 1.5)
-        sol = correct(spec, spec.singular, 128, SchemeKind.WSGD)
+        sol = correct(spec, 128, SchemeKind.WSGD)
         # corrected fine restricted to coarse nodes telescopes onto the
         # corrected coarse field wherever the guard did not fire
         assert sol.guard_activations == 0
@@ -175,7 +175,7 @@ class TestCorrect:
 
     def test_improves_over_uncorrected(self):
         spec = catalog("ex1-case1", 1.5)
-        sol = correct(spec, spec.singular, 128, SchemeKind.WSGD)
+        sol = correct(spec, 128, SchemeKind.WSGD)
         xc = sol.coarse.grid.nodes()
         raw = np.max(np.abs(sol.coarse.values - spec.exact(xc)))
         done = np.max(np.abs(sol.corrected_coarse.values - spec.exact(xc)))
@@ -190,6 +190,6 @@ class TestCorrect:
 
         monkeypatch.setattr(correction, "make_solver", spy)
         spec = catalog("ex1-case1", 1.5)
-        correct(spec, spec.singular, 64, SchemeKind.WSGD)
+        correct(spec, 64, SchemeKind.WSGD)
         assert seen == [2, 2]
 

@@ -154,7 +154,7 @@ def test_reports_sum_counts_over_the_grids(monkeypatch):
     # guard activations and refinements add up over the rows, and the
     # largest backward error is the largest of any grid
     problem = catalog("ex1-case1", 1.5)
-    solution = correct(problem, problem.singular, 16, SchemeKind.WSGD)
+    solution = correct(problem, 16, SchemeKind.WSGD)
     monkeypatch.setattr(study, "correct",
                         lambda *args: replace(solution, guard_activations=2))
     (report,) = run_study(StudyConfig(problem=problem, corrected=True,
@@ -185,7 +185,7 @@ def test_corrected_rows_share_grid_solves(monkeypatch, grids, setups):
     problem = catalog("ex1-case1", 1.5)
     want = []
     for M in grids:
-        sol = correct(problem, problem.singular, M, SchemeKind.WSGD)
+        sol = correct(problem, M, SchemeKind.WSGD)
         err = _restrict_errors(sol.corrected_fine, problem.exact, None)
         want.append((M, err.max_norm(), err.l2_norm()))
     init, made = ToeplitzSolver.__init__, []

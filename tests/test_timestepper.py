@@ -289,11 +289,6 @@ class TestRejects:
         with pytest.raises(ValueError, match="even interval count >= 8"):
             cn_wsgd_solve(catalog("ex3", BETA), M, TimeGrid(1.0, 4), corrected=True)
 
-    def test_missing_singular_term_when_corrected(self):
-        problem = replace(catalog("ex3", BETA), singular=None)
-        with pytest.raises(ValueError, match="singular"):
-            cn_wsgd_solve(problem, 16, TimeGrid(1.0, 4), corrected=True)
-
     @pytest.mark.parametrize("N", [0, -3])
     def test_no_time_steps(self, N):
         with pytest.raises(ValueError, match="at least one time step"):
