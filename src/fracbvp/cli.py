@@ -139,7 +139,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_study(args)
-    except (ConfigError, KeyError, ValueError) as err:
+    except (ConfigError, ValueError) as err:
         print(f"fracbvp: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, MemoryError) as err:

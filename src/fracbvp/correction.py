@@ -14,9 +14,9 @@ the singular solves on a grid pair (M, 2M), and
 :meth:`TwoGridCorrector.correct` corrects a pair of solves.  The
 stationary :func:`correct`, which serves the study rows and the
 reference, solves the problem and the singular term's ``fs`` on each grid
-(:func:`_grid_solves`); a study row hands its fine grid's solves to the
-next row, on (2M, 4M), as that row's coarse ones.  The Crank-Nicolson
-march of :mod:`fracbvp.timestepper` makes it with
+(:func:`_grid_solves`) that its map of solved grids does not yet hold, so
+that a study which passes one map to every row solves each grid once.  The
+Crank-Nicolson march of :mod:`fracbvp.timestepper` makes it with
 :meth:`TwoGridCorrector.build`, which checks the grid pair and makes the
 singular solves with the march's two solvers, from the image of ``us``
 under its per-step operator, and corrects after every step.
@@ -67,7 +67,7 @@ class GridSolves:
 
 @dataclass
 class CorrectedSolution:
-    """Bundle of the raw pair, the strength field and corrected fields.
+    """Bundle of the raw coarse solve, the strength field and corrected fields.
 
     ``corrected_coarse`` lives on the coarse grid, ``corrected_fine`` on
     the fine grid (the two agree identically at coarse nodes wherever the
@@ -75,18 +75,14 @@ class CorrectedSolution:
     measures the singular strength only next to the singular end, and for
     theta in {0, 1} tends to an O(1) function of x elsewhere.
     ``guard_activations`` counts interior nodes whose denominator fell
-    below the guard and inherited a neighbour's strength.  ``fine_solves``
-    holds the fine grid's solves, for a correction on the grid pair
-    (2M, 4M) to reuse.
+    below the guard and inherited a neighbour's strength.
     """
 
     coarse: GridFunction
-    fine: GridFunction
     xi: GridFunction
     corrected_coarse: GridFunction
     corrected_fine: GridFunction
     guard_activations: int
-    fine_solves: GridSolves
 
 
 class TwoGridCorrector:
@@ -179,31 +175,31 @@ def _grid_solves(problem: "ProblemSpec", grid: Grid,
 
 
 def correct(problem: "ProblemSpec", M: int, scheme: SchemeKind,
-            coarse: GridSolves | None = None) -> CorrectedSolution:
+            solved: dict[int, GridSolves] | None = None) -> CorrectedSolution:
     """Two-grid singular correction of the stationary solve on M intervals.
 
     Solves the problem and its singular term on grids M and 2M, builds the
-    corrector from the singular solves and returns the pair, the strength
-    field and both corrected fields, with the fine grid's solves.
-    ``coarse``, when given, holds grid M's solves, the ``fine_solves`` of
-    a correction on M/2 intervals; grid M is then not solved again.
+    corrector from the singular solves and returns the raw coarse solve,
+    the strength field and both corrected fields.  ``solved`` maps an
+    interval count to that grid's solves: a grid of the pair that it holds
+    is not solved again, and a grid it lacks is solved and added to it.
     Raises :class:`ConfigError` unless M is even and at least 8.
     """
     check_pair(M)
     grid_c = Grid(*problem.domain, M)
     grid_f = grid_c.refined()
-    if coarse is None:
-        coarse = _grid_solves(problem, grid_c, scheme)
-    fine = _grid_solves(problem, grid_f, scheme)
+    solved = {} if solved is None else solved
+    for grid in (grid_c, grid_f):
+        if grid.M not in solved:
+            solved[grid.M] = _grid_solves(problem, grid, scheme)
+    coarse, fine = solved[M], solved[2 * M]
     us = problem.singular.us
     corrector = TwoGridCorrector(coarse.us, fine.us, us(coarse.nodes),
                                  us(fine.nodes))
     field_c, field_f, xi = corrector.correct(coarse.u, fine.u)
     return CorrectedSolution(
         coarse=GridFunction.from_interior(grid_c, coarse.u),
-        fine=GridFunction.from_interior(grid_f, fine.u),
         xi=GridFunction.from_interior(grid_c, xi),
         corrected_coarse=GridFunction.from_interior(grid_c, field_c),
         corrected_fine=GridFunction.from_interior(grid_f, field_f),
-        guard_activations=corrector.guard_activations,
-        fine_solves=fine)
+        guard_activations=corrector.guard_activations)

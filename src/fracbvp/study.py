@@ -12,7 +12,10 @@ harness reproduces):
   grid ``M``, the corrected coarse field when corrected;
 * when the problem has no exact solution, errors are measured against a
   reference solution on a power-of-two grid ``2**ref_level`` restricted
-  by exact index selection, which requires the study grids to nest.
+  by exact index selection.  ``2**ref_level`` must be a multiple of
+  ``4*M`` for every grid M, so that the reference grid nests grid M and
+  grid 2M with room to spare; this is checked before the reference is
+  solved.
 
 The reference itself is the corrected solve at the reference level, with
 the singular term every problem derives from its operator (its own error
@@ -29,10 +32,9 @@ and how many step solves missed the bound and were solved again,
 
 Both runners check their own configuration and hand a solve per grid
 to one row loop, which times and measures it and writes the metadata
-keys that every report shares.  A corrected row ``M`` that follows the
-row ``M/2`` takes that row's fine-grid solves as its coarse ones, so that
-each grid is solved once; its wall time then leaves out those reused
-solves.  Only the last row's fine-grid solves are kept.
+keys that every report shares.  The corrected rows of a study share one
+map of solved grids, so that each grid is solved once, by the first row
+that needs it; a row's wall time leaves out the solves it reuses.
 
 References are cached in memory only, keyed by the problem, scheme and
 level values; nothing is written to disk.
@@ -51,7 +53,7 @@ import numpy as np
 from .catalog import ProblemSpec, TimeDependentProblem
 from .correction import ConfigError, check_pair, correct
 from .grids import Grid, GridFunction
-from .report import ConvergenceReport, emit_pointwise_error, emit_report
+from .report import ConvergenceReport, emit_report
 from .solver import BACKWARD_ERROR_BOUND, SchemeKind, solve_bvp
 from .timestepper import TimeGrid, cn_wsgd_solve
 
@@ -120,12 +122,7 @@ def _restrict_errors(field: GridFunction, exact, reference: GridFunction | None)
     if exact is not None:
         target = np.asarray(exact(field.grid.nodes()), dtype=float)
     else:
-        stride, rem = divmod(reference.grid.M, field.grid.M)
-        if rem:
-            raise ConfigError(
-                f"grid {field.grid.M} does not nest in the reference grid "
-                f"{reference.grid.M}")
-        target = reference.values[::stride]
+        target = reference.values[::reference.grid.M // field.grid.M]
     return GridFunction(field.grid, field.values - target)
 
 
@@ -158,11 +155,11 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
         raise ConfigError("time-dependent problems run through run_time_study")
     reference = None
     if problem.exact is None:
-        max_exp = math.ceil(math.log2(max(config.M_list)))
-        if config.ref_level < max_exp + 2:
-            raise ConfigError(
-                f"reference level {config.ref_level} must exceed the largest "
-                f"grid exponent {max_exp} by at least 2")
+        for M in config.M_list:
+            if 2 ** config.ref_level % (4 * M):
+                raise ConfigError(
+                    f"reference level {config.ref_level} does not nest grid "
+                    f"{M}: 2**{config.ref_level} is not a multiple of 4*{M}")
         reference = reference_solution(problem, config.scheme, config.ref_level)
     meta = {
         "alpha": problem.params.alpha,
@@ -172,17 +169,12 @@ def run_study(config: StudyConfig) -> list[ConvergenceReport]:
                      else f"level-{config.ref_level}",
         "guard_activations": 0,
     }
-
-    last = None  # the fine-grid solves of the last corrected row
+    solved = {}  # each grid's solves, shared by the corrected rows
 
     def solve(M):
-        nonlocal last
         if not config.corrected:
             return solve_bvp(problem, M, config.scheme)
-        # row M's coarse grid is the fine grid of a row M/2 just before it
-        coarse = last if last is not None and len(last.nodes) == M - 1 else None
-        sol = correct(problem, M, config.scheme, coarse)
-        last = sol.fine_solves
+        sol = correct(problem, M, config.scheme, solved)
         meta["guard_activations"] += sol.guard_activations
         return sol.corrected_fine
 
@@ -261,5 +253,4 @@ __all__ = [
     "run_time_study",
     "emit_reports",
     "emit_report",
-    "emit_pointwise_error",
 ]

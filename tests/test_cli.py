@@ -74,6 +74,19 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     assert cli.main(argv) == cli.EXIT_SOLVER
 
 
+def test_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # argparse choices refuse an unknown --example before the catalog is
+    # asked, so a KeyError that reaches main comes from a defect
+    def fail(*args, **kwargs):
+        raise KeyError("defect")
+
+    monkeypatch.setattr(cli, "run_study", fail)
+    argv = ["study", "--example", "ex1-case1", "--grids", "16",
+            "--out", str(tmp_path / "s.csv")]
+    with pytest.raises(KeyError):
+        cli.main(argv)
+
+
 def test_reference_cache_in_memory(monkeypatch, fresh_cache):
     first = reference_solution(catalog("ex1-case2", 1.5), SchemeKind.WSGD, 8)
 

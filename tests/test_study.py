@@ -51,10 +51,14 @@ class TestStudyConfig:
         assert not fresh_cache  # rejected before any reference solve
 
 
-def test_restrict_errors_needs_nested_grids():
-    reference = GridFunction.zeros(Grid(0.0, 1.0, 256))
-    with pytest.raises(ConfigError, match="does not nest"):
-        _restrict_errors(GridFunction.zeros(Grid(0.0, 1.0, 48)), None, reference)
+@pytest.mark.parametrize("grids,corrected", [((24, 48), False), ((24, 48), True),
+                                              ((64, 96), False)])
+def test_reference_must_nest_the_grids(fresh_cache, grids, corrected):
+    config = StudyConfig(problem=catalog("ex1-case2", 1.5), corrected=corrected,
+                         M_list=grids)
+    with pytest.raises(ConfigError, match="reference level 15"):
+        run_study(config)
+    assert not fresh_cache  # rejected before any reference solve
 
 
 def test_restrict_errors_against_nested_reference():
@@ -176,12 +180,13 @@ def test_reports_sum_counts_over_the_grids(monkeypatch):
             report.metadata["guard_activations"]) == (3, 3e-16, 4)
 
 
-# the grids each solver set-up is made on: a row's coarse, then fine grid
+# the grids each solver set-up is made on: a row's coarse, then fine grid,
+# unless an earlier row solved it
 @pytest.mark.parametrize("grids,setups", [((16, 32, 64), [16, 32, 64, 128]),
-                                          ((16, 24, 32), [16, 32, 24, 48, 32, 64])])
+                                          ((16, 24, 32), [16, 32, 24, 48, 64])])
 def test_corrected_rows_share_grid_solves(monkeypatch, grids, setups):
-    # row M's coarse grid is solved once, as row M/2's fine grid, when that
-    # row comes just before it; the errors are those of separate pairs
+    # each grid is solved once, by the first row that needs it; the errors
+    # are those of separate pairs
     problem = catalog("ex1-case1", 1.5)
     want = []
     for M in grids:
