@@ -8,10 +8,12 @@ Run from the repository root::
 Layer costs, on one BLAS thread: for every interval count M in
 2**4 ... 2**12 (2**4 ... 2**7 with ``--quick``) and beta in {1.1, 1.5, 1.8},
 the set-up seconds, the seconds per solve and the GMRES iterations of each
-path of :func:`fracbvp.solver.make_solver` -- the explicit inverse, the
-Gohberg-Semencul product and GMRES -- on the stationary WSGD system
-(alpha = 1, theta = 1) and on the Crank-Nicolson matrix of the ``ex3``
-march (tau = 1e-3).  The explicit inverse holds two dense M x M arrays, so
+path of :func:`fracbvp.solver.make_solver` -- GMRES, which serves the
+stationary solves, and the two forms of ``A^-1`` that a march holds, the
+explicit inverse and the Gohberg-Semencul product -- on both systems,
+whichever role uses each: the stationary WSGD system (alpha = 1,
+theta = 1) and the Crank-Nicolson matrix of the ``ex3`` march
+(tau = 1e-3).  The explicit inverse holds two dense M x M arrays, so
 it is timed up to M = 1024 only.  GMRES is also timed at M = 2**13 ...
 2**16 (not with ``--quick``), the sizes of the level-14 and level-15
 reference solves and one beyond; with ``--baseline DIR`` its solve at

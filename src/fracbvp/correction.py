@@ -169,7 +169,7 @@ def _grid_solves(problem: "ProblemSpec", grid: Grid,
     """The problem's solve and its singular term's solve on one grid, made
     with one solver."""
     nodes = grid.interior_nodes()
-    solver = make_solver(problem.params, grid, scheme, solves=2)
+    solver = make_solver(problem.params, grid, scheme)
     return GridSolves(nodes, *(solver.solve(np.asarray(f(nodes), dtype=float))
                                for f in (problem.rhs, problem.singular.fs)))
 

@@ -54,15 +54,13 @@ def _meta_lines(metadata: dict) -> list[str]:
 
 
 def emit_report(report: ConvergenceReport, fmt: str, path) -> Path:
-    """Write a report as csv, json or markdown; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write a report as csv, json or markdown; returns the path.  An
+    unknown format is refused before anything is written."""
     if fmt == "csv":
         lines = _meta_lines(report.metadata) + [CSV_HEADER]
         for r in report.rows:
             rate = "" if r.rate is None else _fmt(r.rate)
             lines.append(f"{r.M},{_fmt(r.err_max)},{_fmt(r.err_l2)},{rate},{_fmt(r.wall_seconds)}")
-        path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         doc = {
             "metadata": report.metadata,
@@ -72,7 +70,7 @@ def emit_report(report: ConvergenceReport, fmt: str, path) -> Path:
                 for r in report.rows
             ],
         }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        lines = [json.dumps(doc, indent=2, sort_keys=True)]
     elif fmt == "markdown":
         lines = _meta_lines(report.metadata)
         lines += ["", "| M | E_max | E_l2 | rate | wall (s) |",
@@ -81,9 +79,11 @@ def emit_report(report: ConvergenceReport, fmt: str, path) -> Path:
             rate = "" if r.rate is None else f"{r.rate:.2f}"
             lines.append(f"| {r.M} | {r.err_max:.3e} | {r.err_l2:.3e} "
                          f"| {rate} | {r.wall_seconds:.2f} |")
-        path.write_text("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 

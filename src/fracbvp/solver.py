@@ -8,14 +8,15 @@ with zero Dirichlet data is Toeplitz:
 * FCD:   ``A = alpha*I + cos(beta*pi/2) * C``       with ``C`` the centered
   operator matrix (requires ``theta = 1/2``).
 
-:func:`make_solver` picks the solve path by expected cost, from the grid
-size and the number of solves the caller will make: a direct solve in
-general, matrix-free restarted GMRES with a Strang circulant
-preconditioner for a few solves on a fine grid, and an explicit inverse
-for many solves on a coarse grid (a Crank-Nicolson march).
-The direct solve never forms the matrix: two GMRES solves (one when ``A``
-is symmetric) give the first and last columns of ``A^-1``, and the
-Gohberg-Semencul formula (Gohberg & Semencul 1972)
+:func:`make_solver` picks the solve path by the caller's role.  A
+stationary solve, one or two per grid, runs matrix-free restarted GMRES
+with a Strang circulant preconditioner.  A Crank-Nicolson march, which
+solves one matrix at every step, asks for the direct path and holds
+``A^-1``: an explicit inverse on a coarse grid, the Gohberg-Semencul
+generators on a finer one.  The direct path never forms the matrix: two
+GMRES solves (one when ``A`` is symmetric) give the first and last
+columns of ``A^-1``, and the Gohberg-Semencul formula (Gohberg &
+Semencul 1972)
 
     A^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)],
 
@@ -72,24 +73,12 @@ from .operators import (embedding_size, embedding_spectrum, fcd_toeplitz,
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec
 
-# The cost rule of :func:`make_solver`.  The timings that set it are in
-# BENCH_14.json, written by scripts/solver_costs.py (one BLAS thread, WSGD,
-# beta in {1.1, 1.5, 1.8}).
-
-#: Most solves that GMRES serves.  For the non-symmetric systems timed the
-#: Gohberg-Semencul set-up is two GMRES solves, and with its two products
-#: it cost more than two GMRES solves in all 54 cells (M = 16 ... 4096);
-#: with three products it cost less than three GMRES solves in 43 of them.
-KRYLOV_MAX_SOLVES = 2
-
-#: Largest interval count at which many solves use the explicit inverse:
-#: a solve costs 20-41 us up to M = 256 against 53-88 us for the
-#: Gohberg-Semencul product, but 218-268 us against 95-153 us at M = 512.
+#: Largest interval count at which the direct path holds the explicit
+#: inverse: a solve costs 20-41 us up to M = 256 against 53-88 us for the
+#: Gohberg-Semencul product, but 218-268 us against 95-153 us at M = 512
+#: (BENCH_14.json, written by scripts/solver_costs.py: one BLAS thread,
+#: WSGD, beta in {1.1, 1.5, 1.8}).
 EXPLICIT_LIMIT = 256
-
-#: Fewest solves that pay for forming the explicit inverse: at M = 256 it
-#: adds 1.0-1.2 ms to the set-up, 26-33 of the 33-38 us per-solve savings.
-EXPLICIT_MIN_SOLVES = 32
 
 #: Largest normwise backward error accepted from any solve (1024 eps).
 BACKWARD_ERROR_BOUND = 2.0 ** -42
@@ -216,9 +205,8 @@ class ToeplitzSolver:
     ``A^-1`` on the direct path and the Strang circulant otherwise.  The
     last solve's GMRES iteration count is kept in ``last_iterations``.
 
-    A caller that makes many solves can take them apart:
-    :meth:`apply_inverse` gives ``A^-1 b`` without a check (a checked
-    GMRES solve on the Krylov path), and
+    A caller that makes many solves on the direct path can take them
+    apart: :meth:`apply_inverse` gives ``A^-1 b`` without a check, and
     :meth:`backward_error` checks a block of such solutions, one per
     row, with one product (a matrix-matrix product on the explicit
     representation, a row-batched FFT product otherwise).  A solution
@@ -285,14 +273,13 @@ class ToeplitzSolver:
         return self._inverse is not None
 
     def apply_inverse(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``A^-1 b`` for a vector ``b``, written into ``out`` when given: on
-        the direct path the preconditioner, with no check (the explicit
-        inverse's product goes straight into ``out``); on the Krylov path,
-        which has no representation of ``A^-1``, a checked :meth:`solve`."""
+        """``A^-1 b`` for a vector ``b``, written into ``out`` when given: the
+        direct path's preconditioner, with no check (the explicit inverse's
+        product goes straight into ``out``).  Raises ``ValueError`` on the
+        Krylov path, which holds no ``A^-1``."""
         if self.method == "krylov":
-            x = self.solve(b)
-        else:
-            x = self._precondition(b, out=out)
+            raise ValueError("the Krylov path holds no A^-1: use solve")
+        x = self._precondition(b, out=out)
         if out is None or x is out:
             return x
         out[...] = x
@@ -407,33 +394,27 @@ class ToeplitzSolver:
 
 
 def make_solver(params: FracParams, grid: Grid, scheme: SchemeKind,
-                frac_scale: float = 1.0, solves: int = 1) -> ToeplitzSolver:
-    """Solver of the interior scheme system on ``grid`` for ``solves`` solves.
+                frac_scale: float = 1.0, direct: bool = False) -> ToeplitzSolver:
+    """Solver of the interior scheme system on ``grid``.
 
-    The path is the one of least expected cost for that many solves:
-
-    * GMRES for at most ``KRYLOV_MAX_SOLVES`` solves;
-    * an explicit inverse for at least ``EXPLICIT_MIN_SOLVES`` solves up
-      to ``EXPLICIT_LIMIT`` intervals (a Crank-Nicolson march);
-    * the Gohberg-Semencul product otherwise.
-
-    The explicit inverse is a representation of the direct path, so its
-    ``method`` is ``'dense'``.
+    By default GMRES, for the one or two solves of a stationary problem.
+    A caller that solves the matrix many times, as a Crank-Nicolson march
+    does at every step, passes ``direct=True`` and gets ``A^-1``: the
+    explicit inverse up to ``EXPLICIT_LIMIT`` intervals and the
+    Gohberg-Semencul product above, both with ``method`` ``'dense'``.
     """
-    if solves < 1:
-        raise ValueError(f"need at least one solve, got solves={solves}")
     col, row = scheme_toeplitz(params, grid, scheme, frac_scale)
-    if solves <= KRYLOV_MAX_SOLVES:
+    if not direct:
         return ToeplitzSolver(col, row, method="krylov")
-    explicit = grid.M <= EXPLICIT_LIMIT and solves >= EXPLICIT_MIN_SOLVES
-    return ToeplitzSolver(col, row, method="dense", explicit=explicit)
+    return ToeplitzSolver(col, row, method="dense",
+                          explicit=grid.M <= EXPLICIT_LIMIT)
 
 
 def solve_bvp(problem: "ProblemSpec", M: int, scheme: SchemeKind) -> GridFunction:
     """Solve a stationary boundary-value problem on M intervals.
 
-    Returns the grid function with zero boundary entries, solved on the
-    path :func:`make_solver` picks for one solve on M intervals.
+    Returns the grid function with zero boundary entries, solved by
+    GMRES (:func:`make_solver`).
     """
     if M < 4:
         raise ValueError(f"need at least 4 intervals, got M={M}")

@@ -192,6 +192,8 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
     problem = config.problem
     if not isinstance(problem, TimeDependentProblem):
         raise ConfigError("timestudy needs a time-dependent problem")
+    if config.scheme is not SchemeKind.WSGD:
+        raise ConfigError(f"timestudy marches the WSGD scheme only, got {config.scheme.value}")
     if problem.exact is None:
         raise ConfigError(
             f"problem {problem.name!r} has no exact solution to measure against")

@@ -5,10 +5,10 @@ with ``D`` the theta-weighted spatial operator and ``f`` sampled at the
 half node.  With ``A = I - tau/2 D`` the explicit operator is ``2I - A``, so
 a step is one solve, ``A v = u^{n-1} + (tau/2) f^{n-1/2}``, ``u^n = 2v - u^{n-1}``.
 The implicit matrix is time-independent, so one solver set-up serves the
-whole march.  The march tells :func:`~fracbvp.solver.make_solver` that it
-makes ``N`` solves, ``N + 1`` when corrected, so on a coarse grid it gets
-an explicit inverse, applied by one matrix-vector product per step, and on
-a finer grid, for two steps or more, the Gohberg-Semencul generators.
+whole march.  The march asks :func:`~fracbvp.solver.make_solver` for the
+direct path, which holds ``A^-1``: on a coarse grid an explicit inverse,
+applied by one matrix-vector product per step, and on a finer grid the
+Gohberg-Semencul generators.
 
 The march advances in blocks of ``BLOCK_STEPS`` steps, taken by one step
 routine that keeps each step's right-hand side and solution as rows of
@@ -110,9 +110,8 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         grids.append(grids[0].refined())
     stepping = FracParams(alpha=1.0, beta=problem.params.beta,
                           theta=problem.params.theta)
-    # a solve per step, and the corrector's singular solve when corrected
-    solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau,
-                           solves=N + 1 if corrected else N) for grid in grids]
+    solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau, direct=True)
+               for grid in grids]
     nodes = [grid.interior_nodes() for grid in grids]
     state = [np.asarray(problem.initial(x), dtype=float) for x in nodes]
 

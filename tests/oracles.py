@@ -125,7 +125,7 @@ def cn_march(problem, M: int, time_grid, corrected: bool = False) -> np.ndarray:
     the final time on grid M (the corrected coarse field when corrected).
 
     Every step is ``u <- 2 A^-1 (u + (tau/2) f) - u`` through
-    ``ToeplitzSolver.solve`` on the path ``make_solver`` picks for the
+    ``ToeplitzSolver.solve`` on the direct path ``make_solver`` gives the
     march, followed by ``TwoGridCorrector.correct`` when corrected.
     """
     half_tau = 0.5 * time_grid.tau
@@ -133,9 +133,8 @@ def cn_march(problem, M: int, time_grid, corrected: bool = False) -> np.ndarray:
     if corrected:
         grids.append(grids[0].refined())
     stepping = FracParams(1.0, problem.params.beta, problem.params.theta)
-    solves = time_grid.N + 1 if corrected else time_grid.N
-    solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau,
-                           solves=solves) for grid in grids]
+    solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau, direct=True)
+               for grid in grids]
     nodes = [grid.interior_nodes() for grid in grids]
     u = [np.asarray(problem.initial(x), dtype=float) for x in nodes]
     if corrected:

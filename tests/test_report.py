@@ -45,5 +45,7 @@ def test_json_round_trip(tmp_path):
 
 
 def test_unknown_format(tmp_path):
+    # refused before the output's directory is made
     with pytest.raises(ValueError, match="unknown report format"):
-        emit_report(_report(), "xml", tmp_path / "r.xml")
+        emit_report(_report(), "xml", tmp_path / "new" / "dir" / "x.xml")
+    assert list(tmp_path.iterdir()) == []

@@ -14,8 +14,6 @@ from fracbvp.operators import toeplitz_matvec
 from fracbvp.solver import (
     BACKWARD_ERROR_BOUND,
     EXPLICIT_LIMIT,
-    EXPLICIT_MIN_SOLVES,
-    KRYLOV_MAX_SOLVES,
     FracParams,
     KrylovError,
     SchemeKind,
@@ -321,24 +319,26 @@ class TestSolve:
         with pytest.raises(ValueError):
             ToeplitzSolver(col, row, method="cg")
 
-    # each threshold of the cost rule, from both sides
-    @pytest.mark.parametrize("M,solves,method,explicit", [
-        (EXPLICIT_LIMIT, EXPLICIT_MIN_SOLVES, "dense", True),
-        (EXPLICIT_LIMIT, EXPLICIT_MIN_SOLVES - 1, "dense", False),
-        (EXPLICIT_LIMIT + 2, EXPLICIT_MIN_SOLVES, "dense", False),
-        (2048, KRYLOV_MAX_SOLVES, "krylov", False),
-        (16, KRYLOV_MAX_SOLVES, "krylov", False),
-        (2048, KRYLOV_MAX_SOLVES + 1, "dense", False),
+    # GMRES unless the caller asks for the direct path, which holds the
+    # explicit inverse up to EXPLICIT_LIMIT intervals
+    @pytest.mark.parametrize("M,direct,method,explicit", [
+        (16, False, "krylov", False),
+        (2048, False, "krylov", False),
+        (EXPLICIT_LIMIT, True, "dense", True),
+        (EXPLICIT_LIMIT + 2, True, "dense", False),
+        (2048, True, "dense", False),
     ])
-    def test_make_solver_picks_path_by_cost(self, M, solves, method, explicit):
+    def test_make_solver_picks_path_by_role(self, M, direct, method, explicit):
         solver = make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, M),
-                             SchemeKind.WSGD, solves=solves)
+                             SchemeKind.WSGD, direct=direct)
         assert (solver.method, solver.explicit) == (method, explicit)
 
-    def test_make_solver_needs_a_solve(self):
-        with pytest.raises(ValueError, match="at least one solve"):
-            make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
-                        SchemeKind.WSGD, solves=0)
+    def test_apply_inverse_needs_the_direct_path(self):
+        # the Krylov path holds no A^-1, only the Strang preconditioner
+        solver = make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
+                             SchemeKind.WSGD)
+        with pytest.raises(ValueError, match="no A\\^-1"):
+            solver.apply_inverse(np.ones(63))
 
 
 class TestStrangPreconditioner:

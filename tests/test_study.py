@@ -94,6 +94,18 @@ def test_time_study_needs_an_exact_solution():
         run_time_study(config)
 
 
+def test_time_study_refuses_fcd_before_the_march(monkeypatch):
+    # the march is Crank-Nicolson WSGD: an FCD study used to march WSGD
+    # and report it as cn-wsgd
+    marched = []
+    monkeypatch.setattr(study, "cn_wsgd_solve", lambda *a, **k: marched.append(a))
+    config = StudyConfig(problem=catalog("ex3", 1.5), scheme=SchemeKind.FCD,
+                         M_list=[16], tau=0.1)
+    with pytest.raises(ConfigError, match="WSGD"):
+        run_time_study(config)
+    assert marched == []
+
+
 @pytest.mark.parametrize("run,name", [(run_study, "ex3"), (run_time_study, "ex1-case1")])
 def test_study_kind_must_match_the_problem(run, name):
     with pytest.raises(ConfigError):

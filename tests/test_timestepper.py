@@ -74,15 +74,14 @@ class TestFrozenRows:
 
 
 class TestSolvePath:
-    @pytest.mark.parametrize("corrected,want", [(False, [50]), (True, [51, 51])])
+    @pytest.mark.parametrize("corrected,want", [(False, [True]), (True, [True, True])])
     def test_march_declares_its_solves(self, monkeypatch, corrected, want):
-        # a solve per step on each grid, plus the corrector's singular solve
-        # when corrected
+        # the march asks for the direct path on each grid
         seen = []
 
-        def spy(*args, solves=1, **kwargs):
-            seen.append(solves)
-            return make_solver(*args, solves=solves, **kwargs)
+        def spy(*args, direct=False, **kwargs):
+            seen.append(direct)
+            return make_solver(*args, direct=direct, **kwargs)
 
         monkeypatch.setattr(timestepper, "make_solver", spy)
         cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(0.05, 50),
@@ -157,7 +156,7 @@ class TestBlockMarch:
 
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("N", [1, K - 1, K, K + 1, 1000])
-    # explicit inverse at 16 and 64 (from 31 steps on), Gohberg-Semencul at 300
+    # explicit inverse at 16 and 64, Gohberg-Semencul at 300
     @pytest.mark.parametrize("M", [16, 64, 300])
     def test_equals_the_per_step_march(self, M, N, corrected):
         problem, time_grid = catalog("ex3", BETA), TimeGrid(N * 1e-3, N)
@@ -165,21 +164,21 @@ class TestBlockMarch:
         got = cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
         assert np.array_equal(got.interior, want)
 
-    # one step makes two solves, which GMRES serves on every grid
+    # even a march of one step holds A^-1: Gohberg-Semencul on these grids
     @pytest.mark.parametrize("M,corrected", [(2048, False), (1024, True)])
-    def test_one_step_on_the_krylov_path(self, monkeypatch, M, corrected):
+    def test_one_step_on_the_direct_path(self, monkeypatch, M, corrected):
         methods = []
 
         def spy(*args, **kwargs):
             solver = make_solver(*args, **kwargs)
-            methods.append(solver.method)
+            methods.append((solver.method, solver.explicit))
             return solver
 
         problem, time_grid = catalog("ex3", BETA), TimeGrid(1e-3, 1)
         want = cn_march(problem, M, time_grid, corrected)
         monkeypatch.setattr(timestepper, "make_solver", spy)
         got = cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
-        assert methods[-1] == "krylov"
+        assert methods == [("dense", False)] * (1 + corrected)
         assert np.array_equal(got.interior, want)
 
     # the second block's middle step misses the bound on one grid
