@@ -42,7 +42,7 @@ when the change won at least 9 in 10 pairs and its median is better than
 the baseline's by more than the baseline's interquartile range.  A
 difference that is not resolved is not told apart from noise.
 
-Exits 1 when a path has no entry.
+Exits 1 when a path of :data:`fracbvp.solver.PATHS` has no entry.
 """
 
 from __future__ import annotations
@@ -66,16 +66,13 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from fracbvp.grids import Grid  # noqa: E402
-from fracbvp.solver import (FracParams, SchemeKind, ToeplitzSolver,  # noqa: E402
-                            scheme_toeplitz)
+from fracbvp.solver import (PATHS, FracParams, SchemeKind,  # noqa: E402
+                            ToeplitzSolver, scheme_toeplitz)
 
 BETAS = (1.1, 1.5, 1.8)
 TAU = 1e-3
 EXPLICIT_TIMED_UP_TO = 1024
 KRYLOV_SIZES = [2 ** k for k in range(13, 17)]
-PATHS = {"explicit": dict(method="dense", explicit=True),
-         "gohberg-semencul": dict(method="dense"),
-         "gmres": dict(method="krylov")}
 SYSTEMS = {"stationary": 1.0, "crank-nicolson": 0.5 * TAU}
 WORKLOADS = ("dense", "reference")
 MARCH_REPEATS = 3
@@ -107,22 +104,21 @@ for M, corrected in json.loads(sys.argv[2]):
     result[f"{M}/{corrected}"] = [wall, cpu, raised]
 print(json.dumps(result))
 """
-# Times Krylov solves of the stationary system given as JSON [[M, beta], ...]
-# with fracbvp from the src/ directory given first; prints
+# Times GMRES solves, make_solver's stationary path, of the stationary
+# system given as JSON [[M, beta], ...] with fracbvp from the src/ directory
+# given first; prints
 # {"M/beta": [least seconds per solve, GMRES iterations]}.
 KRYLOV_CODE = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from fracbvp.grids import Grid
-from fracbvp.solver import (FracParams, SchemeKind, ToeplitzSolver,
-                            scheme_toeplitz)
+from fracbvp.solver import FracParams, SchemeKind, make_solver
 result = {}
 for M, beta in json.loads(sys.argv[2]):
-    col, row = scheme_toeplitz(FracParams(1.0, beta, 1.0), Grid(0.0, 1.0, M),
-                               SchemeKind.WSGD)
     b = np.random.default_rng(M).standard_normal(M - 1)
-    solver = ToeplitzSolver(col, row, method="krylov")
+    solver = make_solver(FracParams(1.0, beta, 1.0), Grid(0.0, 1.0, M),
+                         SchemeKind.WSGD)
     best = float("inf")
     for _ in range(int(sys.argv[3])):
         t0 = time.perf_counter()
@@ -151,8 +147,8 @@ def path_costs(M: int, beta: float, system: str, path: str) -> dict:
                                SYSTEMS[system])
     b = np.random.default_rng(M).standard_normal(M - 1)
     repeats = 3 if M >= 1024 else 10
-    setup = _best(lambda: ToeplitzSolver(col, row, **PATHS[path]), repeats)
-    solver = ToeplitzSolver(col, row, **PATHS[path])
+    setup = _best(lambda: ToeplitzSolver(col, row, path=path), repeats)
+    solver = ToeplitzSolver(col, row, path=path)
     x = solver.solve(b)
     return {"M": M, "beta": beta, "system": system, "path": path,
             "setup_s": setup,

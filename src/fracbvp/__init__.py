@@ -24,7 +24,6 @@ from .catalog import (
 )
 from .correction import CorrectedSolution, correct
 from .grids import Grid, GridFunction
-from .operators import toeplitz_matvec
 from .report import ConvergenceReport, emit_pointwise_error, emit_report, parse_report_json
 from .solver import (
     FracParams,

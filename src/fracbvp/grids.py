@@ -50,15 +50,6 @@ class GridFunction:
                 f"expected {self.grid.M + 1} nodal values, got {self.values.shape}")
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "GridFunction":
-        return cls(grid, np.zeros(grid.M + 1))
-
-    @classmethod
-    def sample(cls, grid: Grid, f) -> "GridFunction":
-        """Sample a callable (or PowerSum) at all nodes."""
-        return cls(grid, np.asarray(f(grid.nodes()), dtype=float))
-
-    @classmethod
     def from_interior(cls, grid: Grid, interior: np.ndarray) -> "GridFunction":
         """Wrap interior values with zero Dirichlet boundary entries."""
         vals = np.zeros(grid.M + 1)
@@ -68,9 +59,6 @@ class GridFunction:
     @property
     def interior(self) -> np.ndarray:
         return self.values[1:-1]
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -8,15 +8,18 @@ with zero Dirichlet data is Toeplitz:
 * FCD:   ``A = alpha*I + cos(beta*pi/2) * C``       with ``C`` the centered
   operator matrix (requires ``theta = 1/2``).
 
-:func:`make_solver` picks the solve path by the caller's role.  A
-stationary solve, one or two per grid, runs matrix-free restarted GMRES
-with a Strang circulant preconditioner.  A Crank-Nicolson march, which
-solves one matrix at every step, asks for the direct path and holds
-``A^-1``: an explicit inverse on a coarse grid, the Gohberg-Semencul
-generators on a finer one.  The direct path never forms the matrix: two
-GMRES solves (one when ``A`` is symmetric) give the first and last
-columns of ``A^-1``, and the Gohberg-Semencul formula (Gohberg &
-Semencul 1972)
+A :class:`ToeplitzSolver` takes one of the three solve paths of
+``PATHS``, named by what it holds: ``'gmres'`` holds no inverse and runs
+matrix-free restarted GMRES with a Strang circulant preconditioner,
+``'explicit'`` holds ``A^-1`` as a dense matrix, and
+``'gohberg-semencul'`` holds the generators of ``A^-1``.
+:func:`make_solver` picks the path by the caller's role.  A stationary
+solve, one or two per grid, runs GMRES.  A Crank-Nicolson march, which
+solves one matrix at every step, asks for a direct path: the explicit
+inverse on a coarse grid, the Gohberg-Semencul generators on a finer
+one.  Neither factors the matrix: two GMRES solves (one when ``A`` is
+symmetric) give the first and last columns of ``A^-1``, and the
+Gohberg-Semencul formula (Gohberg & Semencul 1972)
 
     A^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)],
 
@@ -73,6 +76,9 @@ from .operators import (embedding_size, embedding_spectrum, fcd_toeplitz,
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec
 
+#: The solve paths of :class:`ToeplitzSolver`, named by what each holds.
+PATHS = ("gmres", "explicit", "gohberg-semencul")
+
 #: Largest interval count at which the direct path holds the explicit
 #: inverse: a solve costs 20-41 us up to M = 256 against 53-88 us for the
 #: Gohberg-Semencul product, but 218-268 us against 95-153 us at M = 512
@@ -127,11 +133,13 @@ class SolverError(RuntimeError):
 
 
 class KrylovError(SolverError):
-    """GMRES, on any solve path, did not meet the bound in ``MAXITER`` iterations."""
+    """GMRES, on any solve path, did not meet the bound in ``MAXITER``
+    iterations: ``backward_error`` is the last iterate's, which the scale
+    of the right-hand side leaves unchanged."""
 
-    def __init__(self, message: str, residual: float, iterations: int):
+    def __init__(self, message: str, backward_error: float, iterations: int):
         super().__init__(message)
-        self.residual = residual
+        self.backward_error = backward_error
         self.iterations = iterations
 
 
@@ -195,17 +203,18 @@ def strang_circulant_eigenvalues(col: np.ndarray, row: np.ndarray) -> np.ndarray
 class ToeplitzSolver:
     """Repeated solves against one fixed Toeplitz system.
 
-    ``method`` is ``'dense'`` (direct: the Gohberg-Semencul generators of
-    ``A^-1``, computed by GMRES and held for reuse) or ``'krylov'``
-    (matrix-free).  With ``explicit=True`` the direct path sums the
-    generators into ``A^-1`` and also holds ``A``, both dense, so that a
-    product with either is one matrix-vector product.  Every solve is one
-    GMRES loop, capped at ``MAXITER`` iterations, that must meet
+    ``path`` is one of ``PATHS``.  ``'gmres'`` (the default) is
+    matrix-free and holds no inverse.  The two direct paths compute the
+    Gohberg-Semencul generators of ``A^-1`` by GMRES at set-up:
+    ``'gohberg-semencul'`` holds them for reuse, and ``'explicit'`` sums
+    them into ``A^-1`` and also holds ``A``, both dense, so that a product
+    with either is one matrix-vector product.  Every solve is one GMRES
+    loop, capped at ``MAXITER`` iterations, that must meet
     ``BACKWARD_ERROR_BOUND``; the paths differ only in its preconditioner,
-    ``A^-1`` on the direct path and the Strang circulant otherwise.  The
-    last solve's GMRES iteration count is kept in ``last_iterations``.
+    ``A^-1`` on a direct path and the Strang circulant on ``'gmres'``.
+    The last solve's GMRES iteration count is kept in ``last_iterations``.
 
-    A caller that makes many solves on the direct path can take them
+    A caller that makes many solves on a direct path can take them
     apart: :meth:`apply_inverse` gives ``A^-1 b`` without a check, and
     :meth:`backward_error` checks a block of such solutions, one per
     row, with one product (a matrix-matrix product on the explicit
@@ -213,12 +222,13 @@ class ToeplitzSolver:
     that misses the bound goes back through :meth:`solve`.
     """
 
-    def __init__(self, col: np.ndarray, row: np.ndarray, method: str = "dense",
-                 explicit: bool = False):
+    def __init__(self, col: np.ndarray, row: np.ndarray, path: str = "gmres"):
+        if path not in PATHS:
+            raise ValueError(f"unknown solve path {path!r}, not one of {PATHS}")
+        self.path = path
         self.col = np.asarray(col, dtype=float)
         self.row = np.asarray(row, dtype=float)
         self.m = len(self.col)
-        self.method = method
         # row i of a Toeplitz matrix sums col[0..i] and row[1..m-1-i]
         lower = np.cumsum(np.abs(self.col))
         upper = np.concatenate(([0.0], np.cumsum(np.abs(self.row[1:]))))
@@ -226,19 +236,24 @@ class ToeplitzSolver:
         self._L = embedding_size(self.m)
         self._spectrum = embedding_spectrum(self.col, self.row)
         self._matrix = self._inverse = self._lower = None
-        if method not in ("dense", "krylov"):
-            raise ValueError(f"unknown method {method!r}")
         lam = strang_circulant_eigenvalues(self.col, self.row)
         # beta = 2, alpha = 0 gives one eigenvalue 0: the smallest nonzero
         # |lambda| stands in for it
         zero = lam == 0.0
         lam[zero] = np.min(np.abs(lam[~zero]))
         self._lam = lam
-        if method == "dense":
-            self._setup_direct(explicit)
+        if path != "gmres":
+            self._setup_direct()
         self.last_iterations = 0
 
-    def _setup_direct(self, explicit: bool) -> None:
+    @property
+    def method(self) -> str:
+        """``'krylov'`` on the GMRES path, ``'dense'`` on the direct ones: kept
+        only as the name of ``perfbench/tracing.py``'s solver spans, until
+        the tracer names them by ``path``."""
+        return "krylov" if self.path == "gmres" else "dense"
+
+    def _setup_direct(self) -> None:
         m, L = self.m, self._L
         e = np.zeros(m)
         e[0] = 1.0
@@ -249,7 +264,7 @@ class ToeplitzSolver:
             raise SolverError("Gohberg-Semencul formula impossible: (A^-1)_00 is 0")
         shift_y = np.concatenate(([0.0], y[:-1]))
         shift_rev_x = np.concatenate(([0.0], x[:0:-1]))
-        if explicit:
+        if self.path == "explicit":
             # Trench (1964): entry (i, j) of L(a) U(b) exceeds entry
             # (i-1, j-1) by a_i b_j, so A^-1 is the running sum, down each
             # diagonal, of the rank-2 kernel of the formula
@@ -267,18 +282,13 @@ class ToeplitzSolver:
         self._upper = np.conj(np.fft.rfft(np.stack([y[::-1], shift_rev_x]), n=L))
         self._lower = np.fft.rfft(np.stack([x, shift_y]), n=L) / x[0]
 
-    @property
-    def explicit(self) -> bool:
-        """Whether the direct path holds ``A^-1`` as a dense matrix."""
-        return self._inverse is not None
-
     def apply_inverse(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A^-1 b`` for a vector ``b``, written into ``out`` when given: the
         direct path's preconditioner, with no check (the explicit inverse's
         product goes straight into ``out``).  Raises ``ValueError`` on the
-        Krylov path, which holds no ``A^-1``."""
-        if self.method == "krylov":
-            raise ValueError("the Krylov path holds no A^-1: use solve")
+        GMRES path, which holds no ``A^-1``."""
+        if self.path == "gmres":
+            raise ValueError("the GMRES path holds no A^-1: use solve")
         x = self._precondition(b, out=out)
         if out is None or x is out:
             return x
@@ -295,7 +305,7 @@ class ToeplitzSolver:
     def _precondition(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``P^-1 x``: once the direct set-up has built it, ``A^-1 x``,
         explicit (written into ``out`` when given) or by the
-        Gohberg-Semencul product; until then, and on the Krylov path, the
+        Gohberg-Semencul product; until then, and on the GMRES path, the
         leading block of the Strang circulant's inverse."""
         if self._inverse is not None:
             return np.dot(self._inverse, x, out=out)
@@ -361,7 +371,7 @@ class ToeplitzSolver:
                 raise KrylovError(
                     f"GMRES stopped after {self.last_iterations} iterations at "
                     f"backward error {eta:.3e} (bound {BACKWARD_ERROR_BOUND:.3e})",
-                    residual=float(np.max(np.abs(r))),
+                    backward_error=eta,
                     iterations=self.last_iterations)
             goal = _CYCLE_GOAL * (self.norm_inf * float(np.max(np.abs(x))) + fnorm)
             n = min(_GMRES_RESTART, MAXITER - self.last_iterations)
@@ -397,17 +407,17 @@ def make_solver(params: FracParams, grid: Grid, scheme: SchemeKind,
                 frac_scale: float = 1.0, direct: bool = False) -> ToeplitzSolver:
     """Solver of the interior scheme system on ``grid``.
 
-    By default GMRES, for the one or two solves of a stationary problem.
-    A caller that solves the matrix many times, as a Crank-Nicolson march
-    does at every step, passes ``direct=True`` and gets ``A^-1``: the
-    explicit inverse up to ``EXPLICIT_LIMIT`` intervals and the
-    Gohberg-Semencul product above, both with ``method`` ``'dense'``.
+    By default the ``'gmres'`` path, for the one or two solves of a
+    stationary problem.  A caller that solves the matrix many times, as a
+    Crank-Nicolson march does at every step, passes ``direct=True`` and
+    gets ``A^-1``: the ``'explicit'`` path up to ``EXPLICIT_LIMIT``
+    intervals and ``'gohberg-semencul'`` above.
     """
     col, row = scheme_toeplitz(params, grid, scheme, frac_scale)
     if not direct:
-        return ToeplitzSolver(col, row, method="krylov")
-    return ToeplitzSolver(col, row, method="dense",
-                          explicit=grid.M <= EXPLICIT_LIMIT)
+        return ToeplitzSolver(col, row)
+    return ToeplitzSolver(col, row, path="explicit" if grid.M <= EXPLICIT_LIMIT
+                          else "gohberg-semencul")
 
 
 def solve_bvp(problem: "ProblemSpec", M: int, scheme: SchemeKind) -> GridFunction:

@@ -230,7 +230,7 @@ class TestCatalog:
         # closed-form rhs; away from the boundary the defect is O(h^(b-1))
         spec = catalog("ex1-case1", beta)
         grid = Grid(0.0, 1.0, 2 ** 14)
-        v = GridFunction.sample(grid, spec.exact)
+        v = GridFunction(grid, spec.exact(grid.nodes()))
         dv = apply_left_wsgd(v, beta)
         lhs = spec.params.alpha * v.interior - dv.interior
         rhs = spec.rhs(grid.interior_nodes())

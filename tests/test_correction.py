@@ -184,15 +184,15 @@ class TestCorrect:
     def test_declares_two_solves_per_grid(self, monkeypatch):
         # the problem's and the singular term's solve share one GMRES
         # solver on each grid
-        methods = []
+        paths = []
 
         def spy(*args, **kwargs):
             solver = make_solver(*args, **kwargs)
-            methods.append(solver.method)
+            paths.append(solver.path)
             return solver
 
         monkeypatch.setattr(correction, "make_solver", spy)
         spec = catalog("ex1-case1", 1.5)
         correct(spec, 64, SchemeKind.WSGD)
-        assert methods == ["krylov", "krylov"]
+        assert paths == ["gmres", "gmres"]
 

@@ -49,7 +49,7 @@ class TestClassicalLimit:
 class TestAgainstDenseOracle:
     def test_zero_in_zero_out(self):
         grid = Grid(0.0, 1.0, 32)
-        z = GridFunction.zeros(grid)
+        z = GridFunction(grid, np.zeros(grid.M + 1))
         for apply_op in (apply_left_wsgd, apply_right_wsgd, apply_fcd):
             np.testing.assert_array_equal(apply_op(z, 1.5).values, 0.0)
 
@@ -175,12 +175,12 @@ class TestTruncationOrder:
 
         for beta in (1.3, 1.7):
             ref_grid = Grid(0.0, 1.0, 2 ** 13)
-            ref = apply_left_wsgd(GridFunction.sample(ref_grid, bump), beta)
+            ref = apply_left_wsgd(GridFunction(ref_grid, bump(ref_grid.nodes())), beta)
             Ms = [64, 128, 256, 512]
             errs = []
             for M in Ms:
                 grid = Grid(0.0, 1.0, M)
-                out = apply_left_wsgd(GridFunction.sample(grid, bump), beta)
+                out = apply_left_wsgd(GridFunction(grid, bump(grid.nodes())), beta)
                 stride = ref_grid.M // M
                 errs.append(np.max(np.abs(out.values - ref.values[::stride])))
             slope = -np.polyfit(np.log2(Ms), np.log2(errs), 1)[0]

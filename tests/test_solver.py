@@ -14,6 +14,7 @@ from fracbvp.operators import toeplitz_matvec
 from fracbvp.solver import (
     BACKWARD_ERROR_BOUND,
     EXPLICIT_LIMIT,
+    PATHS,
     FracParams,
     KrylovError,
     SchemeKind,
@@ -27,6 +28,15 @@ from fracbvp.solver import (
 )
 from fracbvp.weights import grunwald_coeffs, wsgd_lambdas
 from oracles import assemble, strang_preconditioner
+
+# a path's part of a test id: the ``method`` that names its tracer spans,
+# and whether it holds the explicit inverse
+PATH_IDS = {"gmres": "krylov-False", "explicit": "dense-True",
+            "gohberg-semencul": "dense-False"}
+
+
+def _path_id(value):
+    return PATH_IDS.get(value) if isinstance(value, str) else None
 
 
 class TestFracParams:
@@ -123,8 +133,8 @@ class TestSolve:
         grid = Grid(*spec.domain, 256)
         col, row = scheme_toeplitz(spec.params, grid, scheme)
         f = spec.rhs(grid.interior_nodes())
-        ud = ToeplitzSolver(col, row, method="dense").solve(f)
-        uk = ToeplitzSolver(col, row, method="krylov").solve(f)
+        ud = ToeplitzSolver(col, row, path="gohberg-semencul").solve(f)
+        uk = ToeplitzSolver(col, row).solve(f)
         assert np.max(np.abs(ud - uk)) < 1e-10
 
     def test_alpha_zero_pure_fractional(self):
@@ -143,7 +153,7 @@ class TestSolve:
         spec = catalog("ex1-case1", 1.9)
         f = spec.rhs(grid.interior_nodes())
         col, row = scheme_toeplitz(spec.params, grid, SchemeKind.WSGD)
-        solver = ToeplitzSolver(col, row, method="dense")
+        solver = ToeplitzSolver(col, row, path="gohberg-semencul")
         u = solver.solve(f)
         res = np.max(np.abs(toeplitz_matvec(col, row, u) - f))
         assert res < 1e-8 * np.max(np.abs(f))
@@ -158,19 +168,35 @@ class TestSolve:
         grid = Grid(0.0, 1.0, 512)
         f = spec.rhs(grid.interior_nodes())
         col, row = scheme_toeplitz(spec.params, grid, SchemeKind.WSGD)
-        solver = ToeplitzSolver(col, row, method="krylov")
+        solver = ToeplitzSolver(col, row)
         monkeypatch.setattr(solver_module, "MAXITER", 2)
         with pytest.raises(KrylovError) as exc:
             solver.solve(f)
-        assert exc.value.residual > 0.0
+        assert exc.value.backward_error > BACKWARD_ERROR_BOUND
         assert exc.value.iterations == 2
+
+    def test_krylov_error_does_not_scale_with_the_rhs(self, monkeypatch):
+        # the solve runs on the right-hand side scaled by a power of two:
+        # the error reports the caller's backward error, the same for f
+        # and 2**40 f, not a residual of the scaled system
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
+                                   SchemeKind.WSGD)
+        f = np.random.default_rng(0).standard_normal(63)
+        solver = ToeplitzSolver(col, row)
+        monkeypatch.setattr(solver_module, "MAXITER", 1)
+        etas = []
+        for rhs in (f, 2.0 ** 40 * f):
+            with pytest.raises(KrylovError) as exc:
+                solver.solve(rhs)
+            etas.append(exc.value.backward_error)
+        assert etas[0] == etas[1] > BACKWARD_ERROR_BOUND
 
     def test_an_iterate_that_is_not_finite_raises(self, monkeypatch):
         # a preconditioner that gives NaN: the backward error is NaN,
         # which no GMRES cycle would ever reduce
         col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
                                    SchemeKind.WSGD)
-        solver = ToeplitzSolver(col, row, method="krylov")
+        solver = ToeplitzSolver(col, row)
         monkeypatch.setattr(solver, "_precondition",
                             lambda x: np.full_like(x, np.nan))
         with pytest.raises(SolverError, match="not finite"):
@@ -198,11 +224,11 @@ class TestSolve:
                                    Grid(0.0, 1.0, M), scheme)
         f = np.random.default_rng(seed).standard_normal(M - 1)
         solutions = []
-        for method in ("dense", "krylov"):
-            solver = ToeplitzSolver(col, row, method=method)
+        for path in ("gohberg-semencul", "gmres"):
+            solver = ToeplitzSolver(col, row, path=path)
             u = solver.solve(f)
             eta = solver.backward_error(u, f)
-            assert eta <= BACKWARD_ERROR_BOUND, (method, eta)
+            assert eta <= BACKWARD_ERROR_BOUND, (path, eta)
             solutions.append(u)
         dense, krylov = solutions
         assert np.max(np.abs(dense - krylov)) <= 1e-8 * np.max(np.abs(dense))
@@ -219,7 +245,8 @@ class TestSolve:
         f = np.random.default_rng(M).standard_normal(M - 1)
         oracle = scipy.linalg.lu_solve(
             scipy.linalg.lu_factor(assemble(params, grid, scheme)), f)
-        u = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme)).solve(f)
+        u = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme),
+                           path="gohberg-semencul").solve(f)
         assert np.max(np.abs(u - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("scheme,theta,columns", [(SchemeKind.WSGD, 0.5, 1),
@@ -237,7 +264,8 @@ class TestSolve:
         monkeypatch.setattr(ToeplitzSolver, "_gmres", spy)
         params, grid = FracParams(1.0, 1.5, theta), Grid(0.0, 1.0, 64)
         f = np.random.default_rng(0).standard_normal(63)
-        solver = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme))
+        solver = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme),
+                                path="gohberg-semencul")
         # the set-up solves for A^-1 e_1, and for A^-1 e_m unless symmetric
         assert ends == [0, 62][:columns]
         u = solver.solve(f)
@@ -252,28 +280,27 @@ class TestSolve:
         f = np.ones(31)
         f[7] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            ToeplitzSolver(col, row).solve(f)
+            ToeplitzSolver(col, row, path="gohberg-semencul").solve(f)
 
-    @pytest.mark.parametrize("method", ["dense", "krylov"])
-    def test_solves_with_singular_leading_minor(self, method):
+    @pytest.mark.parametrize("path", ["gohberg-semencul", "gmres"],
+                             ids=["dense", "krylov"])
+    def test_solves_with_singular_leading_minor(self, path):
         # nonsingular, but its 1x1 leading minor is 0: no recursion through
         # the leading minors could solve it
         col, row = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 4.0, 5.0, 6.0])
         A = scipy.linalg.toeplitz(col, row)
         assert abs(np.linalg.det(A)) > 1.0
         f = np.array([1.0, -2.0, 0.5, 3.0])
-        solver = ToeplitzSolver(col, row, method=method)
+        solver = ToeplitzSolver(col, row, path=path)
         u = solver.solve(f)
         assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
         np.testing.assert_allclose(u, np.linalg.solve(A, f), rtol=1e-12)
 
-    @pytest.mark.parametrize("method,explicit", [("dense", True), ("dense", False),
-                                                 ("krylov", False)])
-    def test_singular_matrix_is_a_solver_error(self, method, explicit):
+    @pytest.mark.parametrize("path", PATHS, ids=_path_id)
+    def test_singular_matrix_is_a_solver_error(self, path):
         col = row = np.array([1.0, 1.0])
         with pytest.raises(SolverError, match="(?i)singular"):
-            ToeplitzSolver(col, row, method=method,
-                           explicit=explicit).solve(np.array([1.0, 0.0]))
+            ToeplitzSolver(col, row, path=path).solve(np.array([1.0, 0.0]))
 
     def test_krylov_solves_where_strang_is_singular(self):
         # beta=2, alpha=0: the Strang circulant has the eigenvalue 0 at
@@ -286,7 +313,7 @@ class TestSolve:
             *scheme_toeplitz(params, grid, SchemeKind.WSGD))
         assert np.min(np.abs(lam)) == 0.0
         solver = make_solver(params, grid, SchemeKind.WSGD)
-        assert solver.method == "krylov"
+        assert solver.path == "gmres"
         got = solver.solve(prob.rhs(grid.interior_nodes()))
         assert np.max(np.abs(got - u(grid.interior_nodes()))) < 1e-8
 
@@ -306,39 +333,50 @@ class TestSolve:
         col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
                                    SchemeKind.WSGD)
         f = np.random.default_rng(0).standard_normal(63)
-        solver = ToeplitzSolver(col, row)
+        solver = ToeplitzSolver(col, row, path="gohberg-semencul")
         solver._lower *= factor
         assert solver.backward_error(solver.apply_inverse(f), f) > BACKWARD_ERROR_BOUND
         u = solver.solve(f)
         assert solver.last_iterations == 1
         assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
 
-    def test_unknown_method(self):
+    def test_unknown_path(self):
         col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
                                    SchemeKind.WSGD)
-        with pytest.raises(ValueError):
-            ToeplitzSolver(col, row, method="cg")
+        with pytest.raises(ValueError, match="'dense'"):
+            ToeplitzSolver(col, row, path="dense")
 
-    # GMRES unless the caller asks for the direct path, which holds the
+    # GMRES unless the caller asks for a direct path, which holds the
     # explicit inverse up to EXPLICIT_LIMIT intervals
-    @pytest.mark.parametrize("M,direct,method,explicit", [
-        (16, False, "krylov", False),
-        (2048, False, "krylov", False),
-        (EXPLICIT_LIMIT, True, "dense", True),
-        (EXPLICIT_LIMIT + 2, True, "dense", False),
-        (2048, True, "dense", False),
-    ])
-    def test_make_solver_picks_path_by_role(self, M, direct, method, explicit):
+    @pytest.mark.parametrize("M,direct,path", [
+        (16, False, "gmres"),
+        (2048, False, "gmres"),
+        (EXPLICIT_LIMIT, True, "explicit"),
+        (EXPLICIT_LIMIT + 2, True, "gohberg-semencul"),
+        (2048, True, "gohberg-semencul"),
+    ], ids=_path_id)
+    def test_make_solver_picks_path_by_role(self, M, direct, path):
         solver = make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, M),
                              SchemeKind.WSGD, direct=direct)
-        assert (solver.method, solver.explicit) == (method, explicit)
+        assert solver.path == path
 
     def test_apply_inverse_needs_the_direct_path(self):
-        # the Krylov path holds no A^-1, only the Strang preconditioner
-        solver = make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
-                             SchemeKind.WSGD)
+        # the GMRES path, the constructor's default, holds no A^-1, only
+        # the Strang preconditioner
+        solver = ToeplitzSolver(*scheme_toeplitz(FracParams(1.0, 1.5, 1.0),
+                                                 Grid(0.0, 1.0, 64), SchemeKind.WSGD))
+        assert solver.path == "gmres"
         with pytest.raises(ValueError, match="no A\\^-1"):
             solver.apply_inverse(np.ones(63))
+
+    # perfbench/tracing.py names its solver spans by ``method``
+    @pytest.mark.parametrize("path,method", [("gmres", "krylov"),
+                                             ("explicit", "dense"),
+                                             ("gohberg-semencul", "dense")])
+    def test_method_names_the_span_of_each_path(self, path, method):
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 16),
+                                   SchemeKind.WSGD)
+        assert ToeplitzSolver(col, row, path=path).method == method
 
 
 class TestStrangPreconditioner:
@@ -364,7 +402,7 @@ class TestStrangPreconditioner:
                                    scheme)
         x = np.random.default_rng(M).standard_normal(M - 1)
         want = strang_preconditioner(col, row, order) @ x
-        got = ToeplitzSolver(col, row, method="krylov")._precondition(x)
+        got = ToeplitzSolver(col, row)._precondition(x)
         # the circulant at M = 1024 has condition number 3e4
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -377,7 +415,7 @@ class TestStrangPreconditioner:
         grid = Grid(*spec.domain, M)
         x = grid.interior_nodes()
         solver = make_solver(spec.params, grid, SchemeKind.WSGD)
-        assert solver.method == "krylov"
+        assert solver.path == "gmres"
         for f in (spec.rhs(x), spec.singular.fs(x)):
             f = np.asarray(f, dtype=float)
             u = solver.solve(f)
@@ -399,9 +437,8 @@ class TestExplicitInverse:
         oracle = scipy.linalg.lu_solve(
             scipy.linalg.lu_factor(assemble(params, grid, scheme)), f)
         solver = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme),
-                                explicit=True)
+                                path="explicit")
         u = solver.solve(f)
-        assert solver.explicit
         assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
         assert np.max(np.abs(u - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
@@ -411,7 +448,7 @@ class TestExplicitInverse:
         f = np.ones(31)
         f[7] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            ToeplitzSolver(col, row, explicit=True).solve(f)
+            ToeplitzSolver(col, row, path="explicit").solve(f)
 
     def test_refines_near_beta_one(self):
         # the explicit product misses the bound by about 1e4 eps here, as
@@ -420,7 +457,7 @@ class TestExplicitInverse:
         col, row = scheme_toeplitz(FracParams(0.0, 1.001, 1.0), Grid(0.0, 1.0, 33),
                                    SchemeKind.WSGD)
         f = np.random.default_rng(0).standard_normal(32)
-        solver = ToeplitzSolver(col, row, explicit=True)
+        solver = ToeplitzSolver(col, row, path="explicit")
         assert solver.backward_error(solver.apply_inverse(f), f) > BACKWARD_ERROR_BOUND
         u = solver.solve(f)
         assert solver.last_iterations == 1

@@ -1,9 +1,11 @@
-"""The noise rule of scripts/solver_costs.py."""
+"""The noise rule and the solve paths of scripts/solver_costs.py."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from fracbvp.solver import BACKWARD_ERROR_BOUND, PATHS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +52,12 @@ def test_higher_is_better(costs):
     change = [b + 0.1 for b in BASELINE]
     assert costs._compare(BASELINE, change, "higher")["resolved"]
     assert not costs._compare(change, BASELINE, "higher")["resolved"]
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("system", ["stationary", "crank-nicolson"])
+def test_every_path_meets_the_bound(costs, system, path):
+    assert set(costs.SYSTEMS) == {"stationary", "crank-nicolson"}
+    entry = costs.path_costs(16, 1.5, system, path)
+    assert entry["path"] == path
+    assert entry["backward_error"] <= BACKWARD_ERROR_BOUND

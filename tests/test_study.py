@@ -65,7 +65,7 @@ def test_restrict_errors_against_nested_reference():
     fine = Grid(0.0, 1.0, 256)
     reference = GridFunction(fine, fine.nodes() ** 2)
     coarse = Grid(0.0, 1.0, 64)
-    err = _restrict_errors(GridFunction.zeros(coarse), None, reference)
+    err = _restrict_errors(GridFunction(coarse, np.zeros(coarse.M + 1)), None, reference)
     np.testing.assert_array_equal(err.values, -coarse.nodes() ** 2)
 
 
@@ -176,7 +176,7 @@ def test_reports_sum_counts_over_the_grids(monkeypatch):
     (report,) = run_study(StudyConfig(problem=problem, corrected=True,
                                       M_list=(16,)))
     assert report.metadata["guard_activations"] == 2
-    field = GridFunction.zeros(Grid(0.0, 1.0, 8))
+    field = GridFunction(Grid(0.0, 1.0, 8), np.zeros(9))
     runs = iter([(1, 3e-16, 4), (2, 1e-16, 0)])
 
     def march(problem, M, time_grid, corrected, diagnostics):

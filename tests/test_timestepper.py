@@ -129,7 +129,7 @@ def _spoil_products(monkeypatch, m, first, count, factor=0.5,
     def spoiled(self, b, **out):
         nonlocal calls
         x = product(self, b, **out)
-        if len(b) != m or not self.explicit:
+        if len(b) != m or self.path != "explicit":
             return x
         calls += 1
         if calls >= first and (count is None or calls < first + count):
@@ -167,18 +167,18 @@ class TestBlockMarch:
     # even a march of one step holds A^-1: Gohberg-Semencul on these grids
     @pytest.mark.parametrize("M,corrected", [(2048, False), (1024, True)])
     def test_one_step_on_the_direct_path(self, monkeypatch, M, corrected):
-        methods = []
+        paths = []
 
         def spy(*args, **kwargs):
             solver = make_solver(*args, **kwargs)
-            methods.append((solver.method, solver.explicit))
+            paths.append(solver.path)
             return solver
 
         problem, time_grid = catalog("ex3", BETA), TimeGrid(1e-3, 1)
         want = cn_march(problem, M, time_grid, corrected)
         monkeypatch.setattr(timestepper, "make_solver", spy)
         got = cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
-        assert methods == [("dense", False)] * (1 + corrected)
+        assert paths == ["gohberg-semencul"] * (1 + corrected)
         assert np.array_equal(got.interior, want)
 
     # the second block's middle step misses the bound on one grid
