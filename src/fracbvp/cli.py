@@ -63,9 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     study = sub.add_parser("study", help="stationary convergence study")
     _add_stationary(study)
     study.add_argument("--grids", type=int, nargs="+",
-                       default=[64, 128, 256, 512], help="interval counts")
-    study.add_argument("--ref-level", type=int, default=15,
-                       help="reference grid is 2**level when no exact solution")
+                       default=list(StudyConfig.M_list), help="interval counts")
 
     tstudy = sub.add_parser("timestudy", help="time-dependent spatial-rate study")
     _add_common(tstudy, choices=["ex3"], default="ex3")
@@ -116,8 +114,7 @@ def _cmd_study(args) -> int:
     """One study per problem (``study`` or ``timestudy``); all reports are
     written together."""
     if args.command == "study":
-        run = run_study
-        fields = dict(scheme=SchemeKind(args.scheme), ref_level=args.ref_level)
+        run, fields = run_study, dict(scheme=SchemeKind(args.scheme))
     else:
         run, fields = run_time_study, dict(tau=args.tau)
     reports = []

@@ -19,6 +19,8 @@ class Grid:
     def __post_init__(self):
         if self.M < 2:
             raise ValueError(f"grid needs at least 2 intervals, got M={self.M}")
+        if (self.M + 1) * 8 > np.iinfo(np.intp).max:
+            raise ValueError(f"numpy cannot address the {self.M + 1} nodes of M={self.M}")
         if not self.b > self.a:
             raise ValueError(f"empty interval [{self.a}, {self.b}]")
 

@@ -185,6 +185,8 @@ def test_method_option_is_gone(tmp_path):
     ["timestudy", "--steps", "40"],
     # a solve writes nodal CSV only
     ["solve", "--example", "ex1-case1", "--format", "json"],
+    # the reference level is derived from the grids
+    ["study", "--example", "ex1-case2", "--ref-level", "15"],
 ])
 def test_removed_options_are_config_errors(tmp_path, argv):
     argv = [*argv, "--grids", "16", "--out", str(tmp_path / "r.csv")]
@@ -229,7 +231,8 @@ def _limit_address_space():
     # the output's parent directory is a file
     (["study", "--example", "ex1-case1", "--grids", "16", "32",
       "--out", "{tmp}/file/x.csv"], "FileExistsError"),
-    (["study", "--example", "ex1-case2", "--grids", "64", "--ref-level", "30",
+    # grid 2**28 needs the level-30 reference
+    (["study", "--example", "ex1-case2", "--grids", "268435456",
       "--out", "{tmp}/s.csv"], "MemoryError"),
 ])
 def test_os_and_memory_errors_are_config_errors(tmp_path, argv, error):
@@ -242,6 +245,21 @@ def test_os_and_memory_errors_are_config_errors(tmp_path, argv, error):
     assert done.returncode == cli.EXIT_CONFIG, done.stderr
     (line,) = done.stderr.splitlines()
     assert line.startswith("fracbvp: configuration error: ") and error in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--example", "ex1-case2", "--grids", str(2 ** 63 - 1)],
+    ["solve", "--example", "ex1-case2", "--grids", str(2 ** 63 - 2)],
+    ["study", "--example", "ex1-case1", "--grids", str(2 ** 63 - 1)],
+    # grid 2**62 needs the level-64 reference
+    ["study", "--example", "ex1-case2", "--grids", str(2 ** 62)],
+])
+def test_grid_numpy_cannot_address_is_a_config_error(tmp_path, capsys,
+                                                     fresh_cache, argv):
+    out = tmp_path / "r.csv"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "numpy cannot address" in capsys.readouterr().err
+    assert not out.exists() and not fresh_cache
 
 
 @pytest.mark.parametrize("M", ["4", "6"])

@@ -1,6 +1,7 @@
 """Grids and the norms of grid functions."""
 
 import numpy as np
+import pytest
 
 from fracbvp.grids import Grid, GridFunction
 
@@ -20,3 +21,15 @@ def test_l2_norm_of_a_field_that_is_not_finite():
     assert GridFunction(grid, values).l2_norm() == np.inf
     values[4] = np.nan
     assert np.isnan(GridFunction(grid, values).l2_norm())
+
+
+@pytest.mark.parametrize("M", [2 ** 63 - 1, 2 ** 63 - 2, 2 ** 60 - 1])
+def test_grid_numpy_cannot_address_is_refused(M):
+    # np.linspace cannot build these nodes (at 2**63 - 1 it raised IndexError)
+    with pytest.raises(ValueError, match="numpy cannot address"):
+        Grid(0.0, 1.0, M)
+
+
+def test_largest_addressable_grid_is_accepted():
+    M = np.iinfo(np.intp).max // 8 - 1  # (M + 1) float64 nodes fill the address range
+    assert Grid(0.0, 1.0, M).M == M

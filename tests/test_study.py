@@ -36,19 +36,29 @@ class TestStudyConfig:
         with pytest.raises(ConfigError, match=match):
             StudyConfig(problem=catalog("ex1-case1", 1.5), **kwargs)
 
-    def test_smallest_valid_reference_level(self, fresh_cache):
-        run_study(StudyConfig(problem=catalog("ex1-case2", 1.5), M_list=(64, 512),
-                              ref_level=11))
-        # an exact solution needs no reference, so no level is too small
-        run_study(StudyConfig(problem=catalog("ex1-case1", 1.5), M_list=(64, 512),
-                              ref_level=10))
+    def test_smallest_valid_reference_level(self, monkeypatch, fresh_cache):
+        # the least level >= REF_LEVEL whose grid nests every grid M and 2M
+        levels = []
 
-    def test_reference_level_must_clear_the_grids(self, fresh_cache):
-        config = StudyConfig(problem=catalog("ex1-case2", 1.5), M_list=(64, 512),
-                             ref_level=10)
-        with pytest.raises(ConfigError, match="reference level 10"):
-            run_study(config)
-        assert not fresh_cache  # rejected before any reference solve
+        def solve_reference(problem, scheme, level):
+            levels.append(level)
+            return np.zeros(2 ** level + 1)
+
+        monkeypatch.setattr(study, "_solve_reference", solve_reference)
+        monkeypatch.setattr(study, "solve_bvp", lambda problem, M, scheme:
+                            GridFunction(Grid(0.0, 1.0, M), np.zeros(M + 1)))
+        for grids in [(64, 512), (16384,)]:
+            (report,) = run_study(StudyConfig(problem=catalog("ex1-case2", 1.5),
+                                              M_list=grids))
+            assert report.metadata["reference"] == f"level-{levels[-1]}"
+        assert levels == [15, 16]
+        # an exact solution needs no reference, whatever the grids
+        run_study(StudyConfig(problem=catalog("ex1-case1", 1.5), M_list=(24, 48)))
+        assert levels == [15, 16]
+
+    def test_the_setting_is_gone(self):
+        with pytest.raises(TypeError, match="ref_level"):
+            StudyConfig(problem=catalog("ex1-case2", 1.5), ref_level=15)
 
 
 @pytest.mark.parametrize("grids,corrected", [((24, 48), False), ((24, 48), True),
@@ -56,7 +66,7 @@ class TestStudyConfig:
 def test_reference_must_nest_the_grids(fresh_cache, grids, corrected):
     config = StudyConfig(problem=catalog("ex1-case2", 1.5), corrected=corrected,
                          M_list=grids)
-    with pytest.raises(ConfigError, match="reference level 15"):
+    with pytest.raises(ConfigError, match=r"nests grid (24|96): \1 is not a power"):
         run_study(config)
     assert not fresh_cache  # rejected before any reference solve
 
@@ -123,11 +133,11 @@ BOUND = 2.0 ** -42
 
 
 @pytest.mark.parametrize("name,reference", [("ex1-case1", "exact"),
-                                            ("ex2-case2", "level-8")])
+                                            ("ex2-case2", "level-15")])
 @pytest.mark.parametrize("corrected", [False, True])
 def test_study_report_metadata(fresh_cache, name, reference, corrected):
     config = StudyConfig(problem=catalog(name, 1.5), corrected=corrected,
-                         M_list=(16, 32), ref_level=8)
+                         M_list=(16, 32))
     (report,) = run_study(config)
     theta = 1.0 if name == "ex1-case1" else 0.5
     assert report.metadata == {
