@@ -274,6 +274,14 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40.0)
     args = ap.parse_args(argv)
+    # refused before any measurement: quartiles need two pairs, and the
+    # baseline must hold a program and a benchmark to run
+    if args.baseline is not None:
+        if args.pairs < 2:
+            ap.error(f"--baseline needs --pairs of at least 2, got {args.pairs}")
+        for part in ("src/fracbvp/__init__.py", "perfbench/run.py"):
+            if not (args.baseline / part).is_file():
+                ap.error(f"--baseline {args.baseline} has no {part}")
 
     sizes = [2 ** k for k in range(4, 8 if args.quick else 13)]
     solves = [path_costs(M, beta, system, path)

@@ -32,16 +32,14 @@ CATALOG_NAMES = ("ex1-case1", "ex1-case2", "ex2-case1", "ex2-case2", "ex3")
 class SingularTermSpec:
     """Leading boundary singular term and its exact right-hand side.
 
-    ``us`` is the singular profile ``(x-a)**rho_left * (b-x)**rho_right``
-    and ``fs`` the exact image of ``us`` under the problem operator, so the
-    pair feeds the two-grid strength estimate.  :func:`singular_term` makes
-    it from the operator; a problem's ``singular`` attribute derives it.
+    ``us`` is ``(x-a)**gamma * (b-x)**(beta-gamma)`` with the exponents of
+    :func:`~fracbvp.analytic.singular_exponents`, and ``fs`` its exact image
+    under the problem operator: the pair the two-grid strength estimate
+    needs.  :func:`singular_term` makes it; a problem's ``singular`` derives it.
     """
 
     us: PowerSum
     fs: PowerSum
-    rho_left: float
-    rho_right: float
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def singular_term(params: FracParams, a: float = 0.0,
     rl, rr = singular_exponents(params.beta, params.theta)
     us = PowerSum(a, b, (PowerTerm(1.0, rl, rr),))
     fs = elliptic_rhs(us, params.alpha, params.beta, params.theta)
-    return SingularTermSpec(us=us, fs=fs, rho_left=rl, rho_right=rr)
+    return SingularTermSpec(us=us, fs=fs)
 
 
 def manufactured(name: str, params: FracParams, exact: PowerSum) -> ProblemSpec:

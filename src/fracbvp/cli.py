@@ -10,17 +10,19 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .analytic import singular_exponents
 from .catalog import CATALOG_NAMES, catalog, with_overrides
-from .correction import correct
+from .correction import ConfigError, correct
 from .report import emit_nodal, emit_pointwise_error
 from .solver import SchemeKind, SolverError, solve_bvp
-from .study import ConfigError, StudyConfig, emit_reports, run_study, run_time_study
+from .study import StudyConfig, emit_reports, run_study, run_time_study
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
 
 STATIONARY_NAMES = [name for name in CATALOG_NAMES if name != "ex3"]
+SUFFIXES = {"csv": ".csv", "json": ".json", "markdown": ".md"}  # by --format
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     tstudy.add_argument("--tau", type=float, default=StudyConfig.tau,
                         help="time step (default %(default)s)")
     for p in (study, tstudy):
-        p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
+        p.add_argument("--format", choices=list(SUFFIXES), default="csv")
     return ap
 
 
@@ -98,10 +100,10 @@ def _cmd_solve(args) -> int:
         u = solve_bvp(problem, M, scheme)
     out = args.out or f"{args.example}-M{M}.csv"
     p = problem.params
+    rho_left, rho_right = singular_exponents(p.beta, p.theta)
     meta = {"problem": problem.name, "alpha": p.alpha, "beta": p.beta,
             "theta": p.theta, "scheme": args.scheme, "corrected": args.correct,
-            "M": M, "rho_left": problem.singular.rho_left,
-            "rho_right": problem.singular.rho_right}
+            "M": M, "rho_left": rho_left, "rho_right": rho_right}
     if problem.exact is not None:
         emit_pointwise_error(u, problem.exact, out, metadata=meta)
     else:
@@ -121,7 +123,8 @@ def _cmd_study(args) -> int:
     for problem in _problems(args):
         reports += run(StudyConfig(problem, corrected=args.correct,
                                    M_list=args.grids, **fields))
-    for path in emit_reports(reports, args.format, args.out or f"{args.command}.csv"):
+    out = args.out or args.command + SUFFIXES[args.format]
+    for path in emit_reports(reports, args.format, out):
         print(path)
     return EXIT_OK
 

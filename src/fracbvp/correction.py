@@ -15,7 +15,8 @@ the singular solves on a grid pair (M, 2M), and
 stationary :func:`correct`, which serves the study rows and the
 reference, solves the problem and the singular term's ``fs`` on each grid
 (:func:`_grid_solves`) that its map of solved grids does not yet hold, so
-that a study which passes one map to every row solves each grid once.  The
+that a study which passes one map to every row solves each grid once; the
+raw solves stay there, and it returns the corrected fields.  The
 Crank-Nicolson march of :mod:`fracbvp.timestepper` makes it with
 :meth:`TwoGridCorrector.build`, which checks the grid pair and makes the
 singular solves with the march's two solvers, from the image of ``us``
@@ -67,19 +68,16 @@ class GridSolves:
 
 @dataclass
 class CorrectedSolution:
-    """Bundle of the raw coarse solve, the strength field and corrected fields.
+    """The corrected fields of a grid pair (M, 2M).
 
     ``corrected_coarse`` lives on the coarse grid, ``corrected_fine`` on
     the fine grid (the two agree identically at coarse nodes wherever the
-    guard did not fire).  ``xi`` is the pointwise two-grid ratio; it
-    measures the singular strength only next to the singular end, and for
-    theta in {0, 1} tends to an O(1) function of x elsewhere.
-    ``guard_activations`` counts interior nodes whose denominator fell
-    below the guard and inherited a neighbour's strength.
+    guard did not fire).  ``guard_activations`` counts interior nodes whose
+    denominator fell below the guard and inherited a neighbour's strength.
+    The raw solves stay in the map :func:`correct` fills; the pointwise
+    strength is the third value of :meth:`TwoGridCorrector.correct`.
     """
 
-    coarse: GridFunction
-    xi: GridFunction
     corrected_coarse: GridFunction
     corrected_fine: GridFunction
     guard_activations: int
@@ -179,10 +177,10 @@ def correct(problem: "ProblemSpec", M: int, scheme: SchemeKind,
     """Two-grid singular correction of the stationary solve on M intervals.
 
     Solves the problem and its singular term on grids M and 2M, builds the
-    corrector from the singular solves and returns the raw coarse solve,
-    the strength field and both corrected fields.  ``solved`` maps an
-    interval count to that grid's solves: a grid of the pair that it holds
-    is not solved again, and a grid it lacks is solved and added to it.
+    corrector from the singular solves and returns both corrected fields.
+    ``solved`` maps an interval count to that grid's solves: a grid of the
+    pair that it holds is not solved again, and a grid it lacks is solved
+    and added to it, so the raw solves stay there for the caller.
     Raises :class:`ConfigError` unless M is even and at least 8.
     """
     check_pair(M)
@@ -196,10 +194,8 @@ def correct(problem: "ProblemSpec", M: int, scheme: SchemeKind,
     us = problem.singular.us
     corrector = TwoGridCorrector(coarse.us, fine.us, us(coarse.nodes),
                                  us(fine.nodes))
-    field_c, field_f, xi = corrector.correct(coarse.u, fine.u)
+    field_c, field_f, _ = corrector.correct(coarse.u, fine.u)
     return CorrectedSolution(
-        coarse=GridFunction.from_interior(grid_c, coarse.u),
-        xi=GridFunction.from_interior(grid_c, xi),
         corrected_coarse=GridFunction.from_interior(grid_c, field_c),
         corrected_fine=GridFunction.from_interior(grid_f, field_f),
         guard_activations=corrector.guard_activations)

@@ -246,14 +246,3 @@ def emit_reports(reports: Sequence[ConvergenceReport], fmt: str,
                           f"{[str(p) for p in paths]}")
     return [emit_report(rep, fmt, path) for rep, path in zip(reports, paths)]
 
-
-__all__ = [
-    "ConfigError",
-    "MAX_STEPS",
-    "StudyConfig",
-    "reference_solution",
-    "run_study",
-    "run_time_study",
-    "emit_reports",
-    "emit_report",
-]

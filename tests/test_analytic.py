@@ -263,8 +263,8 @@ class TestCatalog:
         # any theta keeps a singular term, with the derived exponents
         free = with_overrides(spec, theta=0.3)
         sing = free.singular
-        assert (sing.rho_left, sing.rho_right) == singular_exponents(1.5, 0.3)
-        assert sing.rho_right == pytest.approx(0.629, abs=1e-3)
+        assert sing.us.terms == (PowerTerm(1.0, *singular_exponents(1.5, 0.3)),)
+        assert sing.us.terms[0].right == pytest.approx(0.629, abs=1e-3)
         np.testing.assert_allclose(sing.fs(XS) - sing.us(XS),
                                    -_two_sided_constant(1.5, 0.3), rtol=1e-13)
 
@@ -283,8 +283,8 @@ class TestCatalog:
                                           theta=params.theta))
         for problem in changed:
             assert problem.singular == singular_term(params)
-            assert ((problem.singular.rho_left, problem.singular.rho_right)
-                    == singular_exponents(1.5, params.theta))
+            assert problem.singular.us.terms == (
+                PowerTerm(1.0, *singular_exponents(1.5, params.theta)),)
 
     def test_override_with_exact_rebuilds_rhs(self):
         spec = catalog("ex1-case1", 1.5)

@@ -324,6 +324,34 @@ def test_study_writes_one_report_per_order(tmp_path, capsys):
     assert [(m["alpha"], m["beta"]) for m in metadata] == [(0.0, 1.3), (0.0, 1.7)]
 
 
+@pytest.mark.parametrize("fmt,suffix", [("csv", ".csv"), ("json", ".json"),
+                                        ("markdown", ".md")])
+@pytest.mark.parametrize("argv", [
+    ["study", "--example", "ex1-case1", "--grids", "16", "32"],
+    ["timestudy", "--grids", "16", "32", "--tau", "0.1"],
+], ids=["study", "timestudy"])
+def test_default_output_name_follows_the_format(tmp_path, monkeypatch, capsys,
+                                                argv, fmt, suffix):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--format", fmt]) == cli.EXIT_OK
+    name = argv[0] + suffix
+    assert capsys.readouterr().out.split() == [name]
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    if fmt == "json":
+        assert [r.M for r in parse_report_json(name).rows] == [16, 32]
+
+
+def test_default_output_names_of_several_orders(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["study", "--example", "ex1-case1", "--beta", "1.3", "1.7",
+            "--grids", "16", "32", "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    names = ["study-beta1.3.json", "study-beta1.7.json"]
+    assert capsys.readouterr().out.split() == names
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert [parse_report_json(n).metadata["beta"] for n in names] == [1.3, 1.7]
+
+
 def _readme_commands() -> list[list[str]]:
     text = (ROOT / "README.md").read_text()
     usage = text.split("## Usage", 1)[1].split("\n## ", 1)[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracbvp import correction
-from fracbvp.analytic import PowerSum, PowerTerm
+from fracbvp.analytic import PowerSum, PowerTerm, singular_exponents
 from fracbvp.catalog import catalog, manufactured, singular_term
 from fracbvp.correction import TwoGridCorrector, correct
 from fracbvp.solver import FracParams, SchemeKind, SolverError, make_solver
@@ -20,16 +20,26 @@ def _pure_singular_problem(beta, theta, scale=1.0):
         rhs=scale * sing.fs), sing
 
 
+def _strength(problem, M, scheme):
+    """The corrected solution on the pair (M, 2M), the raw coarse solves
+    and the pointwise strength at the coarse interior nodes."""
+    solved = {}
+    sol = correct(problem, M, scheme, solved)
+    coarse, fine = solved[M], solved[2 * M]
+    us = problem.singular.us
+    corrector = TwoGridCorrector(coarse.us, fine.us, us(coarse.nodes),
+                                 us(fine.nodes))
+    return sol, coarse, corrector.correct(coarse.u, fine.u)[2]
+
+
 class TestXiStrength:
     def test_identical_solves_give_unit_strength(self):
         # f = f^s: the problem and singular solves coincide bit for bit
         prob, sing = _pure_singular_problem(1.5, 1.0)
-        sol = correct(prob, 64, SchemeKind.WSGD)
-        np.testing.assert_array_equal(sol.xi.interior, 1.0)
-        np.testing.assert_array_equal(sol.coarse.values,
-                                      sol.corrected_coarse.values
-                                      - (sing.us(sol.coarse.grid.nodes())
-                                         - sol.coarse.values))
+        sol, raw, xi = _strength(prob, 64, SchemeKind.WSGD)
+        np.testing.assert_array_equal(xi, 1.0)
+        np.testing.assert_array_equal(raw.u, sol.corrected_coarse.interior
+                                      - (sing.us(raw.nodes) - raw.u))
 
     def test_pure_singular_corrected_to_exact(self):
         prob, sing = _pure_singular_problem(1.5, 1.0)
@@ -40,8 +50,7 @@ class TestXiStrength:
     def test_linearity_in_rhs_scale(self):
         for c in (-2.0, 0.5, 10.0):
             prob, sing = _pure_singular_problem(1.4, 1.0, scale=c)
-            sol = correct(prob, 32 * 2, SchemeKind.WSGD)
-            xi = sol.xi.interior
+            sol, _, xi = _strength(prob, 32 * 2, SchemeKind.WSGD)
             assert abs(np.median(xi) - c) <= 1e-8 * abs(c)
             exact = c * sing.us(sol.corrected_coarse.grid.nodes())
             err = np.max(np.abs(sol.corrected_coarse.values - exact))
@@ -54,8 +63,7 @@ class TestXiStrength:
         sing = singular_term(params)
         u = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0),)) + 3.0 * sing.us
         prob = manufactured("strength-three", params, u)
-        sol = correct(prob, 64, SchemeKind.FCD)
-        med = float(np.median(sol.xi.interior))
+        med = float(np.median(_strength(prob, 64, SchemeKind.FCD)[2]))
         assert abs(med - 3.0) <= 0.15
 
     def test_smooth_problem_strength_vanishes(self):
@@ -69,12 +77,12 @@ class TestXiStrength:
         for theta in (1.0, 0.0):
             params = FracParams(1.0, 1.5, theta)
             prob = manufactured("smooth", params, u)
-            sing = singular_term(params)
-            node = 0 if sing.rho_left < sing.rho_right else -1
+            rho_left, rho_right = singular_exponents(1.5, theta)
+            node = 0 if rho_left < rho_right else -1
             strengths = []
             for M in (64, 128, 256):
-                sol = correct(prob, M, SchemeKind.WSGD)
-                strengths.append(abs(sol.xi.interior[node]))
+                xi = _strength(prob, M, SchemeKind.WSGD)[2]
+                strengths.append(abs(xi[node]))
             assert strengths[0] > 2.0 * strengths[1], (theta, strengths)
             assert strengths[1] > 2.0 * strengths[2], (theta, strengths)
 
@@ -175,10 +183,11 @@ class TestCorrect:
 
     def test_improves_over_uncorrected(self):
         spec = catalog("ex1-case1", 1.5)
-        sol = correct(spec, 128, SchemeKind.WSGD)
-        xc = sol.coarse.grid.nodes()
-        raw = np.max(np.abs(sol.coarse.values - spec.exact(xc)))
-        done = np.max(np.abs(sol.corrected_coarse.values - spec.exact(xc)))
+        solved = {}
+        sol = correct(spec, 128, SchemeKind.WSGD, solved)
+        xc = solved[128].nodes
+        raw = np.max(np.abs(solved[128].u - spec.exact(xc)))
+        done = np.max(np.abs(sol.corrected_coarse.interior - spec.exact(xc)))
         assert done < raw / 50.0
 
     def test_declares_two_solves_per_grid(self, monkeypatch):

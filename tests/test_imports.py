@@ -1,10 +1,9 @@
-"""Every name a module imports is used in that module.
-
-Package ``__init__.py`` files are skipped: their imports are the public
-re-exports.
-"""
+"""Every name a module imports is used in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,8 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = sorted(path for folder in ("src/fracbvp", "tests")
-                 for path in (ROOT / folder).glob("*.py")
-                 if path.name != "__init__.py")
+                 for path in (ROOT / folder).glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -28,7 +26,7 @@ def _imported_names(tree: ast.Module) -> set[str]:
 
 def _used_names(tree: ast.Module) -> set[str]:
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # string annotations and ``__all__`` entries use names too
+    # string annotations use names too
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
@@ -43,3 +41,15 @@ def _used_names(tree: ast.Module) -> set[str]:
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert sorted(_imported_names(tree) - _used_names(tree)) == []
+
+
+def test_package_root_loads_no_submodule():
+    # the package root holds __version__ only: each name is imported from
+    # the module that defines it
+    code = ("import sys, fracbvp; "
+            "print(sorted(m for m in sys.modules if m.startswith('fracbvp.')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -61,3 +61,27 @@ def test_every_path_meets_the_bound(costs, system, path):
     entry = costs.path_costs(16, 1.5, system, path)
     assert entry["path"] == path
     assert entry["backward_error"] <= BACKWARD_ERROR_BOUND
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("measured before the arguments were checked")
+
+
+@pytest.mark.parametrize("pairs", ["1", "0"])
+def test_too_few_pairs_are_refused_before_measuring(costs, monkeypatch, tmp_path,
+                                                    pairs):
+    monkeypatch.setattr(costs, "path_costs", _never)
+    with pytest.raises(SystemExit) as exc:
+        costs.main(["--out", str(tmp_path / "b.json"), "--baseline", str(ROOT),
+                    "--pairs", pairs])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_baseline_without_a_checkout_is_refused_before_measuring(
+        costs, monkeypatch, tmp_path):
+    monkeypatch.setattr(costs, "path_costs", _never)
+    with pytest.raises(SystemExit) as exc:
+        costs.main(["--out", str(tmp_path / "b.json"), "--baseline", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []

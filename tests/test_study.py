@@ -8,12 +8,11 @@ import pytest
 from fracbvp import study
 from fracbvp.analytic import PowerSum, PowerTerm, singular_exponents
 from fracbvp.catalog import catalog, manufactured
-from fracbvp.correction import correct
+from fracbvp.correction import ConfigError, correct
 from fracbvp.grids import Grid, GridFunction
 from fracbvp.report import ConvergenceReport
 from fracbvp.solver import FracParams, SchemeKind, ToeplitzSolver
 from fracbvp.study import (
-    ConfigError,
     StudyConfig,
     _restrict_errors,
     emit_reports,
