@@ -18,7 +18,9 @@ it is timed up to M = 1024 only.  GMRES is also timed at M = 2**13 ...
 2**16 (not with ``--quick``), the sizes of the level-14 and level-15
 reference solves and one beyond; with ``--baseline DIR`` its solve at
 those sizes is also timed on DIR, alternating with this checkout over
-``ROUNDS`` rounds.
+``ROUNDS`` rounds, and so is the set-up of both direct paths on the
+Crank-Nicolson matrix at M = 2**4 ... ``EXPLICIT_LIMIT``, where a march
+holds the explicit inverse.
 
 Then whole ``ex3`` marches (beta = 1.5, 1000 steps) through
 :func:`fracbvp.timestepper.cn_wsgd_solve`: uncorrected at M = 2**4 ...
@@ -66,8 +68,8 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from fracbvp.grids import Grid  # noqa: E402
-from fracbvp.solver import (PATHS, FracParams, SchemeKind,  # noqa: E402
-                            ToeplitzSolver, scheme_toeplitz)
+from fracbvp.solver import (EXPLICIT_LIMIT, PATHS, FracParams,  # noqa: E402
+                            SchemeKind, ToeplitzSolver, scheme_toeplitz)
 
 BETAS = (1.1, 1.5, 1.8)
 TAU = 1e-3
@@ -79,6 +81,8 @@ WORKLOADS = ("dense", "reference")
 #: unchanged march won as few as 2 of 10 rounds against itself.
 MARCH_REPEATS = 15
 KRYLOV_REPEATS = 7
+SETUP_SIZES = [2 ** k for k in range(4, EXPLICIT_LIMIT.bit_length())]
+SETUP_REPEATS = 10
 ROUNDS = 10
 
 # Times the marches given as JSON [[M, corrected], ...] with fracbvp from
@@ -127,6 +131,26 @@ for M, beta in json.loads(sys.argv[2]):
         solver.solve(b)
         best = min(best, time.perf_counter() - t0)
     result[f"{M}/{beta}"] = [best, solver.last_iterations]
+print(json.dumps(result))
+"""
+# Times the set-up of a direct path on the Crank-Nicolson system given as
+# JSON [[M, beta, frac_scale, path], ...] with fracbvp from the src/
+# directory given first; prints {"M/beta/path": least set-up seconds}.
+SETUP_CODE = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from fracbvp.grids import Grid
+from fracbvp.solver import FracParams, SchemeKind, ToeplitzSolver, scheme_toeplitz
+result = {}
+for M, beta, scale, path in json.loads(sys.argv[2]):
+    col, row = scheme_toeplitz(FracParams(1.0, beta, 1.0), Grid(0.0, 1.0, M),
+                               SchemeKind.WSGD, scale)
+    best = float("inf")
+    for _ in range(int(sys.argv[3])):
+        t0 = time.perf_counter()
+        ToeplitzSolver(col, row, path=path)
+        best = min(best, time.perf_counter() - t0)
+    result[f"{M}/{beta}/{path}"] = best
 print(json.dumps(result))
 """
 #: End-to-end metric -> "lower" or "higher", whichever is better.
@@ -189,6 +213,24 @@ def krylov_solves(baseline: Path) -> list:
             entry[side] = {"solve_s": _summary(times[side]),
                            "iterations": results[0][key][1]}
         entry["compare"] = {"solve_s": _compare(times["baseline"], times["change"])}
+        entries.append(entry)
+    return entries
+
+
+def direct_setups(baseline: Path) -> list:
+    """Least set-up seconds of both direct paths on the Crank-Nicolson
+    system at ``SETUP_SIZES`` over the rounds, on this checkout and the
+    baseline."""
+    runs = [[M, beta, SYSTEMS["crank-nicolson"], path] for M in SETUP_SIZES
+            for beta in BETAS for path in ("explicit", "gohberg-semencul")]
+    rounds = _rounds(SETUP_CODE, runs, SETUP_REPEATS, baseline)
+    entries = []
+    for M, beta, _, path in runs:
+        times = {side: [r[f"{M}/{beta}/{path}"] for r in results]
+                 for side, results in rounds.items()}
+        entry = {"M": M, "beta": beta, "system": "crank-nicolson", "path": path}
+        entry |= {side: {"setup_s": _summary(t)} for side, t in times.items()}
+        entry["compare"] = {"setup_s": _compare(times["baseline"], times["change"])}
         entries.append(entry)
     return entries
 
@@ -304,6 +346,7 @@ def main(argv=None) -> int:
     }
     if baseline is not None:
         doc["krylov"] = krylov_solves(baseline)
+        doc["setup"] = direct_setups(baseline)
         doc["end_to_end"] = end_to_end(baseline, args.pairs, args.seconds)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     missing = sorted(set(PATHS) - {entry["path"] for entry in solves})

@@ -17,19 +17,19 @@ matrix-free restarted GMRES with a Strang circulant preconditioner,
 solve, one or two per grid, runs GMRES.  A Crank-Nicolson march, which
 solves one matrix at every step, asks for a direct path: the explicit
 inverse on a coarse grid, the Gohberg-Semencul generators on a finer
-one.  Neither factors the matrix: two GMRES solves (one when ``A`` is
-symmetric) give the first and last columns of ``A^-1``, and the
+one.  The explicit inverse is one LAPACK inversion (``np.linalg.inv``),
+applied by one matrix-vector product.  Two GMRES solves (one when ``A``
+is symmetric) give the first and last columns of ``A^-1``, and the
 Gohberg-Semencul formula (Gohberg & Semencul 1972)
 
     A^-1 = (1/x_0) [L(x) U(J y) - L(Z y) U(Z J x)],
 
 with ``x = A^-1 e_1``, ``y = A^-1 e_m``, ``L``/``U`` lower/upper
 triangular Toeplitz, ``J`` the reversal and ``Z`` the down shift, applies
-it with FFTs in O(M log M) per right-hand side.  The explicit inverse is
-the same formula summed into a dense matrix (Trench 1964) and applied by
-one matrix-vector product.  Every path accepts a solution on one rule, a
-normwise backward error (Rigal & Gaches 1967; Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 7) in the infinity norm:
+it with FFTs in O(M log M) per right-hand side.  Every path accepts a
+solution on one rule, a normwise backward error (Rigal & Gaches 1967;
+Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 7) in the
+infinity norm:
 
     ||A x - b|| <= BACKWARD_ERROR_BOUND * (||A|| ||x|| + ||b||),
 
@@ -40,10 +40,10 @@ on every path, and each block of a Crank-Nicolson march
 
 The bound sits above what FFT rounding reaches for every system size, so
 the same rule holds at M = 16 and at M = 65536.  The Gohberg-Semencul
-product alone, explicit or not, can miss it on systems near beta = 1 (up
-to 1e5 eps at beta = 1.001, alpha = 0, theta in {0, 1}).  So every solve
-is one restarted GMRES loop, right-preconditioned by the best inverse the
-path holds: the Strang circulant, or on the direct path ``A^-1`` itself.
+product alone can miss it on systems near beta = 1 (up to 1e5 eps at
+beta = 1.001, alpha = 0, theta in {0, 1}).  So every solve is one
+restarted GMRES loop, right-preconditioned by the best inverse the path
+holds: the Strang circulant, or on a direct path ``A^-1`` itself.
 GMRES so preconditioned is an iterative refinement (Carson & Higham
 2017): a product that meets the bound is returned after one residual, and
 one iteration brought every system measured below it.
@@ -204,10 +204,10 @@ class ToeplitzSolver:
     """Repeated solves against one fixed Toeplitz system.
 
     ``path`` is one of ``PATHS``.  ``'gmres'`` (the default) is
-    matrix-free and holds no inverse.  The two direct paths compute the
-    Gohberg-Semencul generators of ``A^-1`` by GMRES at set-up:
-    ``'gohberg-semencul'`` holds them for reuse, and ``'explicit'`` sums
-    them into ``A^-1`` and also holds ``A``, both dense, so that a product
+    matrix-free and holds no inverse.  ``'gohberg-semencul'`` computes the
+    Gohberg-Semencul generators of ``A^-1`` by GMRES at set-up and holds
+    them for reuse.  ``'explicit'`` holds ``A`` and ``A^-1``, both dense,
+    the inverse from one LAPACK call (``np.linalg.inv``), so that a product
     with either is one matrix-vector product.  Every solve is one GMRES
     loop, capped at ``MAXITER`` iterations, that must meet
     ``BACKWARD_ERROR_BOUND``; the paths differ only in its preconditioner,
@@ -255,6 +255,16 @@ class ToeplitzSolver:
 
     def _setup_direct(self) -> None:
         m, L = self.m, self._L
+        if self.path == "explicit":
+            index = np.arange(m)
+            # entry (i, j) of A is col[i - j] for i >= j and row[j - i] above
+            self._matrix = np.concatenate((self.row[:0:-1], self.col))[
+                m - 1 + index[:, None] - index]
+            try:
+                self._inverse = np.linalg.inv(self._matrix)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"explicit inverse impossible: {exc}") from exc
+            return
         e = np.zeros(m)
         e[0] = 1.0
         x = self._gmres(e)
@@ -264,19 +274,6 @@ class ToeplitzSolver:
             raise SolverError("Gohberg-Semencul formula impossible: (A^-1)_00 is 0")
         shift_y = np.concatenate(([0.0], y[:-1]))
         shift_rev_x = np.concatenate(([0.0], x[:0:-1]))
-        if self.path == "explicit":
-            # Trench (1964): entry (i, j) of L(a) U(b) exceeds entry
-            # (i-1, j-1) by a_i b_j, so A^-1 is the running sum, down each
-            # diagonal, of the rank-2 kernel of the formula
-            inverse = (np.outer(x, y[::-1]) - np.outer(shift_y, shift_rev_x)) / x[0]
-            for i in range(1, m):
-                inverse[i, 1:] += inverse[i - 1, :-1]
-            self._inverse = inverse
-            index = np.arange(m)
-            # entry (i, j) of A is col[i - j] for i >= j and row[j - i] above
-            self._matrix = np.concatenate((self.row[:0:-1], self.col))[
-                m - 1 + index[:, None] - index]
-            return
         # (U(v) b)_i = sum_j v_j b_{i+j} is a correlation: with zero
         # padding to L >= 2m - 1 it is irfft(conj(rfft(v)) * rfft(b))[:m]
         self._upper = np.conj(np.fft.rfft(np.stack([y[::-1], shift_rev_x]), n=L))

@@ -187,8 +187,8 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
     returns its one report.
 
     Needs the problem's exact solution.  The march takes round(T / tau)
-    steps, at most ``MAX_STEPS``; the default tau = 1e-3 of the tables lets
-    the spatial error dominate.
+    steps, at least one and at most ``MAX_STEPS``; the default tau = 1e-3
+    of the tables lets the spatial error dominate.
     """
     problem = config.problem
     if not isinstance(problem, TimeDependentProblem):
@@ -203,7 +203,9 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
     if not steps <= MAX_STEPS:
         raise ConfigError(f"time step {config.tau!r} takes {steps:.3g} steps to "
                           f"T = {T}, more than MAX_STEPS = {MAX_STEPS}")
-    tg = TimeGrid(T=T, N=max(1, round(steps)))
+    if round(steps) < 1:
+        raise ConfigError(f"time step {config.tau!r} takes round(T / tau) = 0 steps to T = {T}")
+    tg = TimeGrid(T=T, N=round(steps))
     meta = {
         "scheme": "cn-wsgd",
         "error_grid": "M",

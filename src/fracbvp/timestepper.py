@@ -7,8 +7,8 @@ a step is one solve, ``A v = u^{n-1} + (tau/2) f^{n-1/2}``, ``u^n = 2v - u^{n-1}
 The implicit matrix is time-independent, so one solver set-up serves the
 whole march.  The march asks :func:`~fracbvp.solver.make_solver` for the
 direct path, which holds ``A^-1``: on a coarse grid an explicit inverse,
-applied by one matrix-vector product per step, and on a finer grid the
-Gohberg-Semencul generators.
+one LAPACK inversion at set-up applied by one matrix-vector product per
+step, and on a finer grid the Gohberg-Semencul generators, found by GMRES.
 
 The march advances in blocks of ``BLOCK_STEPS`` steps, taken by one step
 routine that keeps each step's right-hand side and solution as rows of

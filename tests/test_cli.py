@@ -207,6 +207,21 @@ def test_invalid_time_step_is_a_config_error(tmp_path, capsys, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tau,code,steps", [("2", cli.EXIT_CONFIG, None),
+                                             ("1", cli.EXIT_OK, 1)])
+def test_time_step_of_no_steps_is_a_config_error(tmp_path, capsys, tau, code, steps):
+    # round(T / tau) = 0 steps is refused; one step still marches
+    out = tmp_path / "t.csv"
+    argv = ["timestudy", "--grids", "16", "--tau", tau, "--out", str(out)]
+    assert cli.main(argv) == code
+    if steps is None:
+        assert "time step 2.0 takes round(T / tau) = 0 steps to T = 1.0" in \
+            capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert f"# steps={steps}" in out.read_text().splitlines()
+
+
 @pytest.mark.parametrize("tau", ["1e-300", "5e-324", "9.99e-7"])
 def test_too_many_time_steps_is_a_config_error(tmp_path, tau):
     # the march would never end: in a subprocess with a timeout, so that a

@@ -317,6 +317,19 @@ class TestSolve:
         got = solver.solve(prob.rhs(grid.interior_nodes()))
         assert np.max(np.abs(got - u(grid.interior_nodes()))) < 1e-8
 
+    def test_refines_near_beta_one(self):
+        # the Gohberg-Semencul product misses the bound by about 1.5e4 eps
+        # here: the generators are the cause, and one GMRES iteration
+        # preconditioned by the product mends it
+        col, row = scheme_toeplitz(FracParams(0.0, 1.001, 1.0), Grid(0.0, 1.0, 33),
+                                   SchemeKind.WSGD)
+        f = np.random.default_rng(0).standard_normal(32)
+        solver = ToeplitzSolver(col, row, path="gohberg-semencul")
+        assert solver.backward_error(solver.apply_inverse(f), f) > BACKWARD_ERROR_BOUND
+        u = solver.solve(f)
+        assert solver.last_iterations == 1
+        assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
+
     def test_refines_perturbed_generators(self):
         # generators 1e-9 off miss the bound; one GMRES iteration,
         # preconditioned by their product, meets it
@@ -450,18 +463,40 @@ class TestExplicitInverse:
         with pytest.raises(ValueError, match="infs or NaNs"):
             ToeplitzSolver(col, row, path="explicit").solve(f)
 
-    def test_refines_near_beta_one(self):
-        # the explicit product misses the bound by about 1e4 eps here, as
-        # the Gohberg-Semencul product does: the generators are the cause,
-        # and one GMRES iteration preconditioned by the product mends it
+    def test_meets_the_bound_near_beta_one(self):
+        # the Gohberg-Semencul product misses the bound by about 1.5e4 eps
+        # here (TestSolve.test_refines_near_beta_one); the LAPACK inverse
+        # meets it with no GMRES iteration
         col, row = scheme_toeplitz(FracParams(0.0, 1.001, 1.0), Grid(0.0, 1.0, 33),
                                    SchemeKind.WSGD)
         f = np.random.default_rng(0).standard_normal(32)
         solver = ToeplitzSolver(col, row, path="explicit")
-        assert solver.backward_error(solver.apply_inverse(f), f) > BACKWARD_ERROR_BOUND
-        u = solver.solve(f)
-        assert solver.last_iterations == 1
-        assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
+        assert solver.backward_error(solver.apply_inverse(f), f) <= BACKWARD_ERROR_BOUND
+        solver.solve(f)
+        assert solver.last_iterations == 0
+
+    def test_setup_is_one_lapack_inversion(self, monkeypatch):
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+        monkeypatch.setattr(ToeplitzSolver, "_gmres", None)
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 16),
+                                   SchemeKind.WSGD)
+        ToeplitzSolver(col, row, path="explicit")
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], scipy.linalg.toeplitz(col, row))
+
+    # the Crank-Nicolson matrices of a march, I - (tau/2) D: the two direct
+    # paths compute A^-1 independently, by LAPACK and by GMRES generators
+    @pytest.mark.parametrize("M", [16, EXPLICIT_LIMIT])
+    @pytest.mark.parametrize("beta", [1.1, 1.5, 1.8])
+    def test_agrees_with_gohberg_semencul_on_march_matrices(self, beta, M):
+        col, row = scheme_toeplitz(FracParams(1.0, beta, 1.0), Grid(0.0, 1.0, M),
+                                   SchemeKind.WSGD, frac_scale=0.5e-3)
+        b = np.random.default_rng(M).standard_normal(M - 1)
+        explicit, gs = (ToeplitzSolver(col, row, path=path).apply_inverse(b)
+                        for path in ("explicit", "gohberg-semencul"))
+        assert np.max(np.abs(explicit - gs)) <= 1e-12 * np.max(np.abs(gs))
 
 
 class TestSmoothRate:

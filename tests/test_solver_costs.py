@@ -63,6 +63,21 @@ def test_every_path_meets_the_bound(costs, system, path):
     assert entry["backward_error"] <= BACKWARD_ERROR_BOUND
 
 
+def test_direct_setups_are_timed_on_both_sides(costs, monkeypatch):
+    # this checkout stands in for the baseline: two rounds, one size
+    monkeypatch.setattr(costs, "ROUNDS", 2)
+    monkeypatch.setattr(costs, "SETUP_SIZES", [16])
+    monkeypatch.setattr(costs, "SETUP_REPEATS", 1)
+    entries = costs.direct_setups(ROOT)
+    assert [(e["M"], e["beta"], e["path"]) for e in entries] == [
+        (16, beta, path) for beta in costs.BETAS
+        for path in ("explicit", "gohberg-semencul")]
+    for entry in entries:
+        for side in ("baseline", "change"):
+            assert len(entry[side]["setup_s"]["runs"]) == 2
+        assert entry["compare"]["setup_s"]["pairs"] == 2
+
+
 def _never(*args, **kwargs):
     raise AssertionError("measured before the arguments were checked")
 

@@ -1,5 +1,6 @@
 """The study harness: configuration checks, error restriction, report paths."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -111,6 +112,18 @@ def test_time_study_refuses_fcd_before_the_march(monkeypatch):
     config = StudyConfig(problem=catalog("ex3", 1.5), scheme=SchemeKind.FCD,
                          M_list=[16], tau=0.1)
     with pytest.raises(ConfigError, match="WSGD"):
+        run_time_study(config)
+    assert marched == []
+
+
+@pytest.mark.parametrize("tau", [2.0, 3.0, 1e300])
+def test_time_study_refuses_a_march_of_no_steps(monkeypatch, tau):
+    # round(T / tau) = 0 is refused before any march
+    marched = []
+    monkeypatch.setattr(study, "cn_wsgd_solve", lambda *a, **k: marched.append(a))
+    config = StudyConfig(problem=catalog("ex3", 1.5), M_list=[16], tau=tau)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"time step {tau!r} takes round(T / tau) = 0 steps to T = 1.0")):
         run_time_study(config)
     assert marched == []
 
