@@ -1,22 +1,22 @@
 """Closed-form fractional calculus on sums of power functions.
 
-Right-hand sides and exact solutions of the manufactured problems are all
-representable as finite sums of terms ``c * (x - a)**p * (b - x)**q``
-(:class:`PowerSum`).  This module evaluates such sums and applies the
-left- and right-sided fractional derivative operators to them exactly,
-which keeps every rhs bit-reproducible.
+Every problem is posed on (0, 1).  Right-hand sides and exact solutions of
+the manufactured problems are all representable as finite sums of terms
+``c * x**p * (1 - x)**q`` (:class:`PowerSum`).  This module evaluates such
+sums and applies the left- and right-sided fractional derivative operators
+to them exactly, which keeps every rhs bit-reproducible.
 
 The key scalar identity is the derivative of a pure power,
 
-    D_left**beta (x - a)**xi = Gamma(xi+1)/Gamma(xi+1-beta) * (x-a)**(xi-beta),
+    D_left**beta x**xi = Gamma(xi+1)/Gamma(xi+1-beta) * x**(xi-beta),
 
 which degenerates to the zero function when ``xi + 1 - beta`` hits a pole
 of the Gamma function (a non-positive integer).  The right-sided
-derivative is the mirror image, under ``x -> a + b - x``
+derivative is the mirror image, under ``x -> 1 - x``
 (:meth:`PowerSum.reflected`), of the left-sided one.
 
 The two-sided operator ``theta*D_left + (1-theta)*D_right`` maps the
-product ``w = (x-a)**gamma * (b-x)**(beta-gamma)`` to a constant when
+product ``w = x**gamma * (1-x)**(beta-gamma)`` to a constant when
 ``(1-theta) sin(pi gamma) = theta sin(pi (beta-gamma))`` (Ervin, Heuer &
 Roop, Math. Comp. 87, 2018); :func:`singular_exponents` solves for the
 exponents, and :func:`elliptic_rhs` uses the constant for every theta
@@ -59,7 +59,7 @@ def _near_int(x: float) -> int | None:
 
 @dataclass(frozen=True)
 class PowerTerm:
-    """One summand ``coef * (x - a)**left * (b - x)**right``."""
+    """One summand ``coef * x**left * (1 - x)**right``."""
 
     coef: float
     left: float
@@ -68,40 +68,35 @@ class PowerTerm:
 
 @dataclass(frozen=True)
 class PowerSum:
-    """Finite sum of two-sided power terms on a fixed interval [a, b].
+    """Finite sum of two-sided power terms on [0, 1].
 
     Instances are immutable, support ``+``, ``-`` and scalar ``*``, and
     are callable on scalars or arrays.
     """
 
-    a: float
-    b: float
     terms: tuple[PowerTerm, ...]
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def left_anchored(cls, pairs: Iterable[tuple[float, float]],
-                      a: float = 0.0, b: float = 1.0) -> "PowerSum":
-        """Sum of ``c * (x - a)**xi`` terms from ``(c, xi)`` pairs."""
-        return cls(a, b, tuple(PowerTerm(c, xi, 0.0) for c, xi in pairs))
+    def left_anchored(cls, pairs: Iterable[tuple[float, float]]) -> "PowerSum":
+        """Sum of ``c * x**xi`` terms from ``(c, xi)`` pairs."""
+        return cls(tuple(PowerTerm(c, xi, 0.0) for c, xi in pairs))
 
     @classmethod
-    def constant(cls, value: float, a: float = 0.0, b: float = 1.0) -> "PowerSum":
-        return cls(a, b, (PowerTerm(value, 0.0, 0.0),))
+    def constant(cls, value: float) -> "PowerSum":
+        return cls((PowerTerm(value, 0.0, 0.0),))
 
     @classmethod
-    def zero(cls, a: float = 0.0, b: float = 1.0) -> "PowerSum":
-        return cls(a, b, ())
+    def zero(cls) -> "PowerSum":
+        return cls(())
 
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other: "PowerSum") -> "PowerSum":
         if not isinstance(other, PowerSum):
             return NotImplemented
-        if (self.a, self.b) != (other.a, other.b):
-            raise ValueError("cannot add power sums on different intervals")
-        return PowerSum(self.a, self.b, self.terms + other.terms)
+        return PowerSum(self.terms + other.terms)
 
     def __sub__(self, other: "PowerSum") -> "PowerSum":
         return self + (-other)
@@ -112,18 +107,17 @@ class PowerSum:
     def __mul__(self, scalar: float) -> "PowerSum":
         if not isinstance(scalar, (int, float)):
             return NotImplemented
-        return PowerSum(self.a, self.b, tuple(
+        return PowerSum(tuple(
             PowerTerm(t.coef * scalar, t.left, t.right) for t in self.terms))
 
     __rmul__ = __mul__
 
     def drop_zeros(self) -> "PowerSum":
-        return PowerSum(self.a, self.b,
-                        tuple(t for t in self.terms if t.coef != 0.0))
+        return PowerSum(tuple(t for t in self.terms if t.coef != 0.0))
 
     def reflected(self) -> "PowerSum":
-        """The mirror image ``x -> a + b - x``: each term's exponents swap."""
-        return PowerSum(self.a, self.b, tuple(
+        """The mirror image ``x -> 1 - x``: each term's exponents swap."""
+        return PowerSum(tuple(
             PowerTerm(t.coef, t.right, t.left) for t in self.terms))
 
     # -- queries -------------------------------------------------------
@@ -134,21 +128,20 @@ class PowerSum:
         for t in self.terms:
             val = t.coef
             if t.left != 0.0:
-                val = val * (x - self.a) ** t.left
+                val = val * x ** t.left
             if t.right != 0.0:
-                val = val * (self.b - x) ** t.right
+                val = val * (1.0 - x) ** t.right
             out += val
         return out
 
 
 def _reanchor(ps: PowerSum, endpoint: str) -> PowerSum:
-    """Rewrite every term as a pure power of ``x - a``.
+    """Rewrite every term as a pure power of ``x``.
 
-    A term can change sides only when its ``(b - x)`` exponent is a
+    A term can change sides only when its ``(1 - x)`` exponent is a
     nonnegative integer (binomial expansion); otherwise a ``ValueError``
     naming ``endpoint``, the side the caller anchors to, is raised.
     """
-    width = ps.b - ps.a
     terms: list[PowerTerm] = []
     for t in ps.terms:
         if t.right == 0.0:
@@ -159,21 +152,20 @@ def _reanchor(ps: PowerSum, endpoint: str) -> PowerSum:
             raise ValueError(
                 f"a term whose exponent at the other endpoint is {t.right} "
                 f"cannot be re-anchored to the {endpoint} endpoint")
-        # (b-x)**q = ((b-a) - (x-a))**q
+        # (1-x)**q = sum_j C(q, j) (-x)**j
         for j in range(q + 1):
-            c = t.coef * math.comb(q, j) * width ** (q - j) * (-1) ** j
+            c = t.coef * math.comb(q, j) * (-1) ** j
             terms.append(PowerTerm(c, t.left + j, 0.0))
-    return PowerSum(ps.a, ps.b, tuple(terms)).drop_zeros()
+    return PowerSum(tuple(terms)).drop_zeros()
 
 
 # -- fractional derivatives of powers ----------------------------------
 
 
-def left_rl_derivative_power(beta: float, xi: float,
-                             a: float = 0.0, b: float = 1.0) -> PowerSum:
-    """Left-sided derivative of order ``beta`` of ``(x - a)**xi``.
+def left_rl_derivative_power(beta: float, xi: float) -> PowerSum:
+    """Left-sided derivative of order ``beta`` of ``x**xi``.
 
-    Returns ``Gamma(xi+1)/Gamma(xi+1-beta) * (x - a)**(xi - beta)`` as a
+    Returns ``Gamma(xi+1)/Gamma(xi+1-beta) * x**(xi - beta)`` as a
     :class:`PowerSum`, or the zero sum when the Gamma pole annihilates
     the term (e.g. ``xi = beta - 1``).
     """
@@ -183,20 +175,20 @@ def left_rl_derivative_power(beta: float, xi: float,
     k = _near_int(d)
     fac = 0.0 if k is not None and k <= 0 else gamma_ratio(xi + 1.0, d)
     if fac == 0.0:
-        return PowerSum.zero(a, b)
-    return PowerSum(a, b, (PowerTerm(fac, xi - beta, 0.0),))
+        return PowerSum.zero()
+    return PowerSum((PowerTerm(fac, xi - beta, 0.0),))
 
 
 def left_derivative(ps: PowerSum, beta: float) -> PowerSum:
     """Left-sided derivative of a power sum, term by term.
 
-    Terms carrying a ``(b - x)`` factor are first re-anchored to the left
+    Terms carrying a ``(1 - x)`` factor are first re-anchored to the left
     endpoint, which requires that factor's exponent to be an integer.
     """
     anchored = _reanchor(ps, "left")
-    out = PowerSum.zero(ps.a, ps.b)
+    out = PowerSum.zero()
     for t in anchored.terms:
-        out = out + t.coef * left_rl_derivative_power(beta, t.left, ps.a, ps.b)
+        out = out + t.coef * left_rl_derivative_power(beta, t.left)
     return out.drop_zeros()
 
 
@@ -233,7 +225,7 @@ def elliptic_rhs(u: PowerSum, alpha: float, beta: float, theta: float) -> PowerS
     * integer-exponent (polynomial) terms, any ``theta``;
     * one-sided fractional terms when only that side's derivative enters
       (``theta = 1`` or ``theta = 0``), or re-anchorable terms;
-    * for ``0 < theta < 1``, the product ``(x-a)**gamma (b-x)**(beta-gamma)``
+    * for ``0 < theta < 1``, the product ``x**gamma (1-x)**(beta-gamma)``
       with the exponents of :func:`singular_exponents`, whose image is
       the constant ``Gamma(beta+1) * hypot(cos(pi beta/2),
       (2 theta - 1) sin(pi beta/2))``.
@@ -253,11 +245,11 @@ def elliptic_rhs(u: PowerSum, alpha: float, beta: float, theta: float) -> PowerS
             half = 0.5 * beta * math.pi
             const = math.gamma(beta + 1.0) * math.hypot(
                 math.cos(half), (2.0 * theta - 1.0) * math.sin(half))
-            rhs = rhs + PowerSum.constant(t.coef * const, u.a, u.b)
+            rhs = rhs + PowerSum.constant(t.coef * const)
         else:
             pending.append(t)
     if pending:
-        rest = PowerSum(u.a, u.b, tuple(pending))
+        rest = PowerSum(tuple(pending))
         if theta > 0.0:
             rhs = rhs - theta * left_derivative(rest, beta)
         if theta < 1.0:

@@ -1,14 +1,15 @@
 """Manufactured problems, their singular terms, and the named catalog.
 
-Every stationary problem couples :class:`~fracbvp.solver.FracParams` with a
-closed-form right-hand side (a :class:`~fracbvp.analytic.PowerSum`) and
-an optional exact solution.  The five named entries cover one-sided and
-symmetric two-sided derivatives, with and without a known exact
-solution, plus one time-dependent problem.
+Every problem is posed on (0, 1); README.md shows how to rescale one posed
+on another interval.  Every stationary problem couples
+:class:`~fracbvp.solver.FracParams` with a closed-form right-hand side (a
+:class:`~fracbvp.analytic.PowerSum`) and an optional exact solution.  The
+five named entries cover one-sided and symmetric two-sided derivatives,
+with and without a known exact solution, plus one time-dependent problem.
 
 Every problem's leading singular term is derived from its operator, and
 never stored: one formula for every theta, the product
-``(x-a)**gamma * (b-x)**(beta-gamma)`` with the exponents of
+``x**gamma * (1-x)**(beta-gamma)`` with the exponents of
 :func:`~fracbvp.analytic.singular_exponents`, whose image under the
 two-sided operator is a constant.
 """
@@ -32,7 +33,7 @@ CATALOG_NAMES = ("ex1-case1", "ex1-case2", "ex2-case1", "ex2-case2", "ex3")
 class SingularTermSpec:
     """Leading boundary singular term and its exact right-hand side.
 
-    ``us`` is ``(x-a)**gamma * (b-x)**(beta-gamma)`` with the exponents of
+    ``us`` is ``x**gamma * (1-x)**(beta-gamma)`` with the exponents of
     :func:`~fracbvp.analytic.singular_exponents`, and ``fs`` its exact image
     under the problem operator: the pair the two-grid strength estimate
     needs.  :func:`singular_term` makes it; a problem's ``singular`` derives it.
@@ -44,37 +45,35 @@ class SingularTermSpec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A stationary fractional boundary-value problem on [a, b].
+    """A stationary fractional boundary-value problem on (0, 1).
 
     ``singular`` is the operator's leading singular term, derived from
-    ``params`` and ``domain`` on first use; a problem made with
+    ``params`` on first use; a problem made with
     :func:`dataclasses.replace` derives its own.
     """
 
     name: str
     params: FracParams
-    domain: tuple[float, float]
     rhs: PowerSum
     exact: Optional[PowerSum] = None
 
     @functools.cached_property
     def singular(self) -> SingularTermSpec:
-        return singular_term(self.params, *self.domain)
+        return singular_term(self.params)
 
 
 @dataclass(frozen=True)
 class TimeDependentProblem:
-    """A space-fractional diffusion problem ``u_t = D u + f`` on [a, b].
+    """A space-fractional diffusion problem ``u_t = D u + f`` on (0, 1).
 
     Only the one-sided case ``theta = 1`` is covered by the time stepper;
     ``params.alpha`` plays no role here (there is no reaction term).
     ``singular`` is the operator's leading singular term, derived from
-    ``params`` and ``domain`` on first use, as for :class:`ProblemSpec`.
+    ``params`` on first use, as for :class:`ProblemSpec`.
     """
 
     name: str
     params: FracParams
-    domain: tuple[float, float]
     final_time: float
     rhs: Callable[[np.ndarray, float], np.ndarray]
     initial: Callable[[np.ndarray], np.ndarray]
@@ -83,15 +82,14 @@ class TimeDependentProblem:
     singular = ProblemSpec.singular
 
 
-def singular_term(params: FracParams, a: float = 0.0,
-                  b: float = 1.0) -> SingularTermSpec:
-    """Leading singular term ``(x-a)**gamma * (b-x)**(beta-gamma)`` of the
+def singular_term(params: FracParams) -> SingularTermSpec:
+    """Leading singular term ``x**gamma * (1-x)**(beta-gamma)`` of the
     problem's operator, with the exponents of
     :func:`~fracbvp.analytic.singular_exponents`: ``beta - 1`` and ``1``
     at theta = 1, ``beta/2`` on both sides at theta = 1/2, and ``1`` and
     ``beta - 1`` at theta = 0."""
     rl, rr = singular_exponents(params.beta, params.theta)
-    us = PowerSum(a, b, (PowerTerm(1.0, rl, rr),))
+    us = PowerSum((PowerTerm(1.0, rl, rr),))
     fs = elliptic_rhs(us, params.alpha, params.beta, params.theta)
     return SingularTermSpec(us=us, fs=fs)
 
@@ -99,13 +97,12 @@ def singular_term(params: FracParams, a: float = 0.0,
 def manufactured(name: str, params: FracParams, exact: PowerSum) -> ProblemSpec:
     """Problem with a prescribed exact solution; rhs built in closed form."""
     rhs = elliptic_rhs(exact, params.alpha, params.beta, params.theta)
-    return ProblemSpec(name=name, params=params, domain=(exact.a, exact.b),
-                       rhs=rhs, exact=exact)
+    return ProblemSpec(name=name, params=params, rhs=rhs, exact=exact)
 
 
 def _ex1_profile(beta: float) -> PowerSum:
     """(x**2 + x**(beta+1) + x**(beta-1)) * (1 - x) as anchored powers."""
-    return PowerSum(0.0, 1.0, (
+    return PowerSum((
         PowerTerm(1.0, 2.0, 1.0),
         PowerTerm(1.0, beta + 1.0, 1.0),
         PowerTerm(1.0, beta - 1.0, 1.0),
@@ -136,7 +133,7 @@ def _ex3(beta: float) -> TimeDependentProblem:
         return np.zeros_like(np.asarray(x, dtype=float))
 
     return TimeDependentProblem(
-        name="ex3", params=params, domain=(0.0, 1.0), final_time=1.0,
+        name="ex3", params=params, final_time=1.0,
         rhs=rhs, initial=initial, exact=exact)
 
 
@@ -154,10 +151,10 @@ def catalog(name: str, beta: float):
     if name == "ex1-case2":
         params = FracParams(alpha=1.0, beta=beta, theta=1.0)
         rhs = PowerSum.left_anchored([(1.0, 1.0), (1.0, 0.0)])  # x + 1
-        return ProblemSpec(name=name, params=params, domain=(0.0, 1.0), rhs=rhs)
+        return ProblemSpec(name=name, params=params, rhs=rhs)
     if name == "ex2-case1":
         params = FracParams(alpha=1.0, beta=beta, theta=0.5)
-        exact = PowerSum(0.0, 1.0, (
+        exact = PowerSum((
             PowerTerm(1.0, 2.0, 2.0),
             PowerTerm(2.0, 0.5 * beta, 0.5 * beta),
         ))
@@ -165,7 +162,7 @@ def catalog(name: str, beta: float):
     if name == "ex2-case2":
         params = FracParams(alpha=1.0, beta=beta, theta=0.5)
         rhs = PowerSum.constant(1.0)
-        return ProblemSpec(name=name, params=params, domain=(0.0, 1.0), rhs=rhs)
+        return ProblemSpec(name=name, params=params, rhs=rhs)
     if name == "ex3":
         return _ex3(beta)
     raise KeyError(f"unknown problem name {name!r}; choose from {CATALOG_NAMES}")

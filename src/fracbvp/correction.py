@@ -98,7 +98,7 @@ class TwoGridCorrector:
     by the singular solves, so its guard is resolved here, once: a
     denominator is guarded when ``|den| <= GUARD_SCALE * max|us_c|``, and a
     guarded node takes the strength of the nearest unguarded node, ties
-    breaking toward the domain center.  ``guard_activations`` counts the
+    breaking toward the middle node.  ``guard_activations`` counts the
     guarded nodes.  Raises :class:`SolverError` if every denominator is
     guarded (the singular solves are identical, so either the singular
     spec is wrong or the grid is uselessly coarse).
@@ -184,7 +184,7 @@ def correct(problem: "ProblemSpec", M: int, scheme: SchemeKind,
     Raises :class:`ConfigError` unless M is even and at least 8.
     """
     check_pair(M)
-    grid_c = Grid(*problem.domain, M)
+    grid_c = Grid(M)
     grid_f = grid_c.refined()
     solved = {} if solved is None else solved
     for grid in (grid_c, grid_f):

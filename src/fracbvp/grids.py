@@ -1,4 +1,4 @@
-"""Uniform grids on an interval and nodal grid functions."""
+"""Uniform grids on (0, 1) and nodal grid functions."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform mesh of [a, b] with M intervals; nodes ``x_j = a + j*h``."""
+    """Uniform mesh of [0, 1] with M intervals; nodes ``x_j = j*h``."""
 
-    a: float
-    b: float
     M: int
 
     def __post_init__(self):
@@ -21,21 +19,19 @@ class Grid:
             raise ValueError(f"grid needs at least 2 intervals, got M={self.M}")
         if (self.M + 1) * 8 > np.iinfo(np.intp).max:
             raise ValueError(f"numpy cannot address the {self.M + 1} nodes of M={self.M}")
-        if not self.b > self.a:
-            raise ValueError(f"empty interval [{self.a}, {self.b}]")
 
     @property
     def h(self) -> float:
-        return (self.b - self.a) / self.M
+        return 1.0 / self.M
 
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.M + 1)
+        return np.linspace(0.0, 1.0, self.M + 1)
 
     def interior_nodes(self) -> np.ndarray:
         return self.nodes()[1:-1]
 
     def refined(self) -> "Grid":
-        return Grid(self.a, self.b, 2 * self.M)
+        return Grid(2 * self.M)
 
 
 @dataclass

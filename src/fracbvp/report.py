@@ -19,7 +19,7 @@ class ReportRow:
     M: int
     err_max: float
     err_l2: float
-    rate: Optional[float]  # log2(E(2h)/E(h)); None on the first row
+    rate: Optional[float]  # log(E_prev/E)/log(M/M_prev); None on the first row
     wall_seconds: float
 
 
@@ -35,13 +35,13 @@ class ConvergenceReport:
                   metadata: dict) -> "ConvergenceReport":
         """Build from (M, err_max, err_l2, seconds) tuples, filling rates."""
         out: list[ReportRow] = []
-        prev: Optional[float] = None
+        prev: Optional[tuple[int, float]] = None
         for M, emax, el2, secs in rows:
             rate = None
-            if prev is not None and emax > 0.0 and prev > 0.0:
-                rate = float(np.log2(prev / emax))
+            if prev is not None and emax > 0.0 and prev[1] > 0.0:
+                rate = float(np.log2(prev[1] / emax) / np.log2(M / prev[0]))
             out.append(ReportRow(int(M), float(emax), float(el2), rate, float(secs)))
-            prev = emax
+            prev = M, emax
         return cls(rows=out, metadata=dict(metadata))
 
 

@@ -234,14 +234,16 @@ class ToeplitzSolver:
         upper = np.concatenate(([0.0], np.cumsum(np.abs(self.row[1:]))))
         self.norm_inf = float(np.max(lower + upper[::-1]))
         self._L = embedding_size(self.m)
-        self._spectrum = embedding_spectrum(self.col, self.row)
         self._matrix = self._inverse = self._lower = None
-        lam = strang_circulant_eigenvalues(self.col, self.row)
-        # beta = 2, alpha = 0 gives one eigenvalue 0: the smallest nonzero
-        # |lambda| stands in for it
-        zero = lam == 0.0
-        lam[zero] = np.min(np.abs(lam[~zero]))
-        self._lam = lam
+        # the explicit path's products are dense: it needs neither spectrum
+        if path != "explicit":
+            self._spectrum = embedding_spectrum(self.col, self.row)
+            lam = strang_circulant_eigenvalues(self.col, self.row)
+            # beta = 2, alpha = 0 gives one eigenvalue 0: the smallest
+            # nonzero |lambda| stands in for it
+            zero = lam == 0.0
+            lam[zero] = np.min(np.abs(lam[~zero]))
+            self._lam = lam
         if path != "gmres":
             self._setup_direct()
         self.last_iterations = 0
@@ -425,8 +427,7 @@ def solve_bvp(problem: "ProblemSpec", M: int, scheme: SchemeKind) -> GridFunctio
     """
     if M < 4:
         raise ValueError(f"need at least 4 intervals, got M={M}")
-    a, b = problem.domain
-    grid = Grid(a, b, M)
+    grid = Grid(M)
     f_int = np.asarray(problem.rhs(grid.interior_nodes()), dtype=float)
     u_int = make_solver(problem.params, grid, scheme).solve(f_int)
     return GridFunction.from_interior(grid, u_int)

@@ -112,8 +112,7 @@ def reference_solution(problem: ProblemSpec, scheme: SchemeKind,
     key = (problem, scheme, level)
     if key not in _memory_cache:
         _memory_cache[key] = _solve_reference(problem, scheme, level)
-    a, b = problem.domain
-    return GridFunction(Grid(a, b, 2 ** level), _memory_cache[key].copy())
+    return GridFunction(Grid(2 ** level), _memory_cache[key].copy())
 
 
 # -- study execution -----------------------------------------------------

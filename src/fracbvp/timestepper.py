@@ -105,7 +105,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         raise ValueError("time stepping covers the one-sided case theta = 1 only")
     N = time_grid.N
     half_tau = 0.5 * time_grid.tau
-    grids = [Grid(*problem.domain, M)]
+    grids = [Grid(M)]
     if corrected:
         grids.append(grids[0].refined())
     stepping = FracParams(alpha=1.0, beta=problem.params.beta,

@@ -129,7 +129,7 @@ def cn_march(problem, M: int, time_grid, corrected: bool = False) -> np.ndarray:
     march, followed by ``TwoGridCorrector.correct`` when corrected.
     """
     half_tau = 0.5 * time_grid.tau
-    grids = [Grid(*problem.domain, M)]
+    grids = [Grid(M)]
     if corrected:
         grids.append(grids[0].refined())
     stepping = FracParams(1.0, problem.params.beta, problem.params.theta)

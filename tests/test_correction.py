@@ -61,7 +61,7 @@ class TestXiStrength:
         beta = 1.5
         params = FracParams(1.0, beta, 0.5)
         sing = singular_term(params)
-        u = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0),)) + 3.0 * sing.us
+        u = PowerSum((PowerTerm(1.0, 2.0, 2.0),)) + 3.0 * sing.us
         prob = manufactured("strength-three", params, u)
         med = float(np.median(_strength(prob, 64, SchemeKind.FCD)[2]))
         assert abs(med - 3.0) <= 0.15
@@ -73,7 +73,7 @@ class TestXiStrength:
         # O(h^2) and the ratio tends to an O(1) function, not to xi.  Next
         # to the singular end |xi_h| decays like h^(3 - beta), a factor
         # 2^1.5 ~ 2.83 per halving at beta = 1.5.
-        u = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0),))
+        u = PowerSum((PowerTerm(1.0, 2.0, 2.0),))
         for theta in (1.0, 0.0):
             params = FracParams(1.0, 1.5, theta)
             prob = manufactured("smooth", params, u)

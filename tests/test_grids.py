@@ -8,14 +8,14 @@ from fracbvp.grids import Grid, GridFunction
 
 def test_l2_norm_of_a_huge_field_is_finite():
     # the squares of 1e200 overflow; the suite turns the warning into an error
-    grid = Grid(0.0, 1.0, 8)
+    grid = Grid(8)
     field = GridFunction(grid, np.full(9, 1e200))
     assert field.l2_norm() == np.float64(1e200) * np.sqrt(grid.h * 9)
     assert field.max_norm() == 1e200
 
 
 def test_l2_norm_of_a_field_that_is_not_finite():
-    grid = Grid(0.0, 1.0, 8)
+    grid = Grid(8)
     values = np.zeros(9)
     values[3] = np.inf
     assert GridFunction(grid, values).l2_norm() == np.inf
@@ -27,9 +27,9 @@ def test_l2_norm_of_a_field_that_is_not_finite():
 def test_grid_numpy_cannot_address_is_refused(M):
     # np.linspace cannot build these nodes (at 2**63 - 1 it raised IndexError)
     with pytest.raises(ValueError, match="numpy cannot address"):
-        Grid(0.0, 1.0, M)
+        Grid(M)
 
 
 def test_largest_addressable_grid_is_accepted():
     M = np.iinfo(np.intp).max // 8 - 1  # (M + 1) float64 nodes fill the address range
-    assert Grid(0.0, 1.0, M).M == M
+    assert Grid(M).M == M

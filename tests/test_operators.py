@@ -28,33 +28,33 @@ def _quadratic(grid):
 
 class TestClassicalLimit:
     def test_left_wsgd_beta2_on_quadratic(self):
-        grid = Grid(0.0, 1.0, 64)
+        grid = Grid(64)
         out = apply_left_wsgd(_quadratic(grid), 2.0)
         np.testing.assert_allclose(out.interior, -2.0, rtol=1e-10)
         assert out.values[0] == 0.0 and out.values[-1] == 0.0
 
     def test_right_wsgd_beta2_matches_left(self):
-        grid = Grid(0.0, 1.0, 64)
+        grid = Grid(64)
         v = _quadratic(grid)
         np.testing.assert_allclose(
             apply_right_wsgd(v, 2.0).interior, apply_left_wsgd(v, 2.0).interior,
             rtol=1e-9)
 
     def test_fcd_beta2_on_quadratic(self):
-        grid = Grid(0.0, 1.0, 64)
+        grid = Grid(64)
         out = apply_fcd(_quadratic(grid), 2.0)
         np.testing.assert_allclose(out.interior, -2.0, rtol=1e-10)
 
 
 class TestAgainstDenseOracle:
     def test_zero_in_zero_out(self):
-        grid = Grid(0.0, 1.0, 32)
+        grid = Grid(32)
         z = GridFunction(grid, np.zeros(grid.M + 1))
         for apply_op in (apply_left_wsgd, apply_right_wsgd, apply_fcd):
             np.testing.assert_array_equal(apply_op(z, 1.5).values, 0.0)
 
     def test_left_matches_dense(self):
-        grid = Grid(0.0, 1.0, 8)
+        grid = Grid(8)
         x = grid.nodes()
         v = GridFunction(grid, x ** 1.5 * (1 - x))
         got = apply_left_wsgd(v, 1.5).interior
@@ -62,7 +62,7 @@ class TestAgainstDenseOracle:
         np.testing.assert_allclose(got, oracle, atol=1e-13)
 
     def test_right_matches_transpose_oracle(self):
-        grid = Grid(0.0, 1.0, 8)
+        grid = Grid(8)
         rng = np.random.default_rng(3)
         v = GridFunction.from_interior(grid, rng.uniform(-1, 1, grid.M - 1))
         got = apply_right_wsgd(v, 1.3).interior
@@ -72,7 +72,7 @@ class TestAgainstDenseOracle:
             right_wsgd_matrix(grid, 1.3), left_wsgd_matrix(grid, 1.3).T)
 
     def test_fcd_matches_dense(self):
-        grid = Grid(0.0, 1.0, 8)
+        grid = Grid(8)
         rng = np.random.default_rng(4)
         v = GridFunction.from_interior(grid, rng.uniform(-1, 1, grid.M - 1))
         got = apply_fcd(v, 1.7).interior
@@ -82,7 +82,7 @@ class TestAgainstDenseOracle:
 
     def test_reversal_identity(self):
         # R v at node j equals L (reversed v) at node M - j
-        grid = Grid(0.0, 1.0, 16)
+        grid = Grid(16)
         rng = np.random.default_rng(5)
         v = GridFunction.from_interior(grid, rng.uniform(-1, 1, grid.M - 1))
         rev = GridFunction(grid, v.values[::-1].copy())
@@ -92,7 +92,7 @@ class TestAgainstDenseOracle:
 
     def test_boundary_contributions_respected(self):
         # nonzero boundary data must enter through the stencil ends
-        grid = Grid(0.0, 1.0, 8)
+        grid = Grid(8)
         vals = np.zeros(grid.M + 1)
         vals[-1] = 2.0
         v = GridFunction(grid, vals)
@@ -110,7 +110,7 @@ class TestAdjointness:
     @pytest.mark.parametrize("M", (16, 64, 256))
     @pytest.mark.parametrize("beta", (1.1, 1.5, 1.9))
     def test_left_right_adjoint(self, M, beta):
-        grid = Grid(0.0, 1.0, M)
+        grid = Grid(M)
         rng = np.random.default_rng(M * 7 + int(beta * 10))
         u = GridFunction.from_interior(grid, rng.uniform(-1, 1, M - 1))
         v = GridFunction.from_interior(grid, rng.uniform(-1, 1, M - 1))
@@ -120,7 +120,7 @@ class TestAdjointness:
 
     @pytest.mark.parametrize("beta", (1.1, 1.9))
     def test_fcd_self_adjoint(self, beta):
-        grid = Grid(0.0, 1.0, 128)
+        grid = Grid(128)
         rng = np.random.default_rng(11)
         u = GridFunction.from_interior(grid, rng.uniform(-1, 1, grid.M - 1))
         v = GridFunction.from_interior(grid, rng.uniform(-1, 1, grid.M - 1))
@@ -174,12 +174,12 @@ class TestTruncationOrder:
             return out
 
         for beta in (1.3, 1.7):
-            ref_grid = Grid(0.0, 1.0, 2 ** 13)
+            ref_grid = Grid(2 ** 13)
             ref = apply_left_wsgd(GridFunction(ref_grid, bump(ref_grid.nodes())), beta)
             Ms = [64, 128, 256, 512]
             errs = []
             for M in Ms:
-                grid = Grid(0.0, 1.0, M)
+                grid = Grid(M)
                 out = apply_left_wsgd(GridFunction(grid, bump(grid.nodes())), beta)
                 stride = ref_grid.M // M
                 errs.append(np.max(np.abs(out.values - ref.values[::stride])))

@@ -18,6 +18,15 @@ def test_rates_from_rows():
     assert [r.rate for r in report.rows] == [None, pytest.approx(2.0)]
 
 
+def test_rates_of_grids_that_do_not_double():
+    # E = M**-0.5 on 64, 96, 128: the rate is 0.5 at both steps, where
+    # log2(E_prev/E) alone reads 0.29 and 0.21
+    rows = [(M, M ** -0.5, M ** -0.5, 0.0) for M in (64, 96, 128)]
+    report = ConvergenceReport.from_rows(rows, META)
+    assert [r.rate for r in report.rows] == [None, pytest.approx(0.5, rel=1e-12),
+                                             pytest.approx(0.5, rel=1e-12)]
+
+
 def test_csv(tmp_path):
     lines = emit_report(_report(), "csv", tmp_path / "r.csv").read_text().splitlines()
     assert lines[:4] == ["# beta=1.5", "# corrected=False", "# problem=ex1-case1",

@@ -55,7 +55,7 @@ class TestFracParams:
 class TestAssemble:
     def test_beta2_classical_tridiagonal(self):
         # at beta=2 both schemes produce the standard -u'' matrix
-        grid = Grid(0.0, 1.0, 8)
+        grid = Grid(8)
         h2 = grid.h ** -2
         target = scipy.linalg.toeplitz(
             np.array([2.0, -1.0, 0, 0, 0, 0, 0]) * h2)
@@ -65,7 +65,7 @@ class TestAssemble:
 
     def test_per_entry_oracle_small(self):
         # M=4, beta=1.5, theta=1, alpha=1: I - h^-b * lower Hessenberg of w_k
-        grid = Grid(0.0, 1.0, 4)
+        grid = Grid(4)
         A = assemble(FracParams(1.0, 1.5, 1.0), grid, SchemeKind.WSGD)
         lam1, lam0, lam_neg1 = wsgd_lambdas(1.5)
         g = grunwald_coeffs(1.5, 4)
@@ -81,19 +81,19 @@ class TestAssemble:
         np.testing.assert_allclose(A, oracle, rtol=1e-14, atol=1e-14)
 
     def test_theta_zero_is_transpose_of_theta_one(self):
-        grid = Grid(0.0, 1.0, 16)
+        grid = Grid(16)
         A1 = assemble(FracParams(1.0, 1.4, 1.0), grid, SchemeKind.WSGD)
         A0 = assemble(FracParams(1.0, 1.4, 0.0), grid, SchemeKind.WSGD)
         I = np.eye(grid.M - 1)
         np.testing.assert_array_equal(A0 - I, (A1 - I).T)
 
     def test_fcd_requires_symmetric_theta(self):
-        grid = Grid(0.0, 1.0, 8)
+        grid = Grid(8)
         with pytest.raises(ValueError):
             assemble(FracParams(1.0, 1.5, 1.0), grid, SchemeKind.FCD)
 
     def test_frac_scale(self):
-        grid = Grid(0.0, 1.0, 8)
+        grid = Grid(8)
         p = FracParams(1.0, 1.5, 1.0)
         A = assemble(p, grid, SchemeKind.WSGD)
         B = assemble(p, grid, SchemeKind.WSGD, frac_scale=0.5)
@@ -130,7 +130,7 @@ class TestSolve:
     ])
     def test_dense_krylov_agreement(self, name, scheme, beta):
         spec = catalog(name, beta)
-        grid = Grid(*spec.domain, 256)
+        grid = Grid(256)
         col, row = scheme_toeplitz(spec.params, grid, scheme)
         f = spec.rhs(grid.interior_nodes())
         ud = ToeplitzSolver(col, row, path="gohberg-semencul").solve(f)
@@ -147,9 +147,24 @@ class TestSolve:
         err = np.max(np.abs(u.values - spec.exact(u.grid.nodes())))
         assert err < 0.2  # singular solution, coarse grid: just solvable + sane
 
+    def test_rescaled_interval_matches_the_interval_solve(self):
+        # frozen from the WSGD solve at M = 64 of the problem posed on (0, 2)
+        # with alpha = 1, beta = 1.5, theta = 1 and exact solution
+        # x**2 (2-x) + x**(beta-1) (2-x), when grids still took endpoints;
+        # in s = x/2 it is the (0, 1) problem with alpha and f scaled by
+        # 2**beta, and node j of either grid is the same point
+        beta = 1.5
+        exact = PowerSum((PowerTerm(8.0, 2.0, 1.0),
+                          PowerTerm(2.0 ** beta, beta - 1.0, 1.0)))
+        prob = manufactured("rescaled", FracParams(2.0 ** beta, beta, 1.0), exact)
+        u = solve_bvp(prob, 64, SchemeKind.WSGD)
+        want = (0.4253575039384321, 1.9997291096368772, 2.0352518815582727)
+        got = (u.values[1], u.values[32], u.max_norm())
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_dense_residual_verified(self):
         # the solver itself enforces its residual bound; exercise worst case
-        grid = Grid(0.0, 1.0, 2048)
+        grid = Grid(2048)
         spec = catalog("ex1-case1", 1.9)
         f = spec.rhs(grid.interior_nodes())
         col, row = scheme_toeplitz(spec.params, grid, SchemeKind.WSGD)
@@ -165,7 +180,7 @@ class TestSolve:
 
     def test_krylov_nonconvergence_raises(self, monkeypatch):
         spec = catalog("ex1-case1", 1.5)
-        grid = Grid(0.0, 1.0, 512)
+        grid = Grid(512)
         f = spec.rhs(grid.interior_nodes())
         col, row = scheme_toeplitz(spec.params, grid, SchemeKind.WSGD)
         solver = ToeplitzSolver(col, row)
@@ -179,7 +194,7 @@ class TestSolve:
         # the solve runs on the right-hand side scaled by a power of two:
         # the error reports the caller's backward error, the same for f
         # and 2**40 f, not a residual of the scaled system
-        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(64),
                                    SchemeKind.WSGD)
         f = np.random.default_rng(0).standard_normal(63)
         solver = ToeplitzSolver(col, row)
@@ -194,7 +209,7 @@ class TestSolve:
     def test_an_iterate_that_is_not_finite_raises(self, monkeypatch):
         # a preconditioner that gives NaN: the backward error is NaN,
         # which no GMRES cycle would ever reduce
-        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(64),
                                    SchemeKind.WSGD)
         solver = ToeplitzSolver(col, row)
         monkeypatch.setattr(solver, "_precondition",
@@ -221,7 +236,7 @@ class TestSolve:
                                              M, seed):
         scheme, theta = scheme_theta
         col, row = scheme_toeplitz(FracParams(alpha, beta, theta),
-                                   Grid(0.0, 1.0, M), scheme)
+                                   Grid(M), scheme)
         f = np.random.default_rng(seed).standard_normal(M - 1)
         solutions = []
         for path in ("gohberg-semencul", "gmres"):
@@ -241,7 +256,7 @@ class TestSolve:
                                               (SchemeKind.FCD, 0.5)])
     def test_direct_against_lu_oracle(self, scheme, theta, beta, M):
         params = FracParams(0.0, beta, theta)
-        grid = Grid(0.0, 1.0, M)
+        grid = Grid(M)
         f = np.random.default_rng(M).standard_normal(M - 1)
         oracle = scipy.linalg.lu_solve(
             scipy.linalg.lu_factor(assemble(params, grid, scheme)), f)
@@ -262,7 +277,7 @@ class TestSolve:
             return gmres(solver, b)
 
         monkeypatch.setattr(ToeplitzSolver, "_gmres", spy)
-        params, grid = FracParams(1.0, 1.5, theta), Grid(0.0, 1.0, 64)
+        params, grid = FracParams(1.0, 1.5, theta), Grid(64)
         f = np.random.default_rng(0).standard_normal(63)
         solver = ToeplitzSolver(*scheme_toeplitz(params, grid, scheme),
                                 path="gohberg-semencul")
@@ -275,7 +290,7 @@ class TestSolve:
                                    atol=1e-12 * np.max(np.abs(f)))
 
     def test_direct_rejects_nonfinite_rhs(self):
-        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 32),
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(32),
                                    SchemeKind.WSGD)
         f = np.ones(31)
         f[7] = np.nan
@@ -305,10 +320,10 @@ class TestSolve:
     def test_krylov_solves_where_strang_is_singular(self):
         # beta=2, alpha=0: the Strang circulant has the eigenvalue 0 at
         # M=16384; the preconditioner stands in the smallest nonzero one
-        u = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0),))
+        u = PowerSum((PowerTerm(1.0, 2.0, 2.0),))
         params = FracParams(0.0, 2.0, 1.0)
         prob = manufactured("smooth", params, u)
-        grid = Grid(0.0, 1.0, 16384)
+        grid = Grid(16384)
         lam = strang_circulant_eigenvalues(
             *scheme_toeplitz(params, grid, SchemeKind.WSGD))
         assert np.min(np.abs(lam)) == 0.0
@@ -321,7 +336,7 @@ class TestSolve:
         # the Gohberg-Semencul product misses the bound by about 1.5e4 eps
         # here: the generators are the cause, and one GMRES iteration
         # preconditioned by the product mends it
-        col, row = scheme_toeplitz(FracParams(0.0, 1.001, 1.0), Grid(0.0, 1.0, 33),
+        col, row = scheme_toeplitz(FracParams(0.0, 1.001, 1.0), Grid(33),
                                    SchemeKind.WSGD)
         f = np.random.default_rng(0).standard_normal(32)
         solver = ToeplitzSolver(col, row, path="gohberg-semencul")
@@ -343,7 +358,7 @@ class TestSolve:
 
     @staticmethod
     def _assert_one_iteration_mends(factor):
-        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(64),
                                    SchemeKind.WSGD)
         f = np.random.default_rng(0).standard_normal(63)
         solver = ToeplitzSolver(col, row, path="gohberg-semencul")
@@ -354,7 +369,7 @@ class TestSolve:
         assert solver.backward_error(u, f) <= BACKWARD_ERROR_BOUND
 
     def test_unknown_path(self):
-        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 64),
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(64),
                                    SchemeKind.WSGD)
         with pytest.raises(ValueError, match="'dense'"):
             ToeplitzSolver(col, row, path="dense")
@@ -369,7 +384,7 @@ class TestSolve:
         (2048, True, "gohberg-semencul"),
     ], ids=_path_id)
     def test_make_solver_picks_path_by_role(self, M, direct, path):
-        solver = make_solver(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, M),
+        solver = make_solver(FracParams(1.0, 1.5, 1.0), Grid(M),
                              SchemeKind.WSGD, direct=direct)
         assert solver.path == path
 
@@ -377,7 +392,7 @@ class TestSolve:
         # the GMRES path, the constructor's default, holds no A^-1, only
         # the Strang preconditioner
         solver = ToeplitzSolver(*scheme_toeplitz(FracParams(1.0, 1.5, 1.0),
-                                                 Grid(0.0, 1.0, 64), SchemeKind.WSGD))
+                                                 Grid(64), SchemeKind.WSGD))
         assert solver.path == "gmres"
         with pytest.raises(ValueError, match="no A\\^-1"):
             solver.apply_inverse(np.ones(63))
@@ -387,7 +402,7 @@ class TestSolve:
                                              ("explicit", "dense"),
                                              ("gohberg-semencul", "dense")])
     def test_method_names_the_span_of_each_path(self, path, method):
-        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 16),
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(16),
                                    SchemeKind.WSGD)
         assert ToeplitzSolver(col, row, path=path).method == method
 
@@ -401,7 +416,7 @@ class TestStrangPreconditioner:
 
     @pytest.mark.parametrize("M", [16, 1024])
     def test_eigenvalue_count(self, M):
-        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, M),
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(M),
                                    SchemeKind.WSGD)
         assert len(strang_circulant_eigenvalues(col, row)) == M // 2 + 1
 
@@ -411,7 +426,7 @@ class TestStrangPreconditioner:
                                               (SchemeKind.WSGD, 1.0),
                                               (SchemeKind.FCD, 0.5)])
     def test_precondition_against_dense_oracle(self, scheme, theta, M, order):
-        col, row = scheme_toeplitz(FracParams(1.0, 1.5, theta), Grid(0.0, 1.0, M),
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, theta), Grid(M),
                                    scheme)
         x = np.random.default_rng(M).standard_normal(M - 1)
         want = strang_preconditioner(col, row, order) @ x
@@ -425,7 +440,7 @@ class TestStrangPreconditioner:
     @pytest.mark.parametrize("example,most", [("ex1-case2", 7), ("ex2-case2", 8)])
     def test_reference_sizes_take_few_iterations(self, example, most, M):
         spec = catalog(example, 1.5)
-        grid = Grid(*spec.domain, M)
+        grid = Grid(M)
         x = grid.interior_nodes()
         solver = make_solver(spec.params, grid, SchemeKind.WSGD)
         assert solver.path == "gmres"
@@ -445,7 +460,7 @@ class TestExplicitInverse:
                                               (SchemeKind.FCD, 0.5)])
     def test_against_lu_oracle(self, scheme, theta, beta, M):
         params = FracParams(0.0, beta, theta)
-        grid = Grid(0.0, 1.0, M)
+        grid = Grid(M)
         f = np.random.default_rng(M).standard_normal(M - 1)
         oracle = scipy.linalg.lu_solve(
             scipy.linalg.lu_factor(assemble(params, grid, scheme)), f)
@@ -456,7 +471,7 @@ class TestExplicitInverse:
         assert np.max(np.abs(u - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     def test_rejects_nonfinite_rhs(self):
-        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 32),
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(32),
                                    SchemeKind.WSGD)
         f = np.ones(31)
         f[7] = np.nan
@@ -467,7 +482,7 @@ class TestExplicitInverse:
         # the Gohberg-Semencul product misses the bound by about 1.5e4 eps
         # here (TestSolve.test_refines_near_beta_one); the LAPACK inverse
         # meets it with no GMRES iteration
-        col, row = scheme_toeplitz(FracParams(0.0, 1.001, 1.0), Grid(0.0, 1.0, 33),
+        col, row = scheme_toeplitz(FracParams(0.0, 1.001, 1.0), Grid(33),
                                    SchemeKind.WSGD)
         f = np.random.default_rng(0).standard_normal(32)
         solver = ToeplitzSolver(col, row, path="explicit")
@@ -480,18 +495,37 @@ class TestExplicitInverse:
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
         monkeypatch.setattr(ToeplitzSolver, "_gmres", None)
-        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(0.0, 1.0, 16),
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(16),
                                    SchemeKind.WSGD)
         ToeplitzSolver(col, row, path="explicit")
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], scipy.linalg.toeplitz(col, row))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_only_the_fft_paths_build_spectra(self, monkeypatch, path):
+        # the explicit path multiplies by its dense A and A^-1 only
+        calls = {}
+        for name in ("embedding_spectrum", "strang_circulant_eigenvalues"):
+            def counted(*args, name=name, original=getattr(solver_module, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+            monkeypatch.setattr(solver_module, name, counted)
+        col, row = scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(16),
+                                   SchemeKind.WSGD, frac_scale=0.5e-3)
+        solver = ToeplitzSolver(col, row, path=path)
+        f = np.ones(15)
+        assert solver.backward_error(solver.solve(f), f) <= BACKWARD_ERROR_BOUND
+        if path == "explicit":
+            assert calls == {}
+        else:
+            assert set(calls) == {"embedding_spectrum", "strang_circulant_eigenvalues"}
 
     # the Crank-Nicolson matrices of a march, I - (tau/2) D: the two direct
     # paths compute A^-1 independently, by LAPACK and by GMRES generators
     @pytest.mark.parametrize("M", [16, EXPLICIT_LIMIT])
     @pytest.mark.parametrize("beta", [1.1, 1.5, 1.8])
     def test_agrees_with_gohberg_semencul_on_march_matrices(self, beta, M):
-        col, row = scheme_toeplitz(FracParams(1.0, beta, 1.0), Grid(0.0, 1.0, M),
+        col, row = scheme_toeplitz(FracParams(1.0, beta, 1.0), Grid(M),
                                    SchemeKind.WSGD, frac_scale=0.5e-3)
         b = np.random.default_rng(M).standard_normal(M - 1)
         explicit, gs = (ToeplitzSolver(col, row, path=path).apply_inverse(b)
@@ -503,7 +537,7 @@ class TestSmoothRate:
     # second-order convergence on a manufactured smooth solution is part
     # of the acceptance suite; here a single cheap configuration
     def test_wsgd_smooth_manufactured(self):
-        u = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0),))
+        u = PowerSum((PowerTerm(1.0, 2.0, 2.0),))
         prob = manufactured("smooth", FracParams(1.0, 1.5, 1.0), u)
         errs = []
         for M in (128, 256, 512):

@@ -100,3 +100,13 @@ def test_baseline_without_a_checkout_is_refused_before_measuring(
         costs.main(["--out", str(tmp_path / "b.json"), "--baseline", str(tmp_path)])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_krylov_and_march_snippets_run_on_this_checkout(costs):
+    krylov = costs._rounds(costs.KRYLOV_CODE, [[64, 1.5]], 1, None)
+    assert list(krylov) == ["change"]
+    seconds, iterations = krylov["change"][0]["64/1.5"]
+    assert seconds > 0.0 and iterations >= 1
+    march = costs._rounds(costs.MARCH_CODE, [[16, False]], 1, None)
+    wall, cpu, raised = march["change"][0]["16/False"]
+    assert wall > 0.0 and cpu > 0.0 and raised is None

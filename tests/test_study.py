@@ -46,7 +46,7 @@ class TestStudyConfig:
 
         monkeypatch.setattr(study, "_solve_reference", solve_reference)
         monkeypatch.setattr(study, "solve_bvp", lambda problem, M, scheme:
-                            GridFunction(Grid(0.0, 1.0, M), np.zeros(M + 1)))
+                            GridFunction(Grid(M), np.zeros(M + 1)))
         for grids in [(64, 512), (16384,)]:
             (report,) = run_study(StudyConfig(problem=catalog("ex1-case2", 1.5),
                                               M_list=grids))
@@ -72,9 +72,9 @@ def test_reference_must_nest_the_grids(fresh_cache, grids, corrected):
 
 
 def test_restrict_errors_against_nested_reference():
-    fine = Grid(0.0, 1.0, 256)
+    fine = Grid(256)
     reference = GridFunction(fine, fine.nodes() ** 2)
-    coarse = Grid(0.0, 1.0, 64)
+    coarse = Grid(64)
     err = _restrict_errors(GridFunction(coarse, np.zeros(coarse.M + 1)), None, reference)
     np.testing.assert_array_equal(err.values, -coarse.nodes() ** 2)
 
@@ -165,12 +165,21 @@ def test_plain_rates_at_general_theta_follow_the_weaker_end(beta, theta):
     # x^2 (1-x)^2 + w has the closed-form rhs of the derived singular term
     # w; a wrong constant in that rhs would stall the error at a floor
     gamma, other = singular_exponents(beta, theta)
-    exact = PowerSum(0.0, 1.0, (PowerTerm(1.0, 2.0, 2.0), PowerTerm(1.0, gamma, other)))
+    exact = PowerSum((PowerTerm(1.0, 2.0, 2.0), PowerTerm(1.0, gamma, other)))
     problem = manufactured("gen", FracParams(1.0, beta, theta), exact)
     (report,) = run_study(StudyConfig(problem=problem,
                                       M_list=(64, 128, 256, 512, 1024)))
     rates = [row.rate for row in report.rows[1:]]
     assert np.allclose(rates, min(gamma, other), rtol=0.0, atol=0.05), rates
+
+
+def test_rates_of_grids_that_do_not_double():
+    # the plain scheme converges at beta - 1 = 0.5 on ex1-case1 at every
+    # step, 96 and 128 included
+    config = StudyConfig(problem=catalog("ex1-case1", 1.5), M_list=(64, 96, 128, 256))
+    (report,) = run_study(config)
+    rates = [row.rate for row in report.rows[1:]]
+    assert np.allclose(rates, 0.5, rtol=0.0, atol=0.02), rates
 
 
 @pytest.mark.parametrize("corrected", [False, True])
@@ -198,7 +207,7 @@ def test_reports_sum_counts_over_the_grids(monkeypatch):
     (report,) = run_study(StudyConfig(problem=problem, corrected=True,
                                       M_list=(16,)))
     assert report.metadata["guard_activations"] == 2
-    field = GridFunction(Grid(0.0, 1.0, 8), np.zeros(9))
+    field = GridFunction(Grid(8), np.zeros(9))
     runs = iter([(1, 3e-16, 4), (2, 1e-16, 0)])
 
     def march(problem, M, time_grid, corrected, diagnostics):

@@ -34,7 +34,7 @@ def _explicit_march(problem, M, time_grid):
     """Reference CN march: ``A u^n = (I + tau/2 D) u^{n-1} + tau f`` with the
     explicit operator applied as a Toeplitz product."""
     tau = time_grid.tau
-    grid = Grid(*problem.domain, M)
+    grid = Grid(M)
     stepping = FracParams(alpha=1.0, beta=problem.params.beta,
                           theta=problem.params.theta)
     solver = ToeplitzSolver(*scheme_toeplitz(stepping, grid, SchemeKind.WSGD,
