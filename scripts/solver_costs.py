@@ -110,17 +110,6 @@ for M, corrected in json.loads(sys.argv[2]):
     result[f"{M}/{corrected}"] = [wall, cpu, raised]
 print(json.dumps(result))
 """
-# Defines grid(M) for the snippets below.  The baseline may predate Grid(M):
-# up to commit b8df4fc a grid took its endpoints, Grid(0.0, 1.0, M).  Drop
-# the fallback once no baseline is that old.
-GRID_CODE = """
-from fracbvp.grids import Grid
-def grid(M):
-    try:
-        return Grid(M)
-    except TypeError:
-        return Grid(0.0, 1.0, M)
-"""
 # Times GMRES solves, make_solver's stationary path, of the stationary
 # system given as JSON [[M, beta], ...] with fracbvp from the src/ directory
 # given first; prints
@@ -129,12 +118,12 @@ KRYLOV_CODE = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-""" + GRID_CODE + """
+from fracbvp.grids import Grid
 from fracbvp.solver import FracParams, SchemeKind, make_solver
 result = {}
 for M, beta in json.loads(sys.argv[2]):
     b = np.random.default_rng(M).standard_normal(M - 1)
-    solver = make_solver(FracParams(1.0, beta, 1.0), grid(M), SchemeKind.WSGD)
+    solver = make_solver(FracParams(1.0, beta, 1.0), Grid(M), SchemeKind.WSGD)
     best = float("inf")
     for _ in range(int(sys.argv[3])):
         t0 = time.perf_counter()
@@ -149,11 +138,11 @@ print(json.dumps(result))
 SETUP_CODE = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
-""" + GRID_CODE + """
+from fracbvp.grids import Grid
 from fracbvp.solver import FracParams, SchemeKind, ToeplitzSolver, scheme_toeplitz
 result = {}
 for M, beta, scale, path in json.loads(sys.argv[2]):
-    col, row = scheme_toeplitz(FracParams(1.0, beta, 1.0), grid(M),
+    col, row = scheme_toeplitz(FracParams(1.0, beta, 1.0), Grid(M),
                                SchemeKind.WSGD, scale)
     best = float("inf")
     for _ in range(int(sys.argv[3])):

@@ -19,9 +19,9 @@ harness reproduces):
 
 The reference itself is the corrected solve at that level.  It inherits
 the defect of the pointwise strength ratio, so a corrected row can measure
-the reference and not itself (``ex1-case2`` at beta = 1.8 stalls at 2.1e-7
-from M = 512 on).  Reports record the grid their errors are on as
-``error_grid``.
+the reference and not itself (``ex1-case2`` at beta = 1.8 reads 2.178e-7
+from M = 512 on, the level-15 reference's own error).  Reports record the
+grid their errors are on as ``error_grid``.
 
 Every linear solve, the reference's included, is accepted on the one
 normwise backward-error bound of :mod:`fracbvp.solver`; reports record

@@ -22,12 +22,11 @@ product on the explicit inverse).  The routine runs unchecked, and then
 with one product on the bound every solve meets.  When a row misses it,
 the routine runs again from the block's start state, checked: each
 :meth:`~fracbvp.solver.ToeplitzSolver.solve` iterates to the bound or
-raises :class:`~fracbvp.solver.SolverError` at its step.  A right-hand
-side that is not finite ends the block early: if every step before it
-holds, the march raises ``ValueError`` there, as :meth:`solve` would; if
-one does not, as when a finite right-hand side gave a solution that is
-not finite, the block is marched again.  An exception's traceback holds
-no row of a block: the frames it came through are cleared.
+raises :class:`~fracbvp.solver.SolverError` at its step.  A value that
+is not finite misses the bound like any other miss, and the checked
+solve refuses a right-hand side that is not finite with ``ValueError``.
+An exception's traceback holds no row of a block: the frames it came
+through are cleared.
 
 The corrected variant marches the coarse and fine grids (M, 2M) together
 and corrects every step with the one correction routine of the
@@ -134,9 +133,8 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     eta_max, refinements = 0.0, 0
 
     def march(u, n, k, checked):
-        """States and steps done after steps ``n+1 .. n+k`` from ``u``, each
-        written into the blocks' rows, the solves checked or not; stops at a
-        non-finite rhs."""
+        """States after steps ``n+1 .. n+k`` from ``u``, each written into
+        the blocks' rows, the solves checked or not."""
         for row in range(k):
             t = time_grid.half_node(n + row + 1)
             stepped = []
@@ -144,34 +142,32 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
                 b, v = grid_rows[row]
                 np.multiply(problem.rhs(x, t), half_tau, out=b)
                 b += w
-                if not np.isfinite(b).all():
-                    return u, row
                 if checked:
                     v[...] = solver.solve(b)
                 else:
                     solver.apply_inverse(b, out=v)
                 stepped.append(2.0 * v - w)
             u = list(corrector.correct(*stepped)[:2]) if corrected else stepped
-        return u, k
+        return u
 
     try:
         for n in range(0, N, BLOCK_STEPS):
             k = min(BLOCK_STEPS, N - n)
             # when a solve misses the bound, march the block again from the
-            # same start state, checked
+            # same start state, checked.  A value that is not finite misses
+            # it unchecked without an "invalid value" warning; the checked
+            # pass, which repeats every step that missed, runs under the
+            # caller's settings
             for checked in (False, True):
-                u, done = march(state, n, k, checked)
-                etas = [solver.backward_error(block[1, :done], block[0, :done])
-                        for solver, block in zip(solvers, blocks)] if done else []
+                with np.errstate(invalid=None if checked else "ignore"):
+                    u = march(state, n, k, checked)
+                    etas = [solver.backward_error(block[1, :k], block[0, :k])
+                            for solver, block in zip(solvers, blocks)]
                 missed = sum(int(np.count_nonzero(~(eta <= BACKWARD_ERROR_BOUND)))
                              for eta in etas)
                 if not missed or checked:
                     break
                 refinements += missed
-            if done < k:
-                # every step before it holds: the march stops here, as the
-                # step's checked solve would
-                raise ValueError("array must not contain infs or NaNs")
             eta_max = max(eta_max, *(float(eta.max()) for eta in etas))
             state = u
     except BaseException as exc:

@@ -220,24 +220,50 @@ class TestBlockMarch:
             cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(1.0, 1000))
         self._assert_no_block(info.tb)
 
-    def test_nonfinite_forcing_raises_at_its_step(self):
-        # the forcing of one step in the middle of a block is not finite:
-        # the march raises there, evaluates no later forcing, warns nothing
-        # and its traceback holds no block of rows
-        problem = catalog("ex3", BETA)
+    # explicit inverse at 16, Gohberg-Semencul at 300
+    @pytest.mark.parametrize("M", [16, 300])
+    def test_nonfinite_forcing_raises_at_its_step(self, M):
+        # the forcing at the time of one step in the middle of a block is not
+        # finite: the unchecked pass misses the bound there, and the checked
+        # pass raises at that step, as its solve refuses the right-hand
+        # side.  No later block is marched, nothing warns, and the traceback
+        # holds no block of rows
+        problem, time_grid = catalog("ex3", BETA), TimeGrid(1.0, 1000)
         rhs, times = problem.rhs, []
-        step = K + K // 2
+        bad = time_grid.half_node(K + K // 2)
 
         def forcing(x, t):
             times.append(t)
-            return rhs(x, t) * (np.nan if len(times) == step else 1.0)
+            return rhs(x, t) * (np.nan if t == bad else 1.0)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="infs or NaNs") as info:
-                cn_wsgd_solve(replace(problem, rhs=forcing), 16, TimeGrid(1.0, 1000))
-        assert len(times) == step
+                cn_wsgd_solve(replace(problem, rhs=forcing), M, time_grid)
+        assert max(times) <= time_grid.half_node(2 * K)
         self._assert_no_block(info.tb)
+
+    @pytest.mark.parametrize("M", [16, 300])
+    def test_a_transient_nonfinite_forcing_is_marched_again(self, M):
+        # the forcing is not finite only on its first sample at that time:
+        # the unchecked pass misses the bound from that step to the block's
+        # end, and the checked pass marches those steps as the per-step march
+        problem, time_grid = catalog("ex3", BETA), TimeGrid(1.0, 1000)
+        rhs, bad, spoiled = problem.rhs, time_grid.half_node(K + K // 2), []
+
+        def forcing(x, t):
+            f = rhs(x, t)
+            if t == bad and not spoiled:
+                spoiled.append(t)
+                return f * np.nan
+            return f
+
+        want = cn_march(problem, M, time_grid, False)
+        diag = {}
+        got = cn_wsgd_solve(replace(problem, rhs=forcing), M, time_grid,
+                            diagnostics=diag)
+        assert np.array_equal(got.interior, want)
+        assert diag["refinements"] == K - K // 2 + 1
 
     def test_known_failure_traceback_holds_no_block(self):
         with pytest.warns(RuntimeWarning, match="overflow") as record:
