@@ -59,8 +59,8 @@ from .timestepper import TimeGrid, cn_wsgd_solve
 
 
 #: Most steps a time study marches: 1000 times the steps of the default
-#: tau, about 20 s of marching on M = 16 at some 20 us a step.  A smaller
-#: time step is refused as a mistake; its march could run for days.
+#: tau, some 12 s of marching on M = 16 at 12 us a step (BENCH_27.json).
+#: A smaller time step is refused as a mistake; its march could run for days.
 MAX_STEPS = 10 ** 6
 
 #: Least level of the reference grid 2**level; finer grid lists get a finer one.

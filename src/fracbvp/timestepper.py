@@ -3,23 +3,27 @@
 Each step solves ``(I - tau/2 D) u^n = (I + tau/2 D) u^{n-1} + tau f^{n-1/2}``
 with ``D`` the theta-weighted spatial operator and ``f`` sampled at the
 half node.  With ``A = I - tau/2 D`` the explicit operator is ``2I - A``, so
-a step is one solve, ``A v = u^{n-1} + (tau/2) f^{n-1/2}``, ``u^n = 2v - u^{n-1}``.
-The implicit matrix is time-independent, so one solver set-up serves the
-whole march.  The march asks :func:`~fracbvp.solver.make_solver` for the
-direct path, which holds ``A^-1``: on a coarse grid an explicit inverse,
+a step is one solve, ``b = u^{n-1} + (tau/2) f^{n-1/2}``, ``q = (A/2)^-1 b``,
+``u^n = q - u^{n-1}``, with ``A/2 = I/2 - tau/4 D``.  A power of two scales
+exactly, so ``q`` is ``2 A^-1 b`` and its backward error under ``A/2`` is
+that of ``A^-1 b`` under ``A``, bit for bit.  The implicit matrix is
+time-independent, so one solver set-up serves the whole march.  The march asks :func:`~fracbvp.solver.make_solver` for the
+direct path, which holds the inverse: on a coarse grid an explicit inverse,
 one LAPACK inversion at set-up applied by one matrix-vector product per
 step, and on a finer grid the Gohberg-Semencul generators, found by GMRES.
 
 The march advances in blocks of ``BLOCK_STEPS`` steps, taken by one step
 routine that keeps each step's right-hand side and solution as rows of
-the block.  A step samples the forcing once per grid, with a float time,
-and writes in place: ``b`` is formed in its row of the right-hand-side
-block, and the product with ``A^-1`` goes straight into its row of the
-solution block, through the ``out`` argument of
+the block.  Before its steps the routine samples the forcing once per
+grid and step, with a float time, into the right-hand-side rows, and
+scales them by tau/2 with one product per grid.  A step then writes in
+place: ``b`` is formed in its row, and ``q`` goes straight into its row
+of the solution block, through the ``out`` argument of
 :meth:`~fracbvp.solver.ToeplitzSolver.apply_inverse` (one matrix-vector
 product on the explicit inverse).  The routine runs unchecked, and then
 :meth:`~fracbvp.solver.ToeplitzSolver.backward_error` checks every row
-with one product on the bound every solve meets.  When a row misses it,
+with one product on the bound every solve meets; the block is clean when
+each grid's largest backward error meets it.  When one misses it,
 the routine runs again from the block's start state, checked: each
 :meth:`~fracbvp.solver.ToeplitzSolver.solve` iterates to the bound or
 raises :class:`~fracbvp.solver.SolverError` at its step.  A value that
@@ -34,9 +38,9 @@ stationary solve, :class:`~fracbvp.correction.TwoGridCorrector`,
 carrying the corrected fields into the next step.
 :meth:`~fracbvp.correction.TwoGridCorrector.build` makes the singular
 solves once, with the march's own solvers: the singular term's image
-under the per-step operator ``I - tau/2 D`` is ``us - (tau/2) * D us``,
-available in closed form from its stationary image.  As for the
-stationary solve, the pair must be even and at least 8 intervals.
+under ``A/2`` is half of ``us - (tau/2) * D us``, available in closed
+form from its stationary image.  As for the stationary solve, the pair
+must be even and at least 8 intervals.
 
 As in the stationary correction, the per-step ratio recovers the
 singular strength only in the few nodes next to the singular end x=a;
@@ -107,9 +111,10 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     grids = [Grid(M)]
     if corrected:
         grids.append(grids[0].refined())
-    stepping = FracParams(alpha=1.0, beta=problem.params.beta,
+    # A/2 = I/2 - tau/4 D, whose inverse is exactly 2 A^-1
+    stepping = FracParams(alpha=0.5, beta=problem.params.beta,
                           theta=problem.params.theta)
-    solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau, direct=True)
+    solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau / 2, direct=True)
                for grid in grids]
     nodes = [grid.interior_nodes() for grid in grids]
     state = [np.asarray(problem.initial(x), dtype=float) for x in nodes]
@@ -119,10 +124,10 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         sing = problem.singular
         # image of us under I - tau/2 D: us - (tau/2) D us, which is
         # (1 - tau/2*alpha0)*us + (tau/2)*fs, as fs = alpha0*us - D us for
-        # the problem's alpha0
+        # the problem's alpha0; under A/2 it is half that
         fs_tau = ((1.0 - half_tau * problem.params.alpha) * sing.us
                   + half_tau * sing.fs)
-        corrector = TwoGridCorrector.build(solvers, nodes, sing.us, fs_tau)
+        corrector = TwoGridCorrector.build(solvers, nodes, sing.us, 0.5 * fs_tau)
 
     # per grid, two k x m blocks: the right-hand side and the solution of
     # each step of the block, as rows; allocated once, since buffers freed
@@ -135,18 +140,21 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     def march(u, n, k, checked):
         """States after steps ``n+1 .. n+k`` from ``u``, each written into
         the blocks' rows, the solves checked or not."""
+        times = [time_grid.half_node(n + row + 1) for row in range(k)]
+        for x, block, grid_rows in zip(nodes, blocks, rows):
+            for t, (b, _) in zip(times, grid_rows):
+                b[...] = problem.rhs(x, t)
+            block[0, :k] *= half_tau
         for row in range(k):
-            t = time_grid.half_node(n + row + 1)
             stepped = []
-            for x, solver, grid_rows, w in zip(nodes, solvers, rows, u):
-                b, v = grid_rows[row]
-                np.multiply(problem.rhs(x, t), half_tau, out=b)
+            for solver, grid_rows, w in zip(solvers, rows, u):
+                b, q = grid_rows[row]
                 b += w
                 if checked:
-                    v[...] = solver.solve(b)
+                    q[...] = solver.solve(b)
                 else:
-                    solver.apply_inverse(b, out=v)
-                stepped.append(2.0 * v - w)
+                    solver.apply_inverse(b, out=q)
+                stepped.append(q - w)
             u = list(corrector.correct(*stepped)[:2]) if corrected else stepped
         return u
 
@@ -163,12 +171,13 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
                     u = march(state, n, k, checked)
                     etas = [solver.backward_error(block[1, :k], block[0, :k])
                             for solver, block in zip(solvers, blocks)]
-                missed = sum(int(np.count_nonzero(~(eta <= BACKWARD_ERROR_BOUND)))
-                             for eta in etas)
-                if not missed or checked:
+                # np.max keeps a NaN, which misses the bound
+                tops = [float(eta.max()) for eta in etas]
+                if checked or all(top <= BACKWARD_ERROR_BOUND for top in tops):
                     break
-                refinements += missed
-            eta_max = max(eta_max, *(float(eta.max()) for eta in etas))
+                refinements += sum(
+                    int(np.count_nonzero(~(eta <= BACKWARD_ERROR_BOUND))) for eta in etas)
+            eta_max = max(eta_max, *tops)
             state = u
     except BaseException as exc:
         # the traceback keeps the frames the exception came through, and

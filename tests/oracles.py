@@ -126,7 +126,10 @@ def cn_march(problem, M: int, time_grid, corrected: bool = False) -> np.ndarray:
 
     Every step is ``u <- 2 A^-1 (u + (tau/2) f) - u`` through
     ``ToeplitzSolver.solve`` on the direct path ``make_solver`` gives the
-    march, followed by ``TwoGridCorrector.correct`` when corrected.
+    march, followed by ``TwoGridCorrector.correct`` when corrected.  It
+    holds the full matrix ``A = I - (tau/2) D`` on purpose: the march
+    holds ``A/2`` and takes ``u <- (A/2)^-1 b - u``, so this oracle checks
+    independently that the half system gives the same march bit for bit.
     """
     half_tau = 0.5 * time_grid.tau
     grids = [Grid(M)]

@@ -209,6 +209,20 @@ class TestBlockMarch:
         assert np.array_equal(got.interior, want)
         assert diag["refinements"] == time_grid.N - step + 1
 
+    def test_a_nan_on_the_fine_grid_alone_is_solved_again(self, monkeypatch):
+        # only the fine grid's product at the first block's last step is not
+        # finite, so only the fine grid's largest eta of the block is NaN: a
+        # maximum taken across the grids, which drops a NaN, would accept
+        # the block
+        problem, time_grid = catalog("ex3", BETA), TimeGrid(0.1, 100)
+        want = cn_march(problem, 16, time_grid, True)
+        _spoil_products(monkeypatch, 31, K, 1, factor=np.nan)
+        diag = {}
+        got = cn_wsgd_solve(problem, 16, time_grid, corrected=True,
+                            diagnostics=diag)
+        assert np.array_equal(got.interior, want)
+        assert diag["refinements"] == 1
+
     def test_a_solution_that_is_not_finite_is_solved_again(self, monkeypatch):
         # a finite right-hand side gives a product that is not finite: the
         # block's check, not the next step's right-hand side, catches it,
@@ -299,6 +313,37 @@ class TestBlockMarch:
                                                tau=0.01))
         assert report.metadata["refinements"] == 1
         assert 0.0 < report.metadata["backward_error_max"] <= BACKWARD_ERROR_BOUND
+
+
+class TestHalfSystem:
+    """The march holds ``A/2 = I/2 - (tau/4) D`` for ``A = I - (tau/2) D``:
+    scaling by a power of two is exact, so each direct path gives exactly
+    twice the products of ``A^-1``, and a block of ``2v`` rows exactly the
+    backward errors of ``v`` under ``A``."""
+
+    @pytest.mark.parametrize("beta", [1.1, 1.5, 1.8])
+    @pytest.mark.parametrize("M,path", [(16, "explicit"), (256, "explicit"),
+                                        (300, "gohberg-semencul"),
+                                        (512, "gohberg-semencul")])
+    def test_inverse_and_backward_error(self, M, path, beta):
+        half_tau, grid = 0.5e-3, Grid(M)
+        full = make_solver(FracParams(1.0, beta), grid, SchemeKind.WSGD,
+                           half_tau, direct=True)
+        half = make_solver(FracParams(0.5, beta), grid, SchemeKind.WSGD,
+                           0.5 * half_tau, direct=True)
+        assert half.path == full.path == path
+        rng = np.random.default_rng(M)
+        b = rng.standard_normal((3, M - 1))
+        for rhs in b:
+            assert np.array_equal(half.apply_inverse(rhs),
+                                  2.0 * full.apply_inverse(rhs))
+            assert np.array_equal(half.solve(rhs), 2.0 * full.solve(rhs))
+        # solutions with errors well above rounding, so that eta is not 0
+        v = np.array([full.apply_inverse(rhs) for rhs in b])
+        v *= 1.0 + 1e-9 * rng.standard_normal(v.shape)
+        eta = full.backward_error(v, b)
+        assert np.all(eta > 0.0)
+        assert np.array_equal(half.backward_error(2.0 * v, b), eta)
 
 
 class TestRejects:
