@@ -7,13 +7,15 @@ Run from the repository root::
 
 Layer costs, on one BLAS thread: for every interval count M in
 2**4 ... 2**12 (2**4 ... 2**7 with ``--quick``) and beta in {1.1, 1.5, 1.8},
-the set-up seconds, the seconds per solve and the GMRES iterations of each
-path of :func:`fracbvp.solver.make_solver` -- GMRES, which serves the
-stationary solves, and the two forms of ``A^-1`` that a march holds, the
-explicit inverse and the Gohberg-Semencul product -- on both systems,
+the set-up seconds, the seconds per checked solve and the GMRES iterations
+of each path of :func:`fracbvp.solver.make_solver` -- GMRES, which serves
+the stationary solves, and the two forms of ``A^-1`` that a march holds,
+the explicit inverse and the Gohberg-Semencul product -- on both systems,
 whichever role uses each: the stationary WSGD system (alpha = 1,
-theta = 1) and the Crank-Nicolson matrix of the ``ex3`` march
-(tau = 1e-3).  The explicit inverse holds two dense M x M arrays, so
+theta = 1) and the half Crank-Nicolson matrix ``A/2 = I/2 - (tau/4) D``
+that the ``ex3`` march holds (tau = 1e-3).  A direct path also records
+the seconds of the unchecked product ``apply_inverse`` that a march pays
+per grid and step.  The explicit inverse holds two dense M x M arrays, so
 it is timed up to M = 1024 only.  GMRES is also timed at M = 2**13 ...
 2**16 (not with ``--quick``), the sizes of the level-14 and level-15
 reference solves and one beyond; with ``--baseline DIR`` its solve at
@@ -75,7 +77,8 @@ BETAS = (1.1, 1.5, 1.8)
 TAU = 1e-3
 EXPLICIT_TIMED_UP_TO = 1024
 KRYLOV_SIZES = [2 ** k for k in range(13, 17)]
-SYSTEMS = {"stationary": 1.0, "crank-nicolson": 0.5 * TAU}
+#: System -> (alpha, frac_scale) of its WSGD matrix at theta = 1.
+SYSTEMS = {"stationary": (1.0, 1.0), "crank-nicolson": (0.5, 0.25 * TAU)}
 WORKLOADS = ("dense", "reference")
 #: Runs of each march per process and round: with the least of 3, an
 #: unchanged march won as few as 2 of 10 rounds against itself.
@@ -132,8 +135,8 @@ for M, beta in json.loads(sys.argv[2]):
     result[f"{M}/{beta}"] = [best, solver.last_iterations]
 print(json.dumps(result))
 """
-# Times the set-up of a direct path on the Crank-Nicolson system given as
-# JSON [[M, beta, frac_scale, path], ...] with fracbvp from the src/
+# Times the set-up of a direct path on the half Crank-Nicolson matrix given as
+# JSON [[M, beta, alpha, frac_scale, path], ...] with fracbvp from the src/
 # directory given first; prints {"M/beta/path": least set-up seconds}.
 SETUP_CODE = """
 import json, sys, time
@@ -141,8 +144,8 @@ sys.path.insert(0, sys.argv[1])
 from fracbvp.grids import Grid
 from fracbvp.solver import FracParams, SchemeKind, ToeplitzSolver, scheme_toeplitz
 result = {}
-for M, beta, scale, path in json.loads(sys.argv[2]):
-    col, row = scheme_toeplitz(FracParams(1.0, beta, 1.0), Grid(M),
+for M, beta, alpha, scale, path in json.loads(sys.argv[2]):
+    col, row = scheme_toeplitz(FracParams(alpha, beta, 1.0), Grid(M),
                                SchemeKind.WSGD, scale)
     best = float("inf")
     for _ in range(int(sys.argv[3])):
@@ -167,18 +170,24 @@ def _best(fn, repeats: int) -> float:
 
 
 def path_costs(M: int, beta: float, system: str, path: str) -> dict:
-    params = FracParams(1.0, beta, 1.0)
-    col, row = scheme_toeplitz(params, Grid(M), SchemeKind.WSGD, SYSTEMS[system])
+    alpha, frac_scale = SYSTEMS[system]
+    col, row = scheme_toeplitz(FracParams(alpha, beta, 1.0), Grid(M),
+                               SchemeKind.WSGD, frac_scale)
     b = np.random.default_rng(M).standard_normal(M - 1)
     repeats = 3 if M >= 1024 else 10
     setup = _best(lambda: ToeplitzSolver(col, row, path=path), repeats)
     solver = ToeplitzSolver(col, row, path=path)
     x = solver.solve(b)
-    return {"M": M, "beta": beta, "system": system, "path": path,
-            "setup_s": setup,
-            "solve_s": _best(lambda: solver.solve(b), 5 * repeats),
-            "iterations": solver.last_iterations,
-            "backward_error": solver.backward_error(x, b)}
+    entry = {"M": M, "beta": beta, "system": system, "path": path,
+             "setup_s": setup,
+             "solve_s": _best(lambda: solver.solve(b), 5 * repeats),
+             "iterations": solver.last_iterations,
+             "backward_error": solver.backward_error(x, b)}
+    if path != "gmres":
+        out = np.empty(M - 1)
+        entry["apply_s"] = _best(lambda: solver.apply_inverse(b, out=out),
+                                 5 * repeats)
+    return entry
 
 
 def _rounds(code: str, runs: list, repeats: int, baseline: Path | None) -> dict:
@@ -219,11 +228,11 @@ def direct_setups(baseline: Path) -> list:
     """Least set-up seconds of both direct paths on the Crank-Nicolson
     system at ``SETUP_SIZES`` over the rounds, on this checkout and the
     baseline."""
-    runs = [[M, beta, SYSTEMS["crank-nicolson"], path] for M in SETUP_SIZES
+    runs = [[M, beta, *SYSTEMS["crank-nicolson"], path] for M in SETUP_SIZES
             for beta in BETAS for path in ("explicit", "gohberg-semencul")]
     rounds = _rounds(SETUP_CODE, runs, SETUP_REPEATS, baseline)
     entries = []
-    for M, beta, _, path in runs:
+    for M, beta, _, _, path in runs:
         times = {side: [r[f"{M}/{beta}/{path}"] for r in results]
                  for side, results in rounds.items()}
         entry = {"M": M, "beta": beta, "system": "crank-nicolson", "path": path}

@@ -9,14 +9,12 @@ the pointwise strength be estimated as
 
 after which ``u_h + xi_h * (us - us_h)`` recovers second-order accuracy.
 
-:class:`TwoGridCorrector` is the one correction routine.  It is made from
-the singular solves on a grid pair (M, 2M), and
-:meth:`TwoGridCorrector.correct` corrects a pair of solves.  The
-stationary :func:`correct`, which serves the study rows and the
-reference, solves the problem and the singular term's ``fs`` on each grid
-(:func:`_grid_solves`) that its map of solved grids does not yet hold, so
-that a study which passes one map to every row solves each grid once; the
-raw solves stay there, and it returns the corrected fields.  The
+:class:`TwoGridCorrector` is the one correction routine, and it computes
+every node's strength by one rule.  It is made from the singular solves
+on a grid pair (M, 2M), and :meth:`TwoGridCorrector.correct` corrects a
+pair of solves.  The stationary :func:`correct`, which serves the study
+rows and the reference, solves each grid of the pair that its map of
+solved grids lacks and returns the corrected fields.  The
 Crank-Nicolson march of :mod:`fracbvp.timestepper` makes it with
 :meth:`TwoGridCorrector.build`, which checks the grid pair and makes the
 singular solves with the march's two solvers, from the image of ``us``
@@ -74,8 +72,6 @@ class CorrectedSolution:
     the fine grid (the two agree identically at coarse nodes wherever the
     guard did not fire).  ``guard_activations`` counts interior nodes whose
     denominator fell below the guard and inherited a neighbour's strength.
-    The raw solves stay in the map :func:`correct` fills; the pointwise
-    strength is the third value of :meth:`TwoGridCorrector.correct`.
     """
 
     corrected_coarse: GridFunction
@@ -95,13 +91,17 @@ class TwoGridCorrector:
     right neighbour (the last midpoint the last strength).
 
     The strength's denominator ``us_f - us_c`` at the coarse nodes is fixed
-    by the singular solves, so its guard is resolved here, once: a
-    denominator is guarded when ``|den| <= GUARD_SCALE * max|us_c|``, and a
-    guarded node takes the strength of the nearest unguarded node, ties
-    breaking toward the middle node.  ``guard_activations`` counts the
-    guarded nodes.  Raises :class:`SolverError` if every denominator is
-    guarded (the singular solves are identical, so either the singular
-    spec is wrong or the grid is uselessly coarse).
+    by the singular solves, so its guard is resolved here, once, into a
+    pick map: with ``num = u_f - u_c`` likewise, every node's strength is
+    ``num[pick] / den[pick]``, its own unless guarded.  A denominator is
+    guarded when ``|den| <= GUARD_SCALE * max|us_c|``, as where the two
+    singular solves agree to rounding next to the free end x = 1 (9 nodes
+    of ``ex1-case1`` at beta = 1.01, M = 4096).  A guarded node takes the
+    strength of the nearest unguarded node, ties breaking toward the middle
+    node.  ``guard_activations`` counts the guarded nodes.  Raises
+    :class:`SolverError` if every denominator is guarded (the singular
+    solves are identical: the singular spec is wrong or the grid is
+    uselessly coarse).
     """
 
     #: Relative scale of the denominator guard.
@@ -122,8 +122,8 @@ class TwoGridCorrector:
                 "all strength denominators fall below the guard; the singular "
                 "problem's two-grid solves are indistinguishable")
         self.guard_activations = int(bad.sum())
-        # node i takes the strength num[pick[i]] / den[pick[i]]
-        self._pick = None
+        # node i's strength is num[pick[i]] / den[pick[i]], unguarded its own
+        self._pick, self._den_pick = slice(None), self.den
         if self.guard_activations:
             pick = np.arange(len(self.den))
             center = 0.5 * (len(pick) - 1)
@@ -133,8 +133,7 @@ class TwoGridCorrector:
                 nearest = good_idx[dist == dist.min()]
                 # ties: prefer the candidate closer to the center
                 pick[i] = nearest[np.argmin(np.abs(nearest - center))]
-            self._pick = pick
-            self._den_pick = self.den[pick]
+            self._pick, self._den_pick = pick, self.den[pick]
 
     @classmethod
     def build(cls, solvers: Sequence[ToeplitzSolver], nodes: Sequence[np.ndarray],
@@ -154,11 +153,7 @@ class TwoGridCorrector:
     def correct(self, u_c: np.ndarray, u_f: np.ndarray):
         """Corrected coarse and fine fields and the guarded pointwise
         strength ``xi`` at the coarse interior nodes."""
-        num = u_f[1::2] - u_c
-        if self._pick is None:
-            xi = num / self.den
-        else:
-            xi = num[self._pick] / self._den_pick
+        xi = (u_f[1::2] - u_c)[self._pick] / self._den_pick
         return u_c + xi * self.gap_c, u_f + xi[self._fine] * self.gap_f, xi
 
 

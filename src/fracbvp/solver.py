@@ -18,7 +18,7 @@ solve, one or two per grid, runs GMRES.  A Crank-Nicolson march, which
 solves one matrix at every step, asks for a direct path: the explicit
 inverse on a coarse grid, the Gohberg-Semencul generators on a finer
 one.  The explicit inverse is one LAPACK inversion (``np.linalg.inv``),
-applied by one matrix-vector product.  Two GMRES solves (one when ``A``
+applied by one matrix-vector product.  Two checked solves (one when ``A``
 is symmetric) give the first and last columns of ``A^-1``, and the
 Gohberg-Semencul formula (Gohberg & Semencul 1972)
 
@@ -41,9 +41,10 @@ on every path, and each block of a Crank-Nicolson march
 The bound sits above what FFT rounding reaches for every system size, so
 the same rule holds at M = 16 and at M = 65536.  The Gohberg-Semencul
 product alone can miss it on systems near beta = 1 (up to 1e5 eps at
-beta = 1.001, alpha = 0, theta in {0, 1}).  So every solve is one
-restarted GMRES loop, right-preconditioned by the best inverse the path
-holds: the Strang circulant, or on a direct path ``A^-1`` itself.
+beta = 1.001, alpha = 0, theta in {0, 1}).  So every solve, set-up
+included, enters through :meth:`ToeplitzSolver.solve` as one restarted
+GMRES loop, right-preconditioned by the best inverse the path holds: the
+Strang circulant, or on a direct path ``A^-1`` itself.
 GMRES so preconditioned is an iterative refinement (Carson & Higham
 2017): a product that meets the bound is returned after one residual, and
 one iteration brought every system measured below it.
@@ -79,11 +80,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: The solve paths of :class:`ToeplitzSolver`, named by what each holds.
 PATHS = ("gmres", "explicit", "gohberg-semencul")
 
-#: Largest interval count at which the direct path holds the explicit
-#: inverse: a solve costs 20-41 us up to M = 256 against 53-88 us for the
-#: Gohberg-Semencul product, but 218-268 us against 95-153 us at M = 512
-#: (BENCH_14.json, written by scripts/solver_costs.py: one BLAS thread,
-#: WSGD, beta in {1.1, 1.5, 1.8}).
+#: Largest interval count at which a march holds the explicit inverse: on
+#: the half Crank-Nicolson matrix at beta = 1.5, its set-up and unchecked
+#: product take 4.03 ms and 9.5 us at M = 256 against 1.12 ms and 59.9 us
+#: for Gohberg-Semencul, but 19.47 ms and 49.9 us against 0.98 ms and 50.4 us
+#: at M = 512 (BENCH_28.json, scripts/solver_costs.py, one BLAS thread).
 EXPLICIT_LIMIT = 256
 
 #: Largest normwise backward error accepted from any solve (1024 eps).
@@ -205,8 +206,8 @@ class ToeplitzSolver:
 
     ``path`` is one of ``PATHS``.  ``'gmres'`` (the default) is
     matrix-free and holds no inverse.  ``'gohberg-semencul'`` computes the
-    Gohberg-Semencul generators of ``A^-1`` by GMRES at set-up and holds
-    them for reuse.  ``'explicit'`` holds ``A`` and ``A^-1``, both dense,
+    Gohberg-Semencul generators of ``A^-1`` by checked solves at set-up
+    and holds them.  ``'explicit'`` holds ``A`` and ``A^-1``, both dense,
     the inverse from one LAPACK call (``np.linalg.inv``), so that a product
     with either is one matrix-vector product.  Every solve is one GMRES
     loop, capped at ``MAXITER`` iterations, that must meet
@@ -269,9 +270,9 @@ class ToeplitzSolver:
             return
         e = np.zeros(m)
         e[0] = 1.0
-        x = self._gmres(e)
+        x = self.solve(e)
         # symmetric A: A^-1 is persymmetric too, A^-1 e_m = J A^-1 e_1
-        y = x[::-1] if np.array_equal(self.col, self.row) else self._gmres(e[::-1])
+        y = x[::-1] if np.array_equal(self.col, self.row) else self.solve(e[::-1])
         if x[0] == 0.0:
             raise SolverError("Gohberg-Semencul formula impossible: (A^-1)_00 is 0")
         shift_y = np.concatenate(([0.0], y[:-1]))
@@ -321,13 +322,11 @@ class ToeplitzSolver:
         """Normwise backward error ``||Ax - b|| / (||A|| ||x|| + ||b||)``,
         in the infinity norm, of a solution ``x`` of ``rhs`` (a float), or
         of each row of a block of them (an array)."""
-        if x.ndim == 1:
-            return self._backward_error(self.matvec(x) - rhs, x, rhs)
         rows = max(1, _BATCH_VALUES // self._L)
-        return np.concatenate([
-            self._backward_error(self.matvec(x[i:i + rows]) - rhs[i:i + rows],
-                                  x[i:i + rows], rhs[i:i + rows])
-            for i in range(0, len(x), rows)])
+        if x.ndim == 1 or len(x) <= rows:
+            return self._backward_error(self.matvec(x) - rhs, x, rhs)
+        return np.concatenate([self.backward_error(x[i:i + rows], rhs[i:i + rows])
+                               for i in range(0, len(x), rows)])
 
     def _backward_error(self, residual: np.ndarray, x: np.ndarray,
                          rhs: np.ndarray):

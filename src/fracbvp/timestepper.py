@@ -141,9 +141,8 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         """States after steps ``n+1 .. n+k`` from ``u``, each written into
         the blocks' rows, the solves checked or not."""
         times = [time_grid.half_node(n + row + 1) for row in range(k)]
-        for x, block, grid_rows in zip(nodes, blocks, rows):
-            for t, (b, _) in zip(times, grid_rows):
-                b[...] = problem.rhs(x, t)
+        for x, block in zip(nodes, blocks):
+            block[0, :k] = [problem.rhs(x, t) for t in times]
             block[0, :k] *= half_tau
         for row in range(k):
             stepped = []
@@ -155,7 +154,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
                 else:
                     solver.apply_inverse(b, out=q)
                 stepped.append(q - w)
-            u = list(corrector.correct(*stepped)[:2]) if corrected else stepped
+            u = corrector.correct(*stepped)[:2] if corrected else stepped
         return u
 
     try:

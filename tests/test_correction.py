@@ -131,6 +131,23 @@ class TestGuard:
             assert xi[node] == num[source] / den[source]
         assert corrector.guard_activations == 3
 
+    def test_guard_fires_next_to_the_free_end(self):
+        # at beta = 1.01 the singular term's two solves agree to rounding
+        # next to x = 1: the last 9 coarse nodes are guarded, and each takes
+        # the strength of node 4085, the nearest unguarded one
+        problem, solved = catalog("ex1-case1", 1.01), {}
+        sol = correct(problem, 4096, SchemeKind.WSGD, solved)
+        coarse, fine = solved[4096], solved[8192]
+        us = problem.singular.us
+        corrector = TwoGridCorrector(coarse.us, fine.us, us(coarse.nodes),
+                                     us(fine.nodes))
+        xi = corrector.correct(coarse.u, fine.u)[2]
+        num = fine.u[1::2] - coarse.u
+        assert sol.guard_activations == corrector.guard_activations == 9
+        assert len(xi) == 4095 and coarse.nodes[4086] > 0.9975
+        np.testing.assert_array_equal(xi[:4086], num[:4086] / corrector.den[:4086])
+        np.testing.assert_array_equal(xi[4086:], num[4085] / corrector.den[4085])
+
 
 class TestTwoGridCorrector:
     def test_strengths_on_coarse_nodes_and_midpoints(self):

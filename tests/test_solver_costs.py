@@ -61,6 +61,8 @@ def test_every_path_meets_the_bound(costs, system, path):
     entry = costs.path_costs(16, 1.5, system, path)
     assert entry["path"] == path
     assert entry["backward_error"] <= BACKWARD_ERROR_BOUND
+    # a direct path also times the unchecked product a march step pays
+    assert ("apply_s" in entry) == (path != "gmres")
 
 
 def test_direct_setups_are_timed_on_both_sides(costs, monkeypatch):
