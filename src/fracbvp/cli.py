@@ -95,15 +95,17 @@ def _cmd_solve(args) -> int:
     M = args.grids[0]
     scheme = SchemeKind(args.scheme)
     if args.correct:
-        u = correct(problem, M, scheme).corrected_coarse
+        sol = correct(problem, M, scheme)
+        u, guards = sol.corrected_coarse, sol.guard_activations
     else:
-        u = solve_bvp(problem, M, scheme)
+        u, guards = solve_bvp(problem, M, scheme), 0
     out = args.out or f"{args.example}-M{M}.csv"
     p = problem.params
     rho_left, rho_right = singular_exponents(p.beta, p.theta)
     meta = {"problem": problem.name, "alpha": p.alpha, "beta": p.beta,
             "theta": p.theta, "scheme": args.scheme, "corrected": args.correct,
-            "M": M, "rho_left": rho_left, "rho_right": rho_right}
+            "M": M, "rho_left": rho_left, "rho_right": rho_right,
+            "guard_activations": guards}
     if problem.exact is not None:
         emit_pointwise_error(u, problem.exact, out, metadata=meta)
     else:

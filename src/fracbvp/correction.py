@@ -20,6 +20,9 @@ Crank-Nicolson march of :mod:`fracbvp.timestepper` makes it with
 singular solves with the march's two solvers, from the image of ``us``
 under its per-step operator, and corrects after every step.
 
+A node where the singular term's two solves agree to rounding is
+guarded: its strength is 0, and each grid keeps its raw solve there.
+
 The ratio recovers xi only in the few nodes next to the singular end,
 where the singular gap ``us - us_h`` has order below 2 and dominates the
 numerator.  Elsewhere, for theta in {0, 1}, both two-grid gaps are
@@ -70,8 +73,9 @@ class CorrectedSolution:
 
     ``corrected_coarse`` lives on the coarse grid, ``corrected_fine`` on
     the fine grid (the two agree identically at coarse nodes wherever the
-    guard did not fire).  ``guard_activations`` counts interior nodes whose
-    denominator fell below the guard and inherited a neighbour's strength.
+    guard did not fire).  ``guard_activations`` counts the coarse interior
+    nodes whose denominator fell below the guard and that were left
+    uncorrected: there each field is its grid's raw solve.
     """
 
     corrected_coarse: GridFunction
@@ -90,15 +94,12 @@ class TwoGridCorrector:
     fine grid take the coarse strength, midpoints the strength of their
     right neighbour (the last midpoint the last strength).
 
-    The strength's denominator ``us_f - us_c`` at the coarse nodes is fixed
-    by the singular solves, so its guard is resolved here, once, into a
-    pick map: with ``num = u_f - u_c`` likewise, every node's strength is
-    ``num[pick] / den[pick]``, its own unless guarded.  A denominator is
-    guarded when ``|den| <= GUARD_SCALE * max|us_c|``, as where the two
-    singular solves agree to rounding next to the free end x = 1 (9 nodes
-    of ``ex1-case1`` at beta = 1.01, M = 4096).  A guarded node takes the
-    strength of the nearest unguarded node, ties breaking toward the middle
-    node.  ``guard_activations`` counts the guarded nodes.  Raises
+    A denominator ``den = us_f - us_c`` at the coarse nodes is guarded when
+    ``|den| <= GUARD_SCALE * max|us_c|``, as where the two singular solves
+    agree to rounding next to the free end x = 1 (9 nodes of ``ex1-case1``
+    at beta = 1.01, M = 4096).  A guarded node divides by infinity: its
+    strength is 0, and both fields there, its midpoint included, equal the
+    raw solves.  ``guard_activations`` counts the guarded nodes.  Raises
     :class:`SolverError` if every denominator is guarded (the singular
     solves are identical: the singular spec is wrong or the grid is
     uselessly coarse).
@@ -122,18 +123,8 @@ class TwoGridCorrector:
                 "all strength denominators fall below the guard; the singular "
                 "problem's two-grid solves are indistinguishable")
         self.guard_activations = int(bad.sum())
-        # node i's strength is num[pick[i]] / den[pick[i]], unguarded its own
-        self._pick, self._den_pick = slice(None), self.den
-        if self.guard_activations:
-            pick = np.arange(len(self.den))
-            center = 0.5 * (len(pick) - 1)
-            good_idx = np.nonzero(~bad)[0]
-            for i in np.nonzero(bad)[0]:
-                dist = np.abs(good_idx - i)
-                nearest = good_idx[dist == dist.min()]
-                # ties: prefer the candidate closer to the center
-                pick[i] = nearest[np.argmin(np.abs(nearest - center))]
-            self._pick, self._den_pick = pick, self.den[pick]
+        # a guarded node divides by infinity: strength 0, left uncorrected
+        self._divisor = np.where(bad, np.inf, self.den)
 
     @classmethod
     def build(cls, solvers: Sequence[ToeplitzSolver], nodes: Sequence[np.ndarray],
@@ -151,9 +142,9 @@ class TwoGridCorrector:
                    *(us(x) for x in nodes))
 
     def correct(self, u_c: np.ndarray, u_f: np.ndarray):
-        """Corrected coarse and fine fields and the guarded pointwise
-        strength ``xi`` at the coarse interior nodes."""
-        xi = (u_f[1::2] - u_c)[self._pick] / self._den_pick
+        """Corrected coarse and fine fields and the pointwise strength
+        ``xi`` at the coarse interior nodes, 0 where guarded."""
+        xi = (u_f[1::2] - u_c) / self._divisor
         return u_c + xi * self.gap_c, u_f + xi[self._fine] * self.gap_f, xi
 
 

@@ -7,10 +7,11 @@ a step is one solve, ``b = u^{n-1} + (tau/2) f^{n-1/2}``, ``q = (A/2)^-1 b``,
 ``u^n = q - u^{n-1}``, with ``A/2 = I/2 - tau/4 D``.  A power of two scales
 exactly, so ``q`` is ``2 A^-1 b`` and its backward error under ``A/2`` is
 that of ``A^-1 b`` under ``A``, bit for bit.  The implicit matrix is
-time-independent, so one solver set-up serves the whole march.  The march asks :func:`~fracbvp.solver.make_solver` for the
-direct path, which holds the inverse: on a coarse grid an explicit inverse,
-one LAPACK inversion at set-up applied by one matrix-vector product per
-step, and on a finer grid the Gohberg-Semencul generators, found by GMRES.
+time-independent, so one solver set-up serves the whole march.  The march
+asks :func:`~fracbvp.solver.make_solver` for the direct path, which holds
+the inverse: on a coarse grid an explicit inverse, one LAPACK inversion
+at set-up applied by one matrix-vector product per step, and on a finer
+grid the Gohberg-Semencul generators, found by GMRES.
 
 The march advances in blocks of ``BLOCK_STEPS`` steps, taken by one step
 routine that keeps each step's right-hand side and solution as rows of
@@ -43,7 +44,7 @@ form from its stationary image.  As for the stationary solve, the pair
 must be even and at least 8 intervals.
 
 As in the stationary correction, the per-step ratio recovers the
-singular strength only in the few nodes next to the singular end x=a;
+singular strength only in the few nodes next to the singular end x = 0;
 elsewhere both two-grid gaps are O(h^2) and the ratio tends to an O(1)
 function of x, so the correction there acts as a two-grid extrapolation
 of the h^2 error term.
@@ -100,7 +101,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     step and the returned coarse-grid field is the corrected one (it
     coincides with the corrected fine field at coarse nodes).  A
     ``diagnostics`` dict, when given, receives ``guard_activations``
-    (guarded strength nodes, summed over the steps), ``backward_error_max``
+    (nodes left uncorrected, summed over the steps), ``backward_error_max``
     (the largest backward error of a step's solve) and ``refinements``
     (step solves that missed the bound and were solved again).
     """

@@ -109,8 +109,8 @@ class WeightTable:
     """The weights the grid operators read for one order.
 
     ``w`` holds the WSGD weights ``w_0 .. w_n`` and ``wc`` the centered
-    half ``w~_0 .. w~_n`` (the sequence is even).  Arrays are read-only so
-    a table can be shared freely across threads.
+    half ``w~_0 .. w~_n`` (the sequence is even).  Arrays are read-only,
+    as the cache of :func:`weight_table` hands one table to every caller.
     """
 
     w: np.ndarray

@@ -156,7 +156,26 @@ def test_solve_header_records_the_problem_solved(tmp_path, example, theta,
     assert header == {"problem": example, "alpha": "0.0", "beta": "1.5",
                       "theta": f"{float(theta)}", "scheme": "wsgd",
                       "corrected": "True", "M": "64", "rho_left": rho_left,
-                      "rho_right": rho_right}
+                      "rho_right": rho_right, "guard_activations": "0"}
+
+
+def test_solve_records_the_nodes_left_uncorrected(tmp_path):
+    # at beta = 1.01 the guard fires on the 9 coarse nodes next to x = 1 of
+    # the pair (4096, 8192): the corrected solve writes the raw errors there
+    headers, errors = [], []
+    for extra in ([], ["--correct"]):
+        out = tmp_path / f"u{len(extra)}.csv"
+        argv = ["solve", "--example", "ex1-case1", "--beta", "1.01",
+                "--grids", "4096", *extra, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        lines = out.read_text().splitlines()
+        headers.append(dict(line[2:].split("=", 1) for line in lines
+                            if line.startswith("# ")))
+        rows = [line for line in lines if line and not line.startswith("#")]
+        errors.append(np.loadtxt(rows[1:], delimiter=",")[:, 1])
+    assert [h["guard_activations"] for h in headers] == ["0", "9"]
+    np.testing.assert_array_equal(errors[1][4087:4096], errors[0][4087:4096])
+    assert np.all(errors[1][1:4087] != errors[0][1:4087])
 
 
 def test_exact_study_needs_no_reference_level(tmp_path, fresh_cache):

@@ -102,39 +102,54 @@ class TestGuard:
             # us_half == us_h: zero denominators
             self._corrector(ones, ones)
 
-    def test_guarded_node_inherits_nearest(self):
+    def test_guarded_node_is_left_uncorrected(self):
         num = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
         us_h = np.ones(7)
         us_half = np.array([2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 2.0])  # zero denominator at idx 2
         corrector = self._corrector(us_h, us_half)
-        interior = corrector.correct(num, np.zeros(15))[2]
-        # numerator = -num, denominator = 1 except idx 2;
-        # idx 2 ties between neighbours 1 and 3; 3 is closer to the center
+        u_f = np.arange(15.0)
+        field_c, field_f, xi = corrector.correct(num, u_f)
+        # numerator = u_f[1::2] - num, denominator = 1 except idx 2
         assert corrector.guard_activations == 1
-        np.testing.assert_allclose(np.delete(interior, 2), -np.delete(num, 2))
-        assert interior[2] == interior[3]
+        assert xi[2] == 0.0
+        np.testing.assert_array_equal(np.delete(xi, 2), np.delete(u_f[1::2] - num, 2))
+        # the exact values are 0, so the gaps are -us: an unguarded node
+        # moves, and the guarded one keeps the raw inputs on both grids
+        assert field_c[1] != num[1] and field_c[2] == num[2]
+        np.testing.assert_array_equal(field_f[4:6], u_f[4:6])
 
     def test_resolved_guard_matches_the_pointwise_rule(self):
-        # the guard is resolved once into an index map; the strength it
-        # gives equals num/den at unguarded nodes and, bit for bit, the
-        # nearest unguarded node's num/den elsewhere (ties toward the center)
+        # the strength is num/den at unguarded nodes, bit for bit, and 0 at
+        # guarded ones, where both fields equal the raw inputs bit for bit:
+        # the coarse node, its fine twin and the midpoint that takes its
+        # strength
         rng = np.random.default_rng(3)
         us_h = rng.uniform(1.0, 2.0, 7)
         us_half = us_h + rng.uniform(0.5, 1.0, 7)
-        us_half[[0, 3, 6]] = us_h[[0, 3, 6]]  # guarded: both ends and the center
-        corrector = self._corrector(us_h, us_half)
+        guarded = [0, 3, 6]  # both ends and the center
+        us_half[guarded] = us_h[guarded]
+        us_f = np.zeros(15)
+        us_f[1::2] = us_half
+        exact_c, exact_f = rng.standard_normal(7), rng.standard_normal(15)
+        corrector = TwoGridCorrector(us_h, us_f, exact_c, exact_f)
         u_c, u_f = rng.standard_normal(7), rng.standard_normal(15)
-        xi = corrector.correct(u_c, u_f)[2]
+        field_c, field_f, xi = corrector.correct(u_c, u_f)
         num, den = u_f[1::2] - u_c, us_half - us_h
-        # node 3 ties between 2 and 4, both 1 from the center: the first wins
-        for node, source in enumerate([1, 1, 2, 2, 4, 5, 5]):
-            assert xi[node] == num[source] / den[source]
         assert corrector.guard_activations == 3
+        for node in range(7):
+            assert xi[node] == (0.0 if node in guarded else num[node] / den[node])
+        np.testing.assert_array_equal(field_c[guarded], u_c[guarded])
+        # fine index 2j+1 is coarse node j, 2j its midpoint; the last
+        # midpoint, 14, takes node 6's strength too
+        fine = [0, 1, 6, 7, 12, 13, 14]
+        np.testing.assert_array_equal(field_f[fine], u_f[fine])
+        moved = np.setdiff1d(np.arange(15), fine)
+        assert np.all(field_f[moved] != u_f[moved])
 
     def test_guard_fires_next_to_the_free_end(self):
         # at beta = 1.01 the singular term's two solves agree to rounding
-        # next to x = 1: the last 9 coarse nodes are guarded, and each takes
-        # the strength of node 4085, the nearest unguarded one
+        # next to x = 1: the last 9 coarse nodes are guarded and left
+        # uncorrected
         problem, solved = catalog("ex1-case1", 1.01), {}
         sol = correct(problem, 4096, SchemeKind.WSGD, solved)
         coarse, fine = solved[4096], solved[8192]
@@ -146,7 +161,43 @@ class TestGuard:
         assert sol.guard_activations == corrector.guard_activations == 9
         assert len(xi) == 4095 and coarse.nodes[4086] > 0.9975
         np.testing.assert_array_equal(xi[:4086], num[:4086] / corrector.den[:4086])
-        np.testing.assert_array_equal(xi[4086:], num[4085] / corrector.den[4085])
+        np.testing.assert_array_equal(xi[4086:], 0.0)
+        np.testing.assert_array_equal(sol.corrected_coarse.interior[4086:],
+                                      coarse.u[4086:])
+        # fine nodes 8172 on are the midpoints and twins of coarse nodes
+        # 4086 on
+        np.testing.assert_array_equal(sol.corrected_fine.interior[8172:],
+                                      fine.u[8172:])
+        # frozen: the study row's error on the fine grid
+        f = sol.corrected_fine
+        err = np.max(np.abs(f.values - problem.exact(f.grid.nodes())))
+        assert err == 5.491518806577389e-06
+
+    def test_where_the_beta_18_reference_is_guarded(self):
+        # the level-15 ex1-case2 reference at beta = 1.8 corrects the pair
+        # (2**14, 2**15).  The guard fires twice: on a run of nodes next to
+        # x = 1, and on six nodes around x ~ 0.845, where the denominator
+        # changes sign.  Both runs sit where the denominator is a difference
+        # of values that agree to rounding, so the nodes move with the
+        # BLAS's summation order: 13849-13854 and 16379-16382 with two
+        # OpenBLAS threads, 13854-13859 and 16378-16382 with one
+        problem, solved = catalog("ex1-case2", 1.8), {}
+        sol = correct(problem, 2 ** 14, SchemeKind.WSGD, solved)
+        coarse, fine = solved[2 ** 14], solved[2 ** 15]
+        us = problem.singular.us
+        corrector = TwoGridCorrector(coarse.us, fine.us, us(coarse.nodes),
+                                     us(fine.nodes))
+        xi = corrector.correct(coarse.u, fine.u)[2]
+        den, x = corrector.den, coarse.nodes
+        guarded = np.nonzero(xi == 0.0)[0]
+        assert sol.guard_activations == corrector.guard_activations == len(guarded)
+        # one sign change on (1/2, 1): den[k] < 0 < den[k + 1]
+        (k,) = np.nonzero(np.diff(np.sign(den[8191:])))[0] + 8191
+        assert den[k] < 0.0 < den[k + 1] and 0.845 < x[k] < 0.846
+        mid, end = guarded[guarded < k + 100], guarded[guarded >= k + 100]
+        np.testing.assert_array_equal(mid, np.arange(k - 2, k + 4))
+        np.testing.assert_array_equal(end, np.arange(end[0], 16383))
+        assert x[end[0]] > 0.9996
 
 
 class TestTwoGridCorrector:
