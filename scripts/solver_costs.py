@@ -24,8 +24,9 @@ those sizes is also timed on DIR, alternating with this checkout over
 Crank-Nicolson matrix at M = 2**4 ... ``EXPLICIT_LIMIT``, where a march
 holds the explicit inverse.
 
-Then whole ``ex3`` marches (beta = 1.5, 1000 steps) through
-:func:`fracbvp.timestepper.cn_wsgd_solve`: uncorrected at M = 2**4 ...
+Then whole ``ex3`` marches (beta = 1.5, 1000 steps), each a time study
+of one grid (:func:`fracbvp.study.run_time_study`, tau = 1e-3), which
+also measures the final-time error: uncorrected at M = 2**4 ...
 2**11, corrected up to 2**9 (up to 2**7 and 2**6 with ``--quick``).  A
 round times every march ``MARCH_REPEATS`` times in a fresh interpreter
 and keeps the least wall and CPU seconds of each; with ``--baseline DIR``
@@ -89,23 +90,24 @@ SETUP_REPEATS = 10
 ROUNDS = 10
 
 # Times the marches given as JSON [[M, corrected], ...] with fracbvp from
-# the src/ directory given first; prints
-# {"M/corrected": [wall seconds, CPU seconds, raised]}.
+# the src/ directory given first, each through the time study that every
+# checkout has; prints {"M/corrected": [wall seconds, CPU seconds, raised]}.
 MARCH_CODE = """
 import json, sys, time, warnings
 sys.path.insert(0, sys.argv[1])
 from fracbvp.catalog import catalog
-from fracbvp.timestepper import TimeGrid, cn_wsgd_solve
+from fracbvp.study import StudyConfig, run_time_study
 warnings.simplefilter("ignore")  # the diverging corrected march overflows
-problem, time_grid = catalog("ex3", 1.5), TimeGrid(1.0, 1000)
+problem = catalog("ex3", 1.5)
 result = {}
 for M, corrected in json.loads(sys.argv[2]):
+    config = StudyConfig(problem, M_list=[M], tau=1e-3, corrected=corrected)
     wall = cpu = float("inf")
     raised = None
     for _ in range(int(sys.argv[3])):
         t0, c0 = time.perf_counter(), time.process_time()
         try:
-            cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
+            run_time_study(config)
         except Exception as exc:
             raised = type(exc).__name__
         wall = min(wall, time.perf_counter() - t0)

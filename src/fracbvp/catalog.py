@@ -66,10 +66,11 @@ class ProblemSpec:
 class TimeDependentProblem:
     """A space-fractional diffusion problem ``u_t = D u + f`` on (0, 1).
 
-    Only the one-sided case ``theta = 1`` is covered by the time stepper;
-    ``params.alpha`` plays no role here (there is no reaction term).
-    ``singular`` is the operator's leading singular term, derived from
-    ``params`` on first use, as for :class:`ProblemSpec`.
+    Only the one-sided case ``theta = 1`` is covered by the time stepper,
+    which marches from t = 0 to ``final_time``; a final time that is not
+    positive is refused.  ``params.alpha`` plays no role here (there is
+    no reaction term).  ``singular`` is the operator's leading singular
+    term, derived from ``params`` on first use, as for :class:`ProblemSpec`.
     """
 
     name: str
@@ -80,6 +81,10 @@ class TimeDependentProblem:
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     singular = ProblemSpec.singular
+
+    def __post_init__(self):
+        if not self.final_time > 0.0:
+            raise ValueError(f"final time must be positive, got {self.final_time}")
 
 
 def singular_term(params: FracParams) -> SingularTermSpec:
@@ -115,15 +120,17 @@ def _ex3(beta: float) -> TimeDependentProblem:
     d_profile = left_derivative(profile, beta)
     # the forcing 3t^2 p(x) - t^3 Dp(x) is separable and a march samples it
     # on the same nodes every step (two grids when corrected): p and Dp are
-    # kept per node values, so an array refilled in place is evaluated anew
-    @functools.lru_cache(maxsize=4)
-    def spatial(shape, nodes):
-        x = np.frombuffer(nodes).reshape(shape)
-        return profile(x), d_profile(x)
+    # kept per shape of the nodes (a grid's node count), with the node bytes
+    # they were evaluated at, so an array refilled in place is evaluated anew
+    spatial = {}
 
     def rhs(x, t):
         x = np.asarray(x, dtype=float)
-        p, dp = spatial(x.shape, x.tobytes())
+        nodes = x.tobytes()
+        kept = spatial.get(x.shape)
+        if kept is None or kept[0] != nodes:
+            kept = spatial[x.shape] = nodes, profile(x), d_profile(x)
+        _, p, dp = kept
         return 3.0 * t * t * p - t ** 3 * dp
 
     def exact(x, t):

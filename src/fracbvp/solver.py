@@ -284,16 +284,11 @@ class ToeplitzSolver:
 
     def apply_inverse(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A^-1 b`` for a vector ``b``, written into ``out`` when given: the
-        direct path's preconditioner, with no check (the explicit inverse's
-        product goes straight into ``out``).  Raises ``ValueError`` on the
-        GMRES path, which holds no ``A^-1``."""
+        direct path's preconditioner, with no check.  Raises ``ValueError``
+        on the GMRES path, which holds no ``A^-1``."""
         if self.path == "gmres":
             raise ValueError("the GMRES path holds no A^-1: use solve")
-        x = self._precondition(b, out=out)
-        if out is None or x is out:
-            return x
-        out[...] = x
-        return out
+        return self._precondition(b, out=out)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A x`` for a vector, or ``A`` times each row of a block."""
@@ -304,9 +299,9 @@ class ToeplitzSolver:
 
     def _precondition(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``P^-1 x``: once the direct set-up has built it, ``A^-1 x``,
-        explicit (written into ``out`` when given) or by the
-        Gohberg-Semencul product; until then, and on the GMRES path, the
-        leading block of the Strang circulant's inverse."""
+        explicit or by the Gohberg-Semencul product, written into ``out``
+        when given; until then, and on the GMRES path, the leading block
+        of the Strang circulant's inverse."""
         if self._inverse is not None:
             return np.dot(self._inverse, x, out=out)
         if self._lower is None:
@@ -316,7 +311,11 @@ class ToeplitzSolver:
         m, L = self.m, self._L
         u = np.fft.irfft(self._upper * np.fft.rfft(x, n=L), n=L)
         z = np.fft.rfft(u[:, :m], n=L) * self._lower
-        return np.fft.irfft(z[0] - z[1], n=L)[:m]
+        y = np.fft.irfft(z[0] - z[1], n=L)[:m]
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
     def backward_error(self, x: np.ndarray, rhs: np.ndarray):
         """Normwise backward error ``||Ax - b|| / (||A|| ||x|| + ||b||)``,

@@ -55,11 +55,11 @@ from .correction import ConfigError, check_pair, correct
 from .grids import Grid, GridFunction
 from .report import ConvergenceReport, emit_report
 from .solver import BACKWARD_ERROR_BOUND, SchemeKind, solve_bvp
-from .timestepper import TimeGrid, cn_wsgd_solve
+from .timestepper import cn_wsgd_solve
 
 
 #: Most steps a time study marches: 1000 times the steps of the default
-#: tau, some 12 s of marching on M = 16 at 12 us a step (BENCH_27.json).
+#: tau, some 6 s of marching on M = 16 at 5.6 us a step (BENCH_31.json).
 #: A smaller time step is refused as a mistake; its march could run for days.
 MAX_STEPS = 10 ** 6
 
@@ -185,9 +185,10 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
     """Final-time errors and spatial rates of the Crank-Nicolson march;
     returns its one report.
 
-    Needs the problem's exact solution.  The march takes round(T / tau)
-    steps, at least one and at most ``MAX_STEPS``; the default tau = 1e-3
-    of the tables lets the spatial error dominate.
+    Needs the problem's exact solution.  The march takes N = round(T / tau)
+    steps to the problem's final time T, at least one and at most
+    ``MAX_STEPS``, and the report records ``steps`` N and ``tau`` T / N;
+    the default tau = 1e-3 of the tables lets the spatial error dominate.
     """
     problem = config.problem
     if not isinstance(problem, TimeDependentProblem):
@@ -202,14 +203,14 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
     if not steps <= MAX_STEPS:
         raise ConfigError(f"time step {config.tau!r} takes {steps:.3g} steps to "
                           f"T = {T}, more than MAX_STEPS = {MAX_STEPS}")
-    if round(steps) < 1:
+    N = round(steps)
+    if N < 1:
         raise ConfigError(f"time step {config.tau!r} takes round(T / tau) = 0 steps to T = {T}")
-    tg = TimeGrid(T=T, N=round(steps))
     meta = {
         "scheme": "cn-wsgd",
         "error_grid": "M",
-        "tau": tg.tau,
-        "steps": tg.N,
+        "tau": T / N,
+        "steps": N,
         "final_time": T,
         "backward_error_max": 0.0,
         "refinements": 0,
@@ -218,7 +219,7 @@ def run_time_study(config: StudyConfig) -> list[ConvergenceReport]:
 
     def solve(M):
         diag: dict = {}
-        u = cn_wsgd_solve(problem, M, tg, corrected=config.corrected,
+        u = cn_wsgd_solve(problem, M, N, corrected=config.corrected,
                           diagnostics=diag)
         meta["guard_activations"] += diag["guard_activations"]
         meta["refinements"] += diag["refinements"]

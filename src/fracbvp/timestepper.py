@@ -1,9 +1,12 @@
 """Crank-Nicolson time stepping for the one-sided diffusion problem.
 
-Each step solves ``(I - tau/2 D) u^n = (I + tau/2 D) u^{n-1} + tau f^{n-1/2}``
-with ``D`` the theta-weighted spatial operator and ``f`` sampled at the
-half node.  With ``A = I - tau/2 D`` the explicit operator is ``2I - A``, so
-a step is one solve, ``b = u^{n-1} + (tau/2) f^{n-1/2}``, ``q = (A/2)^-1 b``,
+A march takes N uniform steps of ``tau = T / N`` to the problem's own
+final time T.  Step n solves
+``(I - tau/2 D) u^n = (I + tau/2 D) u^{n-1} + tau f^{n-1/2}`` with ``D``
+the theta-weighted spatial operator and ``f`` sampled at the half node
+``t_{n-1/2} = (n - 1/2) tau``.  With ``A = I - tau/2 D`` the explicit
+operator is ``2I - A``, so a step is one solve,
+``b = u^{n-1} + (tau/2) f^{n-1/2}``, ``q = (A/2)^-1 b``,
 ``u^n = q - u^{n-1}``, with ``A/2 = I/2 - tau/4 D``.  A power of two scales
 exactly, so ``q`` is ``2 A^-1 b`` and its backward error under ``A/2`` is
 that of ``A^-1 b`` under ``A``, bit for bit.  The implicit matrix is
@@ -15,13 +18,13 @@ grid the Gohberg-Semencul generators, found by GMRES.
 
 The march advances in blocks of ``BLOCK_STEPS`` steps, taken by one step
 routine that keeps each step's right-hand side and solution as rows of
-the block.  Before its steps the routine samples the forcing once per
-grid and step, with a float time, into the right-hand-side rows, and
-scales them by tau/2 with one product per grid.  A step then writes in
-place: ``b`` is formed in its row, and ``q`` goes straight into its row
-of the solution block, through the ``out`` argument of
-:meth:`~fracbvp.solver.ToeplitzSolver.apply_inverse` (one matrix-vector
-product on the explicit inverse).  The routine runs unchecked, and then
+the block.  Before its steps the routine writes the forcing, sampled
+once per grid and step with a float time, straight into the
+right-hand-side rows, and scales them by tau/2 with one product per
+grid.  A step then writes in place: ``b`` is formed in its row, and
+``q`` goes straight into its row of the solution block, through the
+``out`` argument of :meth:`~fracbvp.solver.ToeplitzSolver.apply_inverse`.
+The routine runs unchecked, and then
 :meth:`~fracbvp.solver.ToeplitzSolver.backward_error` checks every row
 with one product on the bound every solve meets; the block is clean when
 each grid's largest backward error meets it.  When one misses it,
@@ -52,7 +55,6 @@ of the h^2 error term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -65,37 +67,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .catalog import TimeDependentProblem
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time mesh: N steps of size tau = T / N."""
-
-    T: float
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"need at least one time step, got N={self.N}")
-        if not self.T > 0.0:
-            raise ValueError(f"final time must be positive, got T={self.T}")
-
-    @property
-    def tau(self) -> float:
-        return self.T / self.N
-
-    def half_node(self, n: int) -> float:
-        """t_{n-1/2} for step n >= 1."""
-        return (n - 0.5) * self.tau
-
-
 #: Steps per checked block: one product with the block's solutions
 #: checks them all.
 BLOCK_STEPS = 32
 
 
-def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
+def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, steps: int,
                   corrected: bool = False,
                   diagnostics: Optional[dict] = None) -> GridFunction:
-    """March the CN scheme to the final time; returns the field on grid M.
+    """March the CN scheme ``steps`` steps of ``tau = problem.final_time /
+    steps`` to the problem's final time; returns the field on grid M.
 
     With ``corrected=True`` the two-grid correction runs inside every
     step and the returned coarse-grid field is the corrected one (it
@@ -107,8 +88,10 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     """
     if abs(problem.params.theta - 1.0) > 1e-14:
         raise ValueError("time stepping covers the one-sided case theta = 1 only")
-    N = time_grid.N
-    half_tau = 0.5 * time_grid.tau
+    if steps < 1:
+        raise ValueError(f"need at least one time step, got steps={steps}")
+    tau = problem.final_time / steps
+    half_tau = 0.5 * tau
     grids = [Grid(M)]
     if corrected:
         grids.append(grids[0].refined())
@@ -141,9 +124,9 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
     def march(u, n, k, checked):
         """States after steps ``n+1 .. n+k`` from ``u``, each written into
         the blocks' rows, the solves checked or not."""
-        times = [time_grid.half_node(n + row + 1) for row in range(k)]
         for x, block in zip(nodes, blocks):
-            block[0, :k] = [problem.rhs(x, t) for t in times]
+            for row in range(k):
+                block[0, row] = problem.rhs(x, (n + row + 0.5) * tau)
             block[0, :k] *= half_tau
         for row in range(k):
             stepped = []
@@ -159,8 +142,8 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
         return u
 
     try:
-        for n in range(0, N, BLOCK_STEPS):
-            k = min(BLOCK_STEPS, N - n)
+        for n in range(0, steps, BLOCK_STEPS):
+            k = min(BLOCK_STEPS, steps - n)
             # when a solve misses the bound, march the block again from the
             # same start state, checked.  A value that is not finite misses
             # it unchecked without an "invalid value" warning; the checked
@@ -193,7 +176,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, time_grid: TimeGrid,
 
     if diagnostics is not None:
         diagnostics["guard_activations"] = (
-            corrector.guard_activations * N if corrected else 0)
+            corrector.guard_activations * steps if corrected else 0)
         diagnostics["backward_error_max"] = eta_max
         diagnostics["refinements"] = refinements
     return GridFunction.from_interior(grids[0], state[0])

@@ -120,9 +120,10 @@ def apply_fcd(v: GridFunction, beta: float) -> GridFunction:
     return GridFunction.from_interior(grid, y)
 
 
-def cn_march(problem, M: int, time_grid, corrected: bool = False) -> np.ndarray:
-    """Crank-Nicolson march one checked solve at a time: interior values at
-    the final time on grid M (the corrected coarse field when corrected).
+def cn_march(problem, M: int, steps: int, corrected: bool = False) -> np.ndarray:
+    """Crank-Nicolson march one checked solve at a time, ``steps`` steps of
+    ``tau = problem.final_time / steps``: interior values at the final
+    time on grid M (the corrected coarse field when corrected).
 
     Every step is ``u <- 2 A^-1 (u + (tau/2) f) - u`` through
     ``ToeplitzSolver.solve`` on the direct path ``make_solver`` gives the
@@ -131,7 +132,8 @@ def cn_march(problem, M: int, time_grid, corrected: bool = False) -> np.ndarray:
     holds ``A/2`` and takes ``u <- (A/2)^-1 b - u``, so this oracle checks
     independently that the half system gives the same march bit for bit.
     """
-    half_tau = 0.5 * time_grid.tau
+    tau = problem.final_time / steps
+    half_tau = 0.5 * tau
     grids = [Grid(M)]
     if corrected:
         grids.append(grids[0].refined())
@@ -145,8 +147,8 @@ def cn_march(problem, M: int, time_grid, corrected: bool = False) -> np.ndarray:
         fs_tau = ((1.0 - half_tau * problem.params.alpha) * sing.us
                   + half_tau * sing.fs)
         corrector = TwoGridCorrector.build(solvers, nodes, sing.us, fs_tau)
-    for n in range(1, time_grid.N + 1):
-        t = time_grid.half_node(n)
+    for n in range(1, steps + 1):
+        t = (n - 0.5) * tau
         u = [2.0 * s.solve(v + half_tau * problem.rhs(x, t)) - v
              for s, x, v in zip(solvers, nodes, u)]
         if corrected:

@@ -345,6 +345,25 @@ class TestBitIdentity:
             t = (k + 0.5) * 1e-3
             assert np.array_equal(rhs(x, t), _ex3_rhs_termwise(beta, x, t))
 
+    # whatever order the march operations run in, each node count's
+    # profile and its derivative are evaluated once
+    @pytest.mark.parametrize("order", ["in turn, twice", "each twice in a row"])
+    def test_ex3_rhs_evaluates_each_grid_once(self, monkeypatch, order):
+        grids = [Grid(M).interior_nodes() for M in (16, 32, 64, 128, 256, 512)]
+        calls = {"in turn, twice": grids + grids,
+                 "each twice in a row": [x for x in grids for _ in range(2)]}[order]
+        evaluate, evaluated = PowerSum.__call__, []
+
+        def counted(self, x):
+            evaluated.append(len(x))
+            return evaluate(self, x)
+
+        monkeypatch.setattr(PowerSum, "__call__", counted)
+        rhs = catalog("ex3", 1.5).rhs
+        for k, x in enumerate(calls):
+            rhs(x, (k + 0.5) * 1e-3)
+        assert sorted(evaluated) == sorted(2 * [len(x) for x in grids])
+
     def test_ex3_rhs_follows_nodes_changed_in_place(self):
         beta = 1.5
         rhs = catalog("ex3", beta).rhs

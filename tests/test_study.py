@@ -210,7 +210,7 @@ def test_reports_sum_counts_over_the_grids(monkeypatch):
     field = GridFunction(Grid(8), np.zeros(9))
     runs = iter([(1, 3e-16, 4), (2, 1e-16, 0)])
 
-    def march(problem, M, time_grid, corrected, diagnostics):
+    def march(problem, M, steps, corrected, diagnostics):
         refinements, eta, guards = next(runs)
         diagnostics.update(refinements=refinements, backward_error_max=eta,
                            guard_activations=guards)

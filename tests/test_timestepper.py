@@ -14,7 +14,7 @@ from fracbvp.solver import (BACKWARD_ERROR_BOUND, FracParams, SchemeKind,
                             SolverError, ToeplitzSolver, make_solver,
                             scheme_toeplitz)
 from fracbvp.study import StudyConfig, run_time_study
-from fracbvp.timestepper import BLOCK_STEPS, TimeGrid, cn_wsgd_solve
+from fracbvp.timestepper import BLOCK_STEPS, cn_wsgd_solve
 from oracles import cn_march
 
 BETA = 1.5
@@ -30,10 +30,10 @@ FROZEN = {
 }
 
 
-def _explicit_march(problem, M, time_grid):
+def _explicit_march(problem, M, steps):
     """Reference CN march: ``A u^n = (I + tau/2 D) u^{n-1} + tau f`` with the
     explicit operator applied as a Toeplitz product."""
-    tau = time_grid.tau
+    tau = problem.final_time / steps
     grid = Grid(M)
     stepping = FracParams(alpha=1.0, beta=problem.params.beta,
                           theta=problem.params.theta)
@@ -43,8 +43,8 @@ def _explicit_march(problem, M, time_grid):
                                  frac_scale=-0.5 * tau)
     x = grid.interior_nodes()
     u = problem.initial(x)
-    for n in range(1, time_grid.N + 1):
-        f = problem.rhs(x, time_grid.half_node(n))
+    for n in range(1, steps + 1):
+        f = problem.rhs(x, (n - 0.5) * tau)
         u = solver.solve(toeplitz_matvec(ecol, erow, u) + tau * f)
     return u
 
@@ -52,10 +52,9 @@ def _explicit_march(problem, M, time_grid):
 class TestOneSolveStep:
     @pytest.mark.parametrize("M", [16, 64])
     def test_matches_explicit_product(self, M):
-        problem = catalog("ex3", BETA)
-        time_grid = TimeGrid(0.05, 50)
-        want = _explicit_march(problem, M, time_grid)
-        got = cn_wsgd_solve(problem, M, time_grid).interior
+        problem = replace(catalog("ex3", BETA), final_time=0.05)
+        want = _explicit_march(problem, M, 50)
+        got = cn_wsgd_solve(problem, M, 50).interior
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -84,7 +83,7 @@ class TestSolvePath:
             return make_solver(*args, direct=direct, **kwargs)
 
         monkeypatch.setattr(timestepper, "make_solver", spy)
-        cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(0.05, 50),
+        cn_wsgd_solve(replace(catalog("ex3", BETA), final_time=0.05), 16, 50,
                       corrected=corrected)
         assert seen == want
 
@@ -93,25 +92,29 @@ class TestSolvePath:
     @pytest.mark.parametrize("N", [1, K - 1, K + 1])
     @pytest.mark.parametrize("M", [16, 300])
     def test_one_forcing_call_per_grid_and_step(self, M, N, corrected):
+        T = N * 1e-3
         problem = catalog("ex3", BETA)
-        rhs, times = problem.rhs, []
+        rhs, times = problem.rhs, {}
 
         def forcing(x, t):
-            times.append(t)
+            times.setdefault(len(x), []).append(t)
             return rhs(x, t)
 
-        cn_wsgd_solve(replace(problem, rhs=forcing), M, TimeGrid(N * 1e-3, N),
+        cn_wsgd_solve(replace(problem, final_time=T, rhs=forcing), M, N,
                       corrected=corrected)
-        assert len(times) == (2 * N if corrected else N)
-        assert all(type(t) is float for t in times)
+        # each grid samples every half node once, in order, as a float
+        half_nodes = [(n - 0.5) * (T / N) for n in range(1, N + 1)]
+        assert list(times) == [M - 1, 2 * M - 1][:1 + corrected]
+        for sampled in times.values():
+            assert sampled == half_nodes
+            assert all(type(t) is float for t in sampled)
 
     def test_march_at_m32_corrected_still_diverges(self):
         # the known failure of the ex3/M32/corrected benchmark operation: the
         # per-step strength overflows and the next solve refuses the field
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(ValueError, match="infs or NaNs"):
-                cn_wsgd_solve(catalog("ex3", BETA), 32, TimeGrid(1.0, 1000),
-                              corrected=True)
+                cn_wsgd_solve(catalog("ex3", BETA), 32, 1000, corrected=True)
 
 
 def _spoil_products(monkeypatch, m, first, count, factor=0.5,
@@ -159,9 +162,9 @@ class TestBlockMarch:
     # explicit inverse at 16 and 64, Gohberg-Semencul at 300
     @pytest.mark.parametrize("M", [16, 64, 300])
     def test_equals_the_per_step_march(self, M, N, corrected):
-        problem, time_grid = catalog("ex3", BETA), TimeGrid(N * 1e-3, N)
-        want = cn_march(problem, M, time_grid, corrected)
-        got = cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
+        problem = replace(catalog("ex3", BETA), final_time=N * 1e-3)
+        want = cn_march(problem, M, N, corrected)
+        got = cn_wsgd_solve(problem, M, N, corrected=corrected)
         assert np.array_equal(got.interior, want)
 
     # even a march of one step holds A^-1: Gohberg-Semencul on these grids
@@ -174,22 +177,22 @@ class TestBlockMarch:
             paths.append(solver.path)
             return solver
 
-        problem, time_grid = catalog("ex3", BETA), TimeGrid(1e-3, 1)
-        want = cn_march(problem, M, time_grid, corrected)
+        problem = replace(catalog("ex3", BETA), final_time=1e-3)
+        want = cn_march(problem, M, 1, corrected)
         monkeypatch.setattr(timestepper, "make_solver", spy)
-        got = cn_wsgd_solve(problem, M, time_grid, corrected=corrected)
+        got = cn_wsgd_solve(problem, M, 1, corrected=corrected)
         assert paths == ["gohberg-semencul"] * (1 + corrected)
         assert np.array_equal(got.interior, want)
 
     # the second block's middle step misses the bound on one grid
     @pytest.mark.parametrize("corrected,m", [(False, 15), (True, 15), (True, 31)])
     def test_a_step_that_misses_is_solved_again(self, monkeypatch, corrected, m):
-        problem, time_grid = catalog("ex3", BETA), TimeGrid(1.0, 1000)
-        want = cn_march(problem, 16, time_grid, corrected)
+        problem = catalog("ex3", BETA)
+        want = cn_march(problem, 16, 1000, corrected)
         step = K + K // 2
         _spoil_products(monkeypatch, m, step, 1)
         diag = {}
-        got = cn_wsgd_solve(problem, 16, time_grid, corrected=corrected,
+        got = cn_wsgd_solve(problem, 16, 1000, corrected=corrected,
                             diagnostics=diag)
         assert np.array_equal(got.interior, want)
         assert diag["refinements"] == 1
@@ -199,26 +202,25 @@ class TestBlockMarch:
         # every unchecked product from the second block's middle step on is
         # spoiled; the checked solves, which precondition with the exact
         # inverse, still march every step as the per-step march does
-        problem, time_grid = catalog("ex3", BETA), TimeGrid(1.0, 1000)
-        want = cn_march(problem, 16, time_grid, False)
+        problem, steps = catalog("ex3", BETA), 1000
+        want = cn_march(problem, 16, steps, False)
         step = K + K // 2
         _spoil_products(monkeypatch, 15, step, None)
         diag = {}
-        got = cn_wsgd_solve(problem, 16, time_grid, diagnostics=diag)
+        got = cn_wsgd_solve(problem, 16, steps, diagnostics=diag)
         assert np.array_equal(got.interior, want)
-        assert diag["refinements"] == time_grid.N - step + 1
+        assert diag["refinements"] == steps - step + 1
 
     def test_a_nan_on_the_fine_grid_alone_is_solved_again(self, monkeypatch):
         # only the fine grid's product at the first block's last step is not
         # finite, so only the fine grid's largest eta of the block is NaN: a
         # maximum taken across the grids, which drops a NaN, would accept
         # the block
-        problem, time_grid = catalog("ex3", BETA), TimeGrid(0.1, 100)
-        want = cn_march(problem, 16, time_grid, True)
+        problem = replace(catalog("ex3", BETA), final_time=0.1)
+        want = cn_march(problem, 16, 100, True)
         _spoil_products(monkeypatch, 31, K, 1, factor=np.nan)
         diag = {}
-        got = cn_wsgd_solve(problem, 16, time_grid, corrected=True,
-                            diagnostics=diag)
+        got = cn_wsgd_solve(problem, 16, 100, corrected=True, diagnostics=diag)
         assert np.array_equal(got.interior, want)
         assert diag["refinements"] == 1
 
@@ -230,7 +232,7 @@ class TestBlockMarch:
         _spoil_products(monkeypatch, 15, K + K // 2, None, factor=np.nan,
                         method="_precondition")
         with pytest.raises(SolverError, match="not finite") as info:
-            cn_wsgd_solve(catalog("ex3", BETA), 16, TimeGrid(1.0, 1000))
+            cn_wsgd_solve(catalog("ex3", BETA), 16, 1000)
         self._assert_no_block(info.tb)
 
     # explicit inverse at 16, Gohberg-Semencul at 300
@@ -241,9 +243,10 @@ class TestBlockMarch:
         # pass raises at that step, as its solve refuses the right-hand
         # side.  No later block is marched, nothing warns, and the traceback
         # holds no block of rows
-        problem, time_grid = catalog("ex3", BETA), TimeGrid(1.0, 1000)
+        problem = catalog("ex3", BETA)
+        tau = problem.final_time / 1000
         rhs, times = problem.rhs, []
-        bad = time_grid.half_node(K + K // 2)
+        bad = (K + K // 2 - 0.5) * tau
 
         def forcing(x, t):
             times.append(t)
@@ -252,8 +255,8 @@ class TestBlockMarch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="infs or NaNs") as info:
-                cn_wsgd_solve(replace(problem, rhs=forcing), M, time_grid)
-        assert max(times) <= time_grid.half_node(2 * K)
+                cn_wsgd_solve(replace(problem, rhs=forcing), M, 1000)
+        assert max(times) <= (2 * K - 0.5) * tau
         self._assert_no_block(info.tb)
 
     @pytest.mark.parametrize("M", [16, 300])
@@ -261,8 +264,8 @@ class TestBlockMarch:
         # the forcing is not finite only on its first sample at that time:
         # the unchecked pass misses the bound from that step to the block's
         # end, and the checked pass marches those steps as the per-step march
-        problem, time_grid = catalog("ex3", BETA), TimeGrid(1.0, 1000)
-        rhs, bad, spoiled = problem.rhs, time_grid.half_node(K + K // 2), []
+        problem = catalog("ex3", BETA)
+        rhs, bad, spoiled = problem.rhs, (K + K // 2 - 0.5) * 1e-3, []
 
         def forcing(x, t):
             f = rhs(x, t)
@@ -271,9 +274,9 @@ class TestBlockMarch:
                 return f * np.nan
             return f
 
-        want = cn_march(problem, M, time_grid, False)
+        want = cn_march(problem, M, 1000, False)
         diag = {}
-        got = cn_wsgd_solve(replace(problem, rhs=forcing), M, time_grid,
+        got = cn_wsgd_solve(replace(problem, rhs=forcing), M, 1000,
                             diagnostics=diag)
         assert np.array_equal(got.interior, want)
         assert diag["refinements"] == K - K // 2 + 1
@@ -281,8 +284,7 @@ class TestBlockMarch:
     def test_known_failure_traceback_holds_no_block(self):
         with pytest.warns(RuntimeWarning, match="overflow") as record:
             with pytest.raises(ValueError, match="infs or NaNs") as info:
-                cn_wsgd_solve(catalog("ex3", BETA), 32, TimeGrid(1.0, 1000),
-                              corrected=True)
+                cn_wsgd_solve(catalog("ex3", BETA), 32, 1000, corrected=True)
         assert all("overflow" in str(w.message) for w in record)
         self._assert_no_block(info.tb)
 
@@ -304,7 +306,7 @@ class TestBlockMarch:
     def test_diagnostics_and_report_record_the_checks(self, monkeypatch):
         problem = catalog("ex3", BETA)
         diag = {}
-        cn_wsgd_solve(problem, 16, TimeGrid(1.0, 100), diagnostics=diag)
+        cn_wsgd_solve(problem, 16, 100, diagnostics=diag)
         assert diag["refinements"] == 0
         assert 0.0 < diag["backward_error_max"] <= BACKWARD_ERROR_BOUND
         _spoil_products(monkeypatch, 15, 50, 1)
@@ -350,20 +352,20 @@ class TestRejects:
         problem = catalog("ex3", BETA)
         two_sided = replace(problem, params=FracParams(0.0, BETA, 0.5))
         with pytest.raises(ValueError, match="theta = 1"):
-            cn_wsgd_solve(two_sided, 16, TimeGrid(1.0, 4))
+            cn_wsgd_solve(two_sided, 16, 4)
 
     # the corrector's pair check, as for the stationary correction
     @pytest.mark.parametrize("M", [4, 6, 15])
     def test_interval_count_when_corrected(self, M):
         with pytest.raises(ValueError, match="even interval count >= 8"):
-            cn_wsgd_solve(catalog("ex3", BETA), M, TimeGrid(1.0, 4), corrected=True)
+            cn_wsgd_solve(catalog("ex3", BETA), M, 4, corrected=True)
 
     @pytest.mark.parametrize("N", [0, -3])
     def test_no_time_steps(self, N):
         with pytest.raises(ValueError, match="at least one time step"):
-            TimeGrid(1.0, N)
+            cn_wsgd_solve(catalog("ex3", BETA), 16, N)
 
     @pytest.mark.parametrize("T", [0.0, -1.0, float("nan")])
     def test_nonpositive_final_time(self, T):
-        with pytest.raises(ValueError, match="final time"):
-            TimeGrid(T, 10)
+        with pytest.raises(ValueError, match="final time must be positive"):
+            replace(catalog("ex3", BETA), final_time=T)
