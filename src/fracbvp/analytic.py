@@ -36,21 +36,6 @@ import numpy as np
 #: ``beta - 1``), so exact integer tests would be too brittle.
 POLE_TOL = 1e-9
 
-_GAMMA_SMALL = 170.0
-
-
-def _gamma_sign(x: float) -> float:
-    """Sign of Gamma(x) off its poles: negative on (-1, 0), (-3, -2), ..."""
-    return -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
-
-
-def gamma_ratio(p: float, q: float) -> float:
-    """Gamma(p)/Gamma(q) with overflow-safe evaluation for large arguments."""
-    if abs(p) <= _GAMMA_SMALL and abs(q) <= _GAMMA_SMALL:
-        return math.gamma(p) / math.gamma(q)
-    sign = _gamma_sign(p) * _gamma_sign(q)
-    return sign * math.exp(math.lgamma(p) - math.lgamma(q))
-
 
 def _near_int(x: float) -> int | None:
     k = round(x)
@@ -173,9 +158,9 @@ def left_rl_derivative_power(beta: float, xi: float) -> PowerSum:
         raise ValueError(f"exponent must exceed -1, got {xi!r}")
     d = xi + 1.0 - beta
     k = _near_int(d)
-    fac = 0.0 if k is not None and k <= 0 else gamma_ratio(xi + 1.0, d)
-    if fac == 0.0:
+    if k is not None and k <= 0:
         return PowerSum.zero()
+    fac = math.gamma(xi + 1.0) / math.gamma(d)
     return PowerSum((PowerTerm(fac, xi - beta, 0.0),))
 
 

@@ -67,17 +67,17 @@ class TimeDependentProblem:
     """A space-fractional diffusion problem ``u_t = D u + f`` on (0, 1).
 
     Only the one-sided case ``theta = 1`` is covered by the time stepper,
-    which marches from t = 0 to ``final_time``; a final time that is not
-    positive is refused.  ``params.alpha`` plays no role here (there is
-    no reaction term).  ``singular`` is the operator's leading singular
-    term, derived from ``params`` on first use, as for :class:`ProblemSpec`.
+    which marches from rest (u = 0 at t = 0) to ``final_time``; a final
+    time that is not positive is refused.  ``params.alpha`` plays no role
+    here (there is no reaction term).  ``singular`` is the operator's
+    leading singular term, derived from ``params`` on first use, as for
+    :class:`ProblemSpec`.
     """
 
     name: str
     params: FracParams
     final_time: float
     rhs: Callable[[np.ndarray, float], np.ndarray]
-    initial: Callable[[np.ndarray], np.ndarray]
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     singular = ProblemSpec.singular
@@ -136,12 +136,8 @@ def _ex3(beta: float) -> TimeDependentProblem:
     def exact(x, t):
         return t ** 3 * profile(x)
 
-    def initial(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     return TimeDependentProblem(
-        name="ex3", params=params, final_time=1.0,
-        rhs=rhs, initial=initial, exact=exact)
+        name="ex3", params=params, final_time=1.0, rhs=rhs, exact=exact)
 
 
 def catalog(name: str, beta: float):

@@ -13,7 +13,7 @@ import sys
 from .analytic import singular_exponents
 from .catalog import CATALOG_NAMES, catalog, with_overrides
 from .correction import ConfigError, correct
-from .report import emit_nodal, emit_pointwise_error
+from .report import emit_nodal
 from .solver import SchemeKind, SolverError, solve_bvp
 from .study import StudyConfig, emit_reports, run_study, run_time_study
 
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "two-grid singularity correction.")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    solve = sub.add_parser("solve", help="solve one problem and write x,u data")
+    solve = sub.add_parser("solve", help="solve one problem; write x,abs_error or x,u")
     _add_stationary(solve)
     solve.add_argument("--grids", type=int, nargs="+", default=[256],
                        help="interval count (one value)")
@@ -106,10 +106,11 @@ def _cmd_solve(args) -> int:
             "theta": p.theta, "scheme": args.scheme, "corrected": args.correct,
             "M": M, "rho_left": rho_left, "rho_right": rho_right,
             "guard_activations": guards}
+    x = u.grid.nodes()
     if problem.exact is not None:
-        emit_pointwise_error(u, problem.exact, out, metadata=meta)
+        emit_nodal(out, "x,abs_error", x, abs(u.values - problem.exact(x)), meta)
     else:
-        emit_nodal(out, "x,u", u.grid.nodes(), u.values, meta)
+        emit_nodal(out, "x,u", x, u.values, meta)
     print(out)
     return EXIT_OK
 

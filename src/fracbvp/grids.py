@@ -54,10 +54,6 @@ class GridFunction:
         vals[1:-1] = interior
         return cls(grid, vals)
 
-    @property
-    def interior(self) -> np.ndarray:
-        return self.values[1:-1]
-
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 

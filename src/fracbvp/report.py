@@ -9,8 +9,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import GridFunction
-
 CSV_HEADER = "M,err_max,err_l2,rate,wall_seconds"
 
 
@@ -104,12 +102,3 @@ def emit_nodal(path, header: str, x, column, metadata: Optional[dict] = None) ->
     lines += [f"{_fmt(xi)},{_fmt(vi)}" for xi, vi in zip(x, column)]
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def emit_pointwise_error(solution: GridFunction, exact, path,
-                         metadata: Optional[dict] = None) -> Path:
-    """Write per-node absolute errors as an ``x,abs_error`` CSV file;
-    ``exact`` is evaluated at the solution's nodes."""
-    x = solution.grid.nodes()
-    err = np.abs(solution.values - np.asarray(exact(x), dtype=float))
-    return emit_nodal(path, "x,abs_error", x, err, metadata)

@@ -1,7 +1,7 @@
 """Crank-Nicolson time stepping for the one-sided diffusion problem.
 
-A march takes N uniform steps of ``tau = T / N`` to the problem's own
-final time T.  Step n solves
+A march starts from rest, u = 0 at t = 0, and takes N uniform steps of
+``tau = T / N`` to the problem's own final time T.  Step n solves
 ``(I - tau/2 D) u^n = (I + tau/2 D) u^{n-1} + tau f^{n-1/2}`` with ``D``
 the theta-weighted spatial operator and ``f`` sampled at the half node
 ``t_{n-1/2} = (n - 1/2) tau``.  With ``A = I - tau/2 D`` the explicit
@@ -75,8 +75,9 @@ BLOCK_STEPS = 32
 def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, steps: int,
                   corrected: bool = False,
                   diagnostics: Optional[dict] = None) -> GridFunction:
-    """March the CN scheme ``steps`` steps of ``tau = problem.final_time /
-    steps`` to the problem's final time; returns the field on grid M.
+    """March the CN scheme from rest (u = 0 at t = 0) ``steps`` steps of
+    ``tau = problem.final_time / steps`` to the problem's final time;
+    returns the field on grid M.
 
     With ``corrected=True`` the two-grid correction runs inside every
     step and the returned coarse-grid field is the corrected one (it
@@ -101,7 +102,7 @@ def cn_wsgd_solve(problem: "TimeDependentProblem", M: int, steps: int,
     solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau / 2, direct=True)
                for grid in grids]
     nodes = [grid.interior_nodes() for grid in grids]
-    state = [np.asarray(problem.initial(x), dtype=float) for x in nodes]
+    state = [np.zeros(len(x)) for x in nodes]
 
     corrector = None
     if corrected:

@@ -93,7 +93,7 @@ def apply_left_wsgd(v: GridFunction, beta: float) -> GridFunction:
     """
     grid = v.grid
     col, row = left_wsgd_toeplitz(grid, beta)
-    y = toeplitz_matvec(col, row, v.interior)
+    y = toeplitz_matvec(col, row, v.values[1:-1])
     y[-1] += weight_table(beta, grid.M).w[0] * grid.h ** (-beta) * v.values[-1]
     return GridFunction.from_interior(grid, y)
 
@@ -102,7 +102,7 @@ def apply_right_wsgd(v: GridFunction, beta: float) -> GridFunction:
     """Right WSGD operator; mirror image of :func:`apply_left_wsgd`."""
     grid = v.grid
     col, row = left_wsgd_toeplitz(grid, beta)
-    y = toeplitz_matvec(row, col, v.interior)  # transpose product
+    y = toeplitz_matvec(row, col, v.values[1:-1])  # transpose product
     y[0] += weight_table(beta, grid.M).w[0] * grid.h ** (-beta) * v.values[0]
     return GridFunction.from_interior(grid, y)
 
@@ -112,7 +112,7 @@ def apply_fcd(v: GridFunction, beta: float) -> GridFunction:
     grid = v.grid
     t = weight_table(beta, grid.M)
     col, row = fcd_toeplitz(grid, beta)
-    y = toeplitz_matvec(col, row, v.interior)
+    y = toeplitz_matvec(col, row, v.values[1:-1])
     scale = grid.h ** (-beta)
     j = np.arange(1, grid.M)
     # the boundary weights are w~_j and w~_{j-M}, which equals w~_{M-j}
@@ -121,9 +121,9 @@ def apply_fcd(v: GridFunction, beta: float) -> GridFunction:
 
 
 def cn_march(problem, M: int, steps: int, corrected: bool = False) -> np.ndarray:
-    """Crank-Nicolson march one checked solve at a time, ``steps`` steps of
-    ``tau = problem.final_time / steps``: interior values at the final
-    time on grid M (the corrected coarse field when corrected).
+    """Crank-Nicolson march from rest one checked solve at a time, ``steps``
+    steps of ``tau = problem.final_time / steps``: interior values at the
+    final time on grid M (the corrected coarse field when corrected).
 
     Every step is ``u <- 2 A^-1 (u + (tau/2) f) - u`` through
     ``ToeplitzSolver.solve`` on the direct path ``make_solver`` gives the
@@ -141,7 +141,7 @@ def cn_march(problem, M: int, steps: int, corrected: bool = False) -> np.ndarray
     solvers = [make_solver(stepping, grid, SchemeKind.WSGD, half_tau, direct=True)
                for grid in grids]
     nodes = [grid.interior_nodes() for grid in grids]
-    u = [np.asarray(problem.initial(x), dtype=float) for x in nodes]
+    u = [np.zeros(len(x)) for x in nodes]
     if corrected:
         sing = problem.singular
         fs_tau = ((1.0 - half_tau * problem.params.alpha) * sing.us

@@ -226,7 +226,7 @@ class TestCatalog:
         grid = Grid(2 ** 14)
         v = GridFunction(grid, spec.exact(grid.nodes()))
         dv = apply_left_wsgd(v, beta)
-        lhs = spec.params.alpha * v.interior - dv.interior
+        lhs = spec.params.alpha * v.values[1:-1] - dv.values[1:-1]
         rhs = spec.rhs(grid.interior_nodes())
         mid = slice(2 ** 12, 3 * 2 ** 12)  # central half of the interval
         h = grid.h
@@ -237,7 +237,6 @@ class TestCatalog:
         beta = 1.6
         prob = catalog("ex3", beta)
         assert prob.final_time == 1.0
-        np.testing.assert_allclose(prob.initial(XS), 0.0, atol=0)
         np.testing.assert_allclose(
             prob.exact(XS, 1.0),
             (XS ** (beta - 1) + XS ** 2 + XS ** (1 + beta)) * (1 - XS),

@@ -15,7 +15,7 @@ import pytest
 from fracbvp import cli, study
 from fracbvp.catalog import catalog
 from fracbvp.report import parse_report_json
-from fracbvp.solver import PATHS, SchemeKind, SolverError
+from fracbvp.solver import PATHS, SchemeKind, SolverError, solve_bvp
 from fracbvp.study import reference_solution
 
 EPS = np.finfo(float).eps
@@ -139,6 +139,23 @@ def test_solve_without_exact_solution_writes_values(tmp_path):
     values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     assert values.shape == (65, 2)
     assert np.isfinite(values).all()
+
+
+def test_solve_writes_the_pointwise_error_of_the_solve(tmp_path):
+    # the .16e format round-trips every double, so the column is |u - exact|
+    # of the same solve, bit for bit
+    out = tmp_path / "u.csv"
+    argv = ["solve", "--example", "ex1-case1", "--grids", "64", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = [line for line in out.read_text().splitlines()
+            if line and not line.startswith("#")]
+    assert rows[0] == "x,abs_error"
+    problem = catalog("ex1-case1", 1.5)
+    u = solve_bvp(problem, 64, SchemeKind.WSGD)
+    x = u.grid.nodes()
+    written = np.loadtxt(rows[1:], delimiter=",")
+    assert np.array_equal(written[:, 0], x)
+    assert np.array_equal(written[:, 1], np.abs(u.values - problem.exact(x)))
 
 
 @pytest.mark.parametrize("example,theta,rho_left,rho_right", [

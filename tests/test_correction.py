@@ -38,7 +38,7 @@ class TestXiStrength:
         prob, sing = _pure_singular_problem(1.5, 1.0)
         sol, raw, xi = _strength(prob, 64, SchemeKind.WSGD)
         np.testing.assert_array_equal(xi, 1.0)
-        np.testing.assert_array_equal(raw.u, sol.corrected_coarse.interior
+        np.testing.assert_array_equal(raw.u, sol.corrected_coarse.values[1:-1]
                                       - (sing.us(raw.nodes) - raw.u))
 
     def test_pure_singular_corrected_to_exact(self):
@@ -162,11 +162,11 @@ class TestGuard:
         assert len(xi) == 4095 and coarse.nodes[4086] > 0.9975
         np.testing.assert_array_equal(xi[:4086], num[:4086] / corrector.den[:4086])
         np.testing.assert_array_equal(xi[4086:], 0.0)
-        np.testing.assert_array_equal(sol.corrected_coarse.interior[4086:],
+        np.testing.assert_array_equal(sol.corrected_coarse.values[4087:-1],
                                       coarse.u[4086:])
         # fine nodes 8172 on are the midpoints and twins of coarse nodes
         # 4086 on
-        np.testing.assert_array_equal(sol.corrected_fine.interior[8172:],
+        np.testing.assert_array_equal(sol.corrected_fine.values[8173:-1],
                                       fine.u[8172:])
         # frozen: the study row's error on the fine grid
         f = sol.corrected_fine
@@ -255,7 +255,7 @@ class TestCorrect:
         sol = correct(spec, 128, SchemeKind.WSGD, solved)
         xc = solved[128].nodes
         raw = np.max(np.abs(solved[128].u - spec.exact(xc)))
-        done = np.max(np.abs(sol.corrected_coarse.interior - spec.exact(xc)))
+        done = np.max(np.abs(sol.corrected_coarse.values[1:-1] - spec.exact(xc)))
         assert done < raw / 50.0
 
     def test_declares_two_solves_per_grid(self, monkeypatch):

@@ -30,20 +30,19 @@ class TestClassicalLimit:
     def test_left_wsgd_beta2_on_quadratic(self):
         grid = Grid(64)
         out = apply_left_wsgd(_quadratic(grid), 2.0)
-        np.testing.assert_allclose(out.interior, -2.0, rtol=1e-10)
+        np.testing.assert_allclose(out.values[1:-1], -2.0, rtol=1e-10)
         assert out.values[0] == 0.0 and out.values[-1] == 0.0
 
     def test_right_wsgd_beta2_matches_left(self):
         grid = Grid(64)
         v = _quadratic(grid)
-        np.testing.assert_allclose(
-            apply_right_wsgd(v, 2.0).interior, apply_left_wsgd(v, 2.0).interior,
-            rtol=1e-9)
+        np.testing.assert_allclose(apply_right_wsgd(v, 2.0).values,
+                                   apply_left_wsgd(v, 2.0).values, rtol=1e-9)
 
     def test_fcd_beta2_on_quadratic(self):
         grid = Grid(64)
         out = apply_fcd(_quadratic(grid), 2.0)
-        np.testing.assert_allclose(out.interior, -2.0, rtol=1e-10)
+        np.testing.assert_allclose(out.values[1:-1], -2.0, rtol=1e-10)
 
 
 class TestAgainstDenseOracle:
@@ -57,16 +56,16 @@ class TestAgainstDenseOracle:
         grid = Grid(8)
         x = grid.nodes()
         v = GridFunction(grid, x ** 1.5 * (1 - x))
-        got = apply_left_wsgd(v, 1.5).interior
-        oracle = left_wsgd_matrix(grid, 1.5) @ v.interior
+        got = apply_left_wsgd(v, 1.5).values[1:-1]
+        oracle = left_wsgd_matrix(grid, 1.5) @ v.values[1:-1]
         np.testing.assert_allclose(got, oracle, atol=1e-13)
 
     def test_right_matches_transpose_oracle(self):
         grid = Grid(8)
         rng = np.random.default_rng(3)
         v = GridFunction.from_interior(grid, rng.uniform(-1, 1, grid.M - 1))
-        got = apply_right_wsgd(v, 1.3).interior
-        oracle = left_wsgd_matrix(grid, 1.3).T @ v.interior
+        got = apply_right_wsgd(v, 1.3).values[1:-1]
+        oracle = left_wsgd_matrix(grid, 1.3).T @ v.values[1:-1]
         np.testing.assert_allclose(got, oracle, atol=1e-13)
         np.testing.assert_array_equal(
             right_wsgd_matrix(grid, 1.3), left_wsgd_matrix(grid, 1.3).T)
@@ -75,8 +74,8 @@ class TestAgainstDenseOracle:
         grid = Grid(8)
         rng = np.random.default_rng(4)
         v = GridFunction.from_interior(grid, rng.uniform(-1, 1, grid.M - 1))
-        got = apply_fcd(v, 1.7).interior
-        oracle = fcd_matrix(grid, 1.7) @ v.interior
+        got = apply_fcd(v, 1.7).values[1:-1]
+        oracle = fcd_matrix(grid, 1.7) @ v.values[1:-1]
         np.testing.assert_allclose(got, oracle, atol=1e-13)
         np.testing.assert_array_equal(fcd_matrix(grid, 1.7), fcd_matrix(grid, 1.7).T)
 
@@ -99,10 +98,10 @@ class TestAgainstDenseOracle:
         t = weight_table(1.5, grid.M)
         scale = grid.h ** -1.5
         out = apply_left_wsgd(v, 1.5)
-        assert out.interior[-1] == pytest.approx(2.0 * t.w[0] * scale, rel=1e-14)
+        assert out.values[-2] == pytest.approx(2.0 * t.w[0] * scale, rel=1e-14)
         out = apply_fcd(v, 1.5)
         np.testing.assert_allclose(
-            out.interior,
+            out.values[1:-1],
             2.0 * scale * t.wc[grid.M - np.arange(1, grid.M)], rtol=1e-13)
 
 

@@ -42,7 +42,7 @@ def _explicit_march(problem, M, steps):
     ecol, erow = scheme_toeplitz(stepping, grid, SchemeKind.WSGD,
                                  frac_scale=-0.5 * tau)
     x = grid.interior_nodes()
-    u = problem.initial(x)
+    u = np.zeros(len(x))
     for n in range(1, steps + 1):
         f = problem.rhs(x, (n - 0.5) * tau)
         u = solver.solve(toeplitz_matvec(ecol, erow, u) + tau * f)
@@ -54,7 +54,7 @@ class TestOneSolveStep:
     def test_matches_explicit_product(self, M):
         problem = replace(catalog("ex3", BETA), final_time=0.05)
         want = _explicit_march(problem, M, 50)
-        got = cn_wsgd_solve(problem, M, 50).interior
+        got = cn_wsgd_solve(problem, M, 50).values[1:-1]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -165,7 +165,21 @@ class TestBlockMarch:
         problem = replace(catalog("ex3", BETA), final_time=N * 1e-3)
         want = cn_march(problem, M, N, corrected)
         got = cn_wsgd_solve(problem, M, N, corrected=corrected)
-        assert np.array_equal(got.interior, want)
+        assert np.array_equal(got.values[1:-1], want)
+
+    # explicit inverse at 16, Gohberg-Semencul at 300
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("M", [16, 300])
+    def test_no_forcing_keeps_the_rest_state(self, M, corrected):
+        # a march starts from rest, so without forcing it stays there, over
+        # a block boundary
+        problem = replace(catalog("ex3", BETA), final_time=(K + 1) * 1e-3,
+                          rhs=lambda x, t: np.zeros(len(x)))
+        diag = {}
+        got = cn_wsgd_solve(problem, M, K + 1, corrected=corrected,
+                            diagnostics=diag)
+        assert np.array_equal(got.values, np.zeros(M + 1))
+        assert diag["refinements"] == 0
 
     # even a march of one step holds A^-1: Gohberg-Semencul on these grids
     @pytest.mark.parametrize("M,corrected", [(2048, False), (1024, True)])
@@ -182,7 +196,7 @@ class TestBlockMarch:
         monkeypatch.setattr(timestepper, "make_solver", spy)
         got = cn_wsgd_solve(problem, M, 1, corrected=corrected)
         assert paths == ["gohberg-semencul"] * (1 + corrected)
-        assert np.array_equal(got.interior, want)
+        assert np.array_equal(got.values[1:-1], want)
 
     # the second block's middle step misses the bound on one grid
     @pytest.mark.parametrize("corrected,m", [(False, 15), (True, 15), (True, 31)])
@@ -194,7 +208,7 @@ class TestBlockMarch:
         diag = {}
         got = cn_wsgd_solve(problem, 16, 1000, corrected=corrected,
                             diagnostics=diag)
-        assert np.array_equal(got.interior, want)
+        assert np.array_equal(got.values[1:-1], want)
         assert diag["refinements"] == 1
         assert 0.0 < diag["backward_error_max"] <= BACKWARD_ERROR_BOUND
 
@@ -208,7 +222,7 @@ class TestBlockMarch:
         _spoil_products(monkeypatch, 15, step, None)
         diag = {}
         got = cn_wsgd_solve(problem, 16, steps, diagnostics=diag)
-        assert np.array_equal(got.interior, want)
+        assert np.array_equal(got.values[1:-1], want)
         assert diag["refinements"] == steps - step + 1
 
     def test_a_nan_on_the_fine_grid_alone_is_solved_again(self, monkeypatch):
@@ -221,7 +235,7 @@ class TestBlockMarch:
         _spoil_products(monkeypatch, 31, K, 1, factor=np.nan)
         diag = {}
         got = cn_wsgd_solve(problem, 16, 100, corrected=True, diagnostics=diag)
-        assert np.array_equal(got.interior, want)
+        assert np.array_equal(got.values[1:-1], want)
         assert diag["refinements"] == 1
 
     def test_a_solution_that_is_not_finite_is_solved_again(self, monkeypatch):
@@ -278,7 +292,7 @@ class TestBlockMarch:
         diag = {}
         got = cn_wsgd_solve(replace(problem, rhs=forcing), M, 1000,
                             diagnostics=diag)
-        assert np.array_equal(got.interior, want)
+        assert np.array_equal(got.values[1:-1], want)
         assert diag["refinements"] == K - K // 2 + 1
 
     def test_known_failure_traceback_holds_no_block(self):
