@@ -1,27 +1,11 @@
-"""Discrete fractional difference operators and fast Toeplitz products.
-
-The three grid operators are
-
-* left WSGD:   ``L v_j = h**-beta * sum_{k=0..j}   w_k v_{j-k+1}``
-* right WSGD:  ``R v_j = h**-beta * sum_{k=0..M-j} w_k v_{j+k-1}``
-* centered:    ``C v_j = h**-beta * sum_{k=j-M..j} w~_k v_{j-k}``
-
-for interior nodes ``j = 1..M-1``.  On interior unknowns each operator is
-Toeplitz; this module gives the first column and row of the left WSGD and
-centered matrices (the right one is the transpose of the left), and
-products with any such matrix run through an FFT circulant embedding in
-O(M log M).
+"""Fast Toeplitz products: a product with an ``m x m`` Toeplitz matrix runs
+through an FFT circulant embedding in O(m log m).  The scheme matrices
+themselves are laid out by :func:`fracbvp.solver.scheme_toeplitz`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .grids import Grid
-from .weights import weight_table
-
-
-# -- fast Toeplitz matvec ----------------------------------------------
 
 
 def embedding_size(m: int) -> int:
@@ -66,32 +50,3 @@ def embedding_spectrum(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     c[:m] = col
     c[L - m + 1:] = row[1:][::-1]
     return np.fft.rfft(c)
-
-
-# -- operator matrices (interior unknowns) ------------------------------
-
-
-def left_wsgd_toeplitz(grid: Grid, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """First column/row of the left WSGD operator matrix.
-
-    Entry (j, i) of the interior matrix is ``h**-beta * w_{j-i+1}`` for
-    ``i <= j + 1`` (lower Hessenberg Toeplitz).
-    """
-    t = weight_table(beta, grid.M)
-    scale = grid.h ** (-beta)
-    m = grid.M - 1
-    col = t.w[1:m + 1] * scale
-    row = np.zeros(m)
-    row[0] = col[0]
-    if m > 1:
-        row[1] = t.w[0] * scale
-    return col, row
-
-
-def fcd_toeplitz(grid: Grid, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """First column/row of the (symmetric) centered operator matrix."""
-    t = weight_table(beta, grid.M)
-    scale = grid.h ** (-beta)
-    m = grid.M - 1
-    col = t.wc[:m] * scale
-    return col, col.copy()

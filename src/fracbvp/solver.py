@@ -1,12 +1,13 @@
 """Assembly and solution of the stationary WSGD and FCD schemes.
 
 The interior system for ``alpha*u - theta*D_left u - (1-theta)*D_right u = f``
-with zero Dirichlet data is Toeplitz:
+with zero Dirichlet data is Toeplitz, and :func:`scheme_toeplitz` alone
+lays it out from the weights of :func:`fracbvp.weights.weight_table`:
 
 * WSGD:  ``A = alpha*I - theta*S - (1-theta)*S.T``  with ``S`` the left
-  operator matrix,
+  WSGD matrix,
 * FCD:   ``A = alpha*I + cos(beta*pi/2) * C``       with ``C`` the centered
-  operator matrix (requires ``theta = 1/2``).
+  matrix (requires ``theta = 1/2``).
 
 A :class:`ToeplitzSolver` takes one of the three solve paths of
 ``PATHS``, named by what it holds: ``'gmres'`` holds no inverse and runs
@@ -71,8 +72,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grids import Grid, GridFunction
-from .operators import (embedding_size, embedding_spectrum, fcd_toeplitz,
-                        left_wsgd_toeplitz)
+from .operators import embedding_size, embedding_spectrum
+from .weights import weight_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import ProblemSpec
@@ -144,28 +145,33 @@ class KrylovError(SolverError):
         self.iterations = iterations
 
 
-def _check_scheme(params: FracParams, scheme: SchemeKind) -> None:
-    if scheme is SchemeKind.FCD and abs(params.theta - 0.5) > 1e-14:
-        raise ValueError(f"FCD scheme requires theta = 1/2, got theta={params.theta}")
-
-
 def scheme_toeplitz(params: FracParams, grid: Grid, scheme: SchemeKind,
                     frac_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """First column and row of the interior system matrix.
 
-    ``frac_scale`` multiplies the fractional part only, giving
+    On the interior unknowns ``j, i = 1..M-1``, with ``w_k`` and ``w~_k``
+    the WSGD and centered weights, the left WSGD matrix ``S`` has entry
+    ``S(j, i) = h**-beta * w_{j-i+1}`` for ``i <= j + 1`` and 0 above (lower
+    Hessenberg); ``S.T`` is the right WSGD matrix, and the centered matrix
+    has ``C(j, i) = h**-beta * w~_{|j-i|}``.  ``frac_scale`` multiplies the
+    fractional part only, giving
     ``alpha*I - frac_scale * (theta*S + (1-theta)*S.T)``; time steppers use
     it to build ``I -+ (tau/2) * D`` operators from the same machinery.
     """
-    _check_scheme(params, scheme)
+    if scheme is SchemeKind.FCD and abs(params.theta - 0.5) > 1e-14:
+        raise ValueError(f"FCD scheme requires theta = 1/2, got theta={params.theta}")
+    t = weight_table(params.beta, grid.M)
+    scale = grid.h ** (-params.beta)
     m = grid.M - 1
     if scheme is SchemeKind.FCD:
-        ccol, _ = fcd_toeplitz(grid, params.beta)
-        coeff = frac_scale * math.cos(0.5 * params.beta * math.pi)
-        col = coeff * ccol
+        col = (frac_scale * math.cos(0.5 * params.beta * math.pi)) * (t.wc[:m] * scale)
         col[0] += params.alpha
         return col, col.copy()
-    scol, srow = left_wsgd_toeplitz(grid, params.beta)
+    scol = t.w[1:m + 1] * scale
+    srow = np.zeros(m)
+    srow[0] = scol[0]
+    if m > 1:
+        srow[1] = t.w[0] * scale
     th = params.theta
     col = -frac_scale * (th * scol + (1.0 - th) * srow)
     row = -frac_scale * (th * srow + (1.0 - th) * scol)

@@ -11,8 +11,8 @@ Three families are provided:
 
 All sequences obey simple one-term recursions, which are preferred over
 per-index Gamma-function ratios for both speed and accuracy.  The cached
-:func:`weight_table` holds what the grid operators read: the WSGD weights
-and the nonnegative half of the centered ones.
+:func:`weight_table` holds what :func:`fracbvp.solver.scheme_toeplitz`
+reads: the WSGD weights and the nonnegative half of the centered ones.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def centered_weights_half(beta: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """The weights the grid operators read for one order.
+    """The weights :func:`fracbvp.solver.scheme_toeplitz` reads for one order.
 
     ``w`` holds the WSGD weights ``w_0 .. w_n`` and ``wc`` the centered
     half ``w~_0 .. w~_n`` (the sequence is even).  Arrays are read-only,
@@ -119,7 +119,9 @@ class WeightTable:
 
 @lru_cache(maxsize=64)
 def weight_table(beta: float, n: int) -> WeightTable:
-    """Build (or fetch from cache) the weight table for ``(beta, n)``."""
+    """Build (or fetch from cache) the weight table for ``(beta, n)``: its one
+    reader is :func:`fracbvp.solver.scheme_toeplitz`, which asks for
+    ``n = M`` on a grid of ``M`` intervals."""
     w = wsgd_weights(beta, n)
     wc = centered_weights_half(beta, n)
     for arr in (w, wc):

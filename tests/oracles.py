@@ -7,11 +7,12 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from fracbvp.analytic import PowerSum
 from fracbvp.grids import Grid, GridFunction
-from fracbvp.operators import fcd_toeplitz, left_wsgd_toeplitz, toeplitz_matvec
+from fracbvp.operators import toeplitz_matvec
 from fracbvp.correction import TwoGridCorrector
 from fracbvp.solver import FracParams, SchemeKind, make_solver, scheme_toeplitz
-from fracbvp.weights import centered_weights_half, weight_table
+from fracbvp.weights import centered_weights_half, wsgd_weights
 
 
 def toeplitz_matvec_naive(first_column: np.ndarray, first_row: np.ndarray,
@@ -63,6 +64,17 @@ def strang_preconditioner(col: np.ndarray, row: np.ndarray, order: int) -> np.nd
     return np.linalg.inv(scipy.linalg.circulant(c))[:m, :m]
 
 
+def left_wsgd_toeplitz(grid: Grid, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """First column and row of the left WSGD operator on interior unknowns,
+    straight from the weights: entry ``(j, i)`` is ``h**-beta * w_{j-i+1}``
+    for ``i <= j + 1`` and 0 above, so the row holds ``w_1, w_0`` only."""
+    m = grid.M - 1
+    w = wsgd_weights(beta, grid.M) * grid.h ** (-beta)
+    row = np.zeros(m)
+    row[:2] = (w[1], w[0])[:m]
+    return w[1:m + 1], row
+
+
 def left_wsgd_matrix(grid: Grid, beta: float) -> np.ndarray:
     """Dense left WSGD operator on interior unknowns, ``(M-1) x (M-1)``."""
     return scipy.linalg.toeplitz(*left_wsgd_toeplitz(grid, beta))
@@ -74,8 +86,10 @@ def right_wsgd_matrix(grid: Grid, beta: float) -> np.ndarray:
 
 
 def fcd_matrix(grid: Grid, beta: float) -> np.ndarray:
-    """Dense centered operator on interior unknowns (symmetric Toeplitz)."""
-    return scipy.linalg.toeplitz(*fcd_toeplitz(grid, beta))
+    """Dense centered operator on interior unknowns: entry ``(j, i)`` is
+    ``h**-beta * w~_{|j-i|}`` (symmetric Toeplitz)."""
+    wc = centered_weights_half(beta, grid.M) * grid.h ** (-beta)
+    return scipy.linalg.toeplitz(wc[:grid.M - 1])
 
 
 def assemble(params: FracParams, grid: Grid, scheme: SchemeKind,
@@ -94,7 +108,7 @@ def apply_left_wsgd(v: GridFunction, beta: float) -> GridFunction:
     grid = v.grid
     col, row = left_wsgd_toeplitz(grid, beta)
     y = toeplitz_matvec(col, row, v.values[1:-1])
-    y[-1] += weight_table(beta, grid.M).w[0] * grid.h ** (-beta) * v.values[-1]
+    y[-1] += wsgd_weights(beta, 0)[0] * grid.h ** (-beta) * v.values[-1]
     return GridFunction.from_interior(grid, y)
 
 
@@ -103,20 +117,20 @@ def apply_right_wsgd(v: GridFunction, beta: float) -> GridFunction:
     grid = v.grid
     col, row = left_wsgd_toeplitz(grid, beta)
     y = toeplitz_matvec(row, col, v.values[1:-1])  # transpose product
-    y[0] += weight_table(beta, grid.M).w[0] * grid.h ** (-beta) * v.values[0]
+    y[0] += wsgd_weights(beta, 0)[0] * grid.h ** (-beta) * v.values[0]
     return GridFunction.from_interior(grid, y)
 
 
 def apply_fcd(v: GridFunction, beta: float) -> GridFunction:
     """Centered fractional difference operator at interior nodes."""
     grid = v.grid
-    t = weight_table(beta, grid.M)
-    col, row = fcd_toeplitz(grid, beta)
-    y = toeplitz_matvec(col, row, v.values[1:-1])
     scale = grid.h ** (-beta)
+    wc = centered_weights_half(beta, grid.M)
+    col = wc[:grid.M - 1] * scale
+    y = toeplitz_matvec(col, col, v.values[1:-1])
     j = np.arange(1, grid.M)
     # the boundary weights are w~_j and w~_{j-M}, which equals w~_{M-j}
-    y += scale * (t.wc[j] * v.values[0] + t.wc[grid.M - j] * v.values[-1])
+    y += scale * (wc[j] * v.values[0] + wc[grid.M - j] * v.values[-1])
     return GridFunction.from_interior(grid, y)
 
 
@@ -186,3 +200,27 @@ def two_sided_derivative_series(p: float, q: float, beta: float, theta: float,
     x = np.asarray(x, dtype=float)
     return (theta * left_derivative_series(p, q, beta, x)
             + (1.0 - theta) * left_derivative_series(q, p, beta, 1.0 - x))
+
+
+def exact_series(alpha: float, beta: float, f_pairs, terms: int = 60) -> PowerSum:
+    """Exact solution of ``alpha*u - D_left**beta u = f`` (theta = 1) with
+    ``u(0) = u(1) = 0`` and ``f = sum c x**p`` over the ``(c, p)`` pairs,
+    truncated to ``terms`` terms per series (Kilbas, Srivastava & Trujillo,
+    *Theory and Applications of Fractional Differential Equations*, 2006,
+    ch. 4: Mittag-Leffler solutions of Riemann-Liouville equations).
+
+    ``v = sum_{k>=0} alpha**k x**((k+1)beta-1) / Gamma((k+1)beta)`` solves
+    the homogeneous equation, ``u_p = -sum_{k>=1} alpha**(k-1) I**(k beta) f``
+    with ``I**mu x**p = Gamma(p+1)/Gamma(p+1+mu) x**(p+mu)`` solves it with
+    ``f``, and ``u = c v + u_p`` with ``c = -u_p(1)/v(1)`` meets ``u(1) = 0``.
+    Independent of the schemes: it is a sum of one-sided powers, so
+    :func:`fracbvp.analytic.elliptic_rhs` checks it exactly.
+    """
+    v = PowerSum.left_anchored(
+        (alpha ** k / math.gamma((k + 1) * beta), (k + 1) * beta - 1.0)
+        for k in range(terms))
+    u_p = PowerSum.left_anchored(
+        (-alpha ** (k - 1) * c * math.gamma(p + 1.0) / math.gamma(p + 1.0 + k * beta),
+         p + k * beta)
+        for k in range(1, terms + 1) for c, p in f_pairs)
+    return ((-float(u_p(1.0)) / float(v(1.0))) * v + u_p).drop_zeros()

@@ -25,7 +25,7 @@ from fracbvp.catalog import (
 )
 from fracbvp.grids import Grid, GridFunction
 from fracbvp.solver import FracParams
-from oracles import apply_left_wsgd, two_sided_derivative_series
+from oracles import apply_left_wsgd, exact_series, two_sided_derivative_series
 
 XS = np.linspace(0.05, 0.95, 11)
 
@@ -304,6 +304,17 @@ def _ex3_rhs_termwise(beta, x, t):
     profile = _ex1_profile(beta)
     d_profile = left_derivative(profile, beta)
     return 3.0 * t * t * _termwise(profile, x) - t ** 3 * _termwise(d_profile, x)
+
+
+class TestExactSeries:
+    @pytest.mark.parametrize("beta", [1.2, 1.5, 1.8])
+    def test_solves_ex1_case2(self, beta):
+        # alpha u - D^beta u = x + 1 with u(0) = u(1) = 0, in closed form
+        u = exact_series(1.0, beta, [(1.0, 1.0), (1.0, 0.0)])
+        x = Grid(2 ** 10).interior_nodes()
+        f = elliptic_rhs(u, 1.0, beta, 1.0)(x)
+        assert np.max(np.abs(f - (x + 1.0))) <= 1e-14
+        assert float(u(0.0)) == 0.0 and abs(float(u(1.0))) <= 1e-15
 
 
 class TestBitIdentity:

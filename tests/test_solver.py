@@ -1,5 +1,8 @@
 """Scheme assembly and the direct/Krylov solve paths."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +13,7 @@ from fracbvp.catalog import catalog, manufactured
 from fracbvp.grids import Grid
 from fracbvp.analytic import PowerSum, PowerTerm
 from fracbvp import solver as solver_module
+from fracbvp import weights as weights_module
 from fracbvp.operators import toeplitz_matvec
 from fracbvp.solver import (
     BACKWARD_ERROR_BOUND,
@@ -26,8 +30,10 @@ from fracbvp.solver import (
     strang_circulant_eigenvalues,
     strang_order,
 )
-from fracbvp.weights import grunwald_coeffs, wsgd_lambdas
+from fracbvp.weights import centered_weights_half, grunwald_coeffs, wsgd_lambdas
 from oracles import assemble, strang_preconditioner
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # a path's part of a test id: the ``method`` that names its tracer spans,
 # and whether it holds the explicit inverse
@@ -63,22 +69,40 @@ class TestAssemble:
             A = assemble(FracParams(0.0, 2.0, 0.5), grid, scheme)
             np.testing.assert_array_equal(A, target)
 
-    def test_per_entry_oracle_small(self):
-        # M=4, beta=1.5, theta=1, alpha=1: I - h^-b * lower Hessenberg of w_k
-        grid = Grid(4)
-        A = assemble(FracParams(1.0, 1.5, 1.0), grid, SchemeKind.WSGD)
-        lam1, lam0, lam_neg1 = wsgd_lambdas(1.5)
-        g = grunwald_coeffs(1.5, 4)
-        w = [lam1 * g[0], lam1 * g[1] + lam0 * g[0]]
-        w += [lam1 * g[k] + lam0 * g[k - 1] + lam_neg1 * g[k - 2] for k in (2, 3, 4)]
-        scale = grid.h ** -1.5
-        oracle = np.zeros((3, 3))
-        for j in range(3):
-            for i in range(3):
-                if j - i + 1 >= 0:
-                    oracle[j, i] = -scale * w[j - i + 1]
-            oracle[j, j] += 1.0
-        np.testing.assert_allclose(A, oracle, rtol=1e-14, atol=1e-14)
+    @pytest.mark.parametrize("M", (2, 3, 8))
+    @pytest.mark.parametrize("frac_scale", (1.0, 2.5e-4))
+    @pytest.mark.parametrize("alpha", (0.0, 1.0))
+    @pytest.mark.parametrize("scheme,theta", [
+        (SchemeKind.WSGD, 0.0), (SchemeKind.WSGD, 0.3), (SchemeKind.WSGD, 1.0),
+        (SchemeKind.FCD, 0.5)], ids=["wsgd-0", "wsgd-0.3", "wsgd-1", "fcd"])
+    def test_per_entry_oracle_small(self, scheme, theta, alpha, frac_scale, M):
+        # entry (j, i) of the interior matrix, from the stencils: WSGD is
+        # alpha [j = i] - frac_scale (theta S(j, i) + (1 - theta) S(i, j)) with
+        # S(j, i) = h^-b w_{j-i+1} for i <= j + 1, FCD is
+        # alpha [j = i] + frac_scale cos(b pi/2) h^-b w~_{|j-i|}; M = 2 is the
+        # one-unknown system, which has no second row entry
+        beta = 1.5
+        grid = Grid(M)
+        A = assemble(FracParams(alpha, beta, theta), grid, scheme, frac_scale)
+        scale = grid.h ** -beta
+        lam1, lam0, lam_neg1 = wsgd_lambdas(beta)
+        g = np.concatenate(([0.0, 0.0], grunwald_coeffs(beta, M)))  # g[k] is g_{k-2}
+        w = [lam1 * g[k + 2] + lam0 * g[k + 1] + lam_neg1 * g[k] for k in range(M + 1)]
+        wc = centered_weights_half(beta, M)
+
+        def S(j, i):
+            return scale * w[j - i + 1] if i <= j + 1 else 0.0
+
+        oracle = np.eye(M - 1) * alpha
+        for j in range(M - 1):
+            for i in range(M - 1):
+                if scheme is SchemeKind.FCD:
+                    oracle[j, i] += (frac_scale * math.cos(beta * math.pi / 2)
+                                     * scale * wc[abs(j - i)])
+                else:
+                    oracle[j, i] -= frac_scale * (theta * S(j, i) + (1 - theta) * S(i, j))
+        assert A.shape == oracle.shape
+        np.testing.assert_allclose(A, oracle, rtol=1e-14, atol=1e-14 * frac_scale)
 
     def test_theta_zero_is_transpose_of_theta_one(self):
         grid = Grid(16)
@@ -99,6 +123,25 @@ class TestAssemble:
         B = assemble(p, grid, SchemeKind.WSGD, frac_scale=0.5)
         I = np.eye(grid.M - 1)
         np.testing.assert_allclose(B - I, 0.5 * (A - I), rtol=1e-14, atol=1e-14)
+
+    def test_perfbench_tracer_counts_the_table_build(self, monkeypatch):
+        # perfbench/tracing.py counts weights.table_builds through the
+        # weight_table name each fracbvp module binds: scheme_toeplitz reads
+        # the table through solver's binding, once per (beta, M)
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import tracing
+
+        tracer = tracing.Tracer()
+        weights_module.weight_table.cache_clear()
+        tracer.install()
+        try:
+            for _ in range(2):
+                scheme_toeplitz(FracParams(1.0, 1.5, 1.0), Grid(64), SchemeKind.WSGD)
+            metrics = tracer.drain()
+        finally:
+            tracer.uninstall()
+        assert metrics["weights.table_builds"] == (1, "count")
+        assert solver_module.weight_table is weights_module.weight_table
 
 
 class TestSolve:

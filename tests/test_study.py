@@ -20,6 +20,7 @@ from fracbvp.study import (
     run_study,
     run_time_study,
 )
+from oracles import exact_series
 
 
 class TestStudyConfig:
@@ -180,6 +181,20 @@ def test_rates_of_grids_that_do_not_double():
     (report,) = run_study(config)
     rates = [row.rate for row in report.rows[1:]]
     assert np.allclose(rates, 0.5, rtol=0.0, atol=0.02), rates
+
+
+@pytest.mark.parametrize("beta,rates", [(1.8, (2.27, 2.13, 2.02, 1.94)),
+                                         (1.2, (1.41, 1.40, 1.40, 1.40))],
+                         ids=("1.8", "1.2"))
+def test_corrected_ex1_case2_rates_against_the_exact_series(beta, rates):
+    # today's corrected rates of the problem without a closed-form catalog
+    # solution, measured against its exact series rather than a reference
+    spec = catalog("ex1-case2", beta)
+    exact = exact_series(1.0, beta, [(1.0, 1.0), (1.0, 0.0)])
+    (report,) = run_study(StudyConfig(problem=replace(spec, exact=exact), corrected=True,
+                                      M_list=(64, 128, 256, 512, 1024)))
+    got = [row.rate for row in report.rows[1:]]
+    assert np.allclose(got, rates, rtol=0.0, atol=0.02), got
 
 
 @pytest.mark.parametrize("corrected", [False, True])
